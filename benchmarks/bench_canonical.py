@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.engine.canonical import CanonicalVerdictCache
 from repro.sweep.executor import evaluate_timed, run_instances
 from repro.sweep.scenarios import build_instances
-from repro.sweep.store import MemoryVerdictStore
+from repro.sweep.store import open_store
 
 from conftest import report, write_bench_json
 
@@ -40,7 +40,7 @@ def test_canonical_cache_hit_rate_on_separations(benchmark):
 
     # Store-backed pass: persist the cold pass's node verdicts, then solve
     # the whole workload again from scratch against the store.
-    store = MemoryVerdictStore()
+    store = open_store("memory://")
     store.put_node_many(cold_cache.drain_records())
     warm_cache = CanonicalVerdictCache(store=store)
     warm_verdicts, _ = evaluate_timed(build_instances(SCENARIO), canonical=warm_cache)

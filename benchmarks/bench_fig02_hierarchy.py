@@ -9,13 +9,14 @@ solver on the NLP membership game.
 
 import time
 
-from repro.engine import CompiledGameEngine, CompiledInstance, GameEngine
+from repro.engine import CompiledGameEngine, CompiledInstance
 from repro.graphs import generators
 from repro.graphs.identifiers import sequential_identifier_assignment
 from repro.hierarchy.certificate_spaces import bit_space, color_space
 from repro.hierarchy.game import eve_wins, sigma_prefix
 from repro.machines import builtin
 from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
+from repro.properties.coloring import is_k_colorable
 from repro.separations import (
     lp_vs_nlp_separation_report,
     pumping_breaks_verifier,
@@ -91,8 +92,8 @@ def test_engine_speedup_over_naive_game(benchmark):
 
     The instance is the 3-colorability membership game on a 7-cycle: the
     reference solver expands 3^7 certificate assignments with a full
-    LOCAL-model simulation each, the engine solves the same game through
-    memoized local views and pruned innermost search.
+    LOCAL-model simulation each, the engine solves the same game on a
+    compiled instance with pruned innermost search.
     """
     machine = builtin.three_colorability_verifier()
     graph = generators.cycle_graph(7)
@@ -105,9 +106,11 @@ def test_engine_speedup_over_naive_game(benchmark):
     naive_seconds = time.perf_counter() - start
 
     def engine_run():
-        # A fresh engine each round: cold ball index, verdict cache and
-        # transposition table, so the measurement includes all setup.
-        return GameEngine(machine, graph, ids, spaces).eve_wins(prefix)
+        # A fresh compiled instance each round: cold lowering, verdict memo
+        # and transposition table, so the measurement includes all setup.
+        return CompiledGameEngine(
+            machine, graph, ids, spaces, instance=CompiledInstance(machine, graph, ids)
+        ).eve_wins(prefix)
 
     engine_value = benchmark(engine_run)
     assert engine_value == naive_value
@@ -148,7 +151,7 @@ def test_engine_speedup_over_naive_game(benchmark):
 
 
 def _figure2_workload():
-    """The Figure-2 membership games used for the compiled-core comparison.
+    """The Figure-2 membership games timed cold by :func:`test_figure2_cold_seconds`.
 
     The class-membership questions behind the hierarchy diagram --
     3-colorability (NLP via Theorem 23) on the paper's gadgets, complete
@@ -178,25 +181,17 @@ def _figure2_workload():
     return games
 
 
-def test_compiled_speedup_over_engine(benchmark):
-    """The compiled core must beat the PR-1 engine by >= 5x cold.
+def test_figure2_cold_seconds(benchmark):
+    """Absolute cold time of the Figure-2 workload on the engine.
 
-    Both tiers solve the whole Figure-2 workload with *cold* caches: a
-    fresh ``GameEngine`` (fresh leaf evaluator, fresh ball index) per game
-    for the PR-1 tier, and a fresh ``CompiledInstance`` plus engine per
-    game for the compiled tier -- so the comparison covers lowering,
-    interning and table construction, not just warm lookups.  Medians are
-    taken over >= 3 full-workload passes.
+    Every game gets a fresh ``CompiledInstance`` and engine, so the time
+    covers lowering, interning and table construction, not just warm
+    lookups.  The median over 5 full-workload passes is recorded as
+    ``figure2_cold_median_seconds`` (drift-checked by ``repro bench``).
     """
     games = _figure2_workload()
 
-    def run_engine_tier():
-        return [
-            GameEngine(machine, graph, ids, spaces).eve_wins(prefix)
-            for machine, graph, ids, spaces, prefix in games
-        ]
-
-    def run_compiled_tier():
+    def run_workload():
         return [
             CompiledGameEngine(
                 machine, graph, ids, spaces,
@@ -205,90 +200,20 @@ def test_compiled_speedup_over_engine(benchmark):
             for machine, graph, ids, spaces, prefix in games
         ]
 
-    engine_median, engine_verdicts = timed_median_with_result(run_engine_tier)
-    compiled_median, compiled_verdicts = timed_median_with_result(run_compiled_tier)
-    assert compiled_verdicts == engine_verdicts
-    speedup_median = engine_median / compiled_median
-    benchmark(run_compiled_tier)
+    cold_median, verdicts = timed_median_with_result(run_workload, repeats=5)
+    assert verdicts == [
+        is_k_colorable(graph, 3 if machine is games[0][0] else 2)
+        for machine, graph, _, _, _ in games
+    ]
+    benchmark(run_workload)
     report(
-        "Compiled core vs PR-1 engine (Figure-2 workload, cold)",
-        [
-            {
-                "games": len(games),
-                "engine_median_seconds": round(engine_median, 6),
-                "compiled_median_seconds": round(compiled_median, 6),
-                "speedup_median": round(speedup_median, 1),
-            }
-        ],
+        "Engine on the Figure-2 workload (cold)",
+        [{"games": len(games), "cold_median_seconds": round(cold_median, 6)}],
     )
     write_bench_json(
         "fig02",
         {
-            "compiled_vs_engine": {
-                "workload_games": len(games),
-                "engine_median_seconds": engine_median,
-                "compiled_median_seconds": compiled_median,
-                "speedup_median": round(speedup_median, 2),
-            }
+            "figure2_cold_median_seconds": cold_median,
+            "figure2_workload_games": len(games),
         },
-    )
-    assert speedup_median >= 5.0, (
-        f"compiled median speedup {speedup_median:.1f}x below the required 5x"
-    )
-
-
-def test_bitset_speedup_over_compiled(benchmark):
-    """The bitset tier must beat the PR-3 compiled tier by >= 3x cold.
-
-    Same Figure-2 workload, same cold-cache discipline (fresh
-    ``CompiledInstance`` and engine per game); the only difference between
-    the tiers is ``use_bitset`` -- mask-pruned innermost search versus the
-    PR-3 per-candidate memo loop.  Reject-heavy instances (K4/K5/K6, odd
-    cycles) dominate, which is exactly where whole-code-block pruning pays.
-    """
-    games = _figure2_workload()
-
-    def run_tier(use_bitset):
-        return [
-            CompiledGameEngine(
-                machine, graph, ids, spaces,
-                instance=CompiledInstance(machine, graph, ids),
-                use_bitset=use_bitset,
-            ).eve_wins(prefix)
-            for machine, graph, ids, spaces, prefix in games
-        ]
-
-    compiled_median, compiled_verdicts = timed_median_with_result(
-        lambda: run_tier(False), repeats=5
-    )
-    bitset_median, bitset_verdicts = timed_median_with_result(
-        lambda: run_tier(True), repeats=5
-    )
-    assert bitset_verdicts == compiled_verdicts
-    speedup_median = compiled_median / bitset_median
-    benchmark(lambda: run_tier(True))
-    report(
-        "Bitset tier vs PR-3 compiled tier (Figure-2 workload, cold)",
-        [
-            {
-                "games": len(games),
-                "compiled_median_seconds": round(compiled_median, 6),
-                "bitset_median_seconds": round(bitset_median, 6),
-                "speedup_median": round(speedup_median, 1),
-            }
-        ],
-    )
-    write_bench_json(
-        "fig02",
-        {
-            "bitset_vs_compiled": {
-                "workload_games": len(games),
-                "compiled_median_seconds": compiled_median,
-                "bitset_median_seconds": bitset_median,
-                "speedup_median": round(speedup_median, 2),
-            }
-        },
-    )
-    assert speedup_median >= 3.0, (
-        f"bitset median speedup {speedup_median:.1f}x below the required 3x"
     )

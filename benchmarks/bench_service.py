@@ -28,7 +28,7 @@ from repro.service.loadgen import run_load, scenario_payloads
 from repro.service.server import ServerThread
 from repro.sweep.executor import evaluate_timed
 from repro.sweep.scenarios import build_instances
-from repro.sweep.store import MemoryVerdictStore
+from repro.sweep.store import open_store
 
 from conftest import MIN_REPEATS, report, write_bench_json
 
@@ -55,7 +55,7 @@ def test_service_throughput_and_latency(benchmark):
     """Hot/warm serving beats cold compute >= 10x on the Figure-2 workload."""
     cold_qps, instance_count = _cold_single_query_rate()
 
-    store = MemoryVerdictStore()
+    store = open_store("memory://")
     payloads = scenario_payloads(SCENARIO)
     with ServerThread(store=store) as server:
         run_load(server.address, payloads, clients=1, label="warmup")

@@ -1,59 +1,47 @@
-"""Fast certificate-game engine: memoized local views, pruning, batching.
+"""Fast certificate-game engine: one compiled engine beside the exhaustive oracle.
 
-This package is the performance backbone of the repository.  The exhaustive
-game solver of :mod:`repro.hierarchy.game` re-runs the full LOCAL-model
-simulator at every leaf of the quantifier tree; the engine replaces that
-with per-node local-view evaluation built on three observations:
+The exhaustive solver :func:`repro.hierarchy.game.eve_wins` defines the
+game value of Section 4 and stays the reference oracle: it re-runs the full
+LOCAL-model simulator at every leaf of the quantifier tree.  The engine
+reaches the same values through three observations:
 
 1. **Verdicts are local.**  A node's accept/reject verdict depends only on
    the certificate restriction to its dependency ball (the gathering radius
    for neighborhood-gather algorithms, the round bound for arbitrary
-   machines).  :class:`~repro.engine.views.BallIndex` precomputes the balls
-   and the static part of every local view once per instance.
+   machines).
 2. **Leaves repeat locally.**  Adjacent leaves of the quantifier tree differ
-   in few certificates, so most per-node verdicts recur;
-   :class:`~repro.engine.evaluator.LeafEvaluator` memoizes them by
-   restriction key and short-circuits a leaf on the first rejection.
+   in few certificates, so most per-node verdicts recur; they are memoized
+   by restriction key and a leaf short-circuits on the first rejection.
 3. **The tree repeats globally.**  Partial quantifier assignments recur
-   across game-value and winning-move queries;
-   :class:`~repro.engine.game.GameEngine` keeps a transposition cache and
-   solves the innermost level by pruned search (backtracking for ∃,
-   per-ball decomposition for ∀) instead of flat enumeration.
+   across game-value and winning-move queries, so a transposition cache
+   answers them, and the innermost level is solved by pruned search
+   (backtracking for ∃, per-ball decomposition for ∀) instead of flat
+   enumeration.
 
-:mod:`repro.engine.batch` adds a batch API that evaluates many
-``(graph, ids, property)`` instances at once, sharing evaluators and
-engines across them.
-
-On top of the three observations sits the **compiled core**
-(:mod:`repro.engine.compiled`): an instance is lowered once to flat integer
-arrays -- CSR adjacency, interned certificate codes, dependency balls as
-index arrays -- and the game runs on packed integer restriction keys
-maintained *incrementally* under assignment deltas, with table-driven leaf
-kernels for machines that declare a :mod:`repro.machines.rules` rule.
-``GameEngine.for_game`` (the production path) returns a
-:class:`~repro.engine.compiled.CompiledGameEngine`; constructing
-``GameEngine`` directly gives the self-contained PR-1 tier.
-
-Above the compiled core sits the **vectorized tier** (on by default in
-``CompiledGameEngine``; ``use_bitset=False`` restores the previous
-behavior): :mod:`repro.engine.bitset` packs per-node acceptance over the
-whole interned code alphabet into single integers emitted by the rules
-themselves, so the innermost search prunes whole code-blocks with a few
-``&`` operations, and a quantifier *collapse* skips subtrees that cannot
-change the verdict.  :mod:`repro.engine.canonical` complements it on the
-expensive rule-less paths: verdicts are shared under a canonical ball
-signature across nodes, instances and (through the verdict store's node
-table) sessions.
+:mod:`repro.engine.compiled` implements all three on flat integer arrays:
+an instance is lowered once to CSR adjacency, interned certificate codes
+and dependency balls as index arrays, and the game runs on packed integer
+restriction keys maintained *incrementally* under assignment deltas, with
+table-driven leaf kernels for machines that declare a
+:mod:`repro.machines.rules` rule.  :mod:`repro.engine.bitset` packs
+per-node acceptance over the whole interned code alphabet into single
+integers emitted by the rules themselves, so the innermost search prunes
+whole code-blocks with a few ``&`` operations, and a quantifier *collapse*
+skips subtrees that cannot change the verdict.
+:class:`~repro.engine.compiled.CompiledGameEngine` is the only fast path;
+machines without a rule fall back to direct local views
+(:mod:`repro.engine.views`) or ball simulation under the same memo.
+:mod:`repro.engine.canonical` complements it on those rule-less paths:
+verdicts are shared under a canonical ball signature across nodes,
+instances and (through the verdict store's node table) sessions.
 
 For graphs that mutate over time, :mod:`repro.engine.dynamic` adds the
 incremental-scenario subsystem: :class:`~repro.engine.dynamic.MutableInstance`
 applies edge/label/identifier deltas to a compiled instance in place,
 repairing only the dirty dependency balls while untouched verdicts survive
-in the memo, canonical and store tiers.  The repair-equals-recompute claim
-is enforced by the differential harness in ``tests/test_dynamic.py``.
+in the memo, canonical and store tiers.
 
-The exhaustive solver is retained, untouched, as the reference oracle; the
-equivalence of all tiers is asserted by randomized tests
+Every path is checked against the oracle by randomized tests
 (``tests/test_engine.py``, ``tests/test_compiled.py``,
 ``tests/test_bitset.py`` and ``tests/test_dynamic.py``).
 """
@@ -61,7 +49,7 @@ equivalence of all tiers is asserted by randomized tests
 from repro.engine.bitset import BitsetKernel
 from repro.engine.caching import EvaluatorStats, LRUCache
 from repro.engine.canonical import CanonicalVerdictCache, node_ball_signature
-from repro.engine.views import BallIndex, RestrictionKey
+from repro.engine.views import BallIndex
 from repro.engine.compiled import (
     CodedState,
     CompiledGameEngine,
@@ -83,19 +71,10 @@ from repro.engine.dynamic import (
     random_trace,
     recompute_verdict,
 )
-from repro.engine.evaluator import LeafEvaluator, shared_evaluator
-from repro.engine.game import GameEngine
-from repro.engine.batch import (
-    GameInstance,
-    IdentityKey,
-    decide_batch,
-    engine_sharing_key,
-    evaluate_batch,
-)
+from repro.engine.batch import GameInstance, IdentityKey, engine_sharing_key
 
 __all__ = [
     "BallIndex",
-    "RestrictionKey",
     "BitsetKernel",
     "CanonicalVerdictCache",
     "node_ball_signature",
@@ -118,12 +97,7 @@ __all__ = [
     "delta_to_wire",
     "random_trace",
     "recompute_verdict",
-    "LeafEvaluator",
-    "shared_evaluator",
-    "GameEngine",
     "GameInstance",
     "IdentityKey",
-    "decide_batch",
     "engine_sharing_key",
-    "evaluate_batch",
 ]

@@ -1,34 +1,24 @@
-"""Batch evaluation of many certificate-game instances.
+"""Game-instance descriptions and the keys under which instances share state.
 
-The separations, the locality comparison and the benchmark harness all ask
-the same shape of question many times over: *for each of these graphs (or
-identifier assignments, or properties), who wins the game?*  The batch API
-answers a whole list of such questions while sharing every piece of state
-that can be shared:
-
-* leaf evaluators (per-node verdict caches) are shared across instances
-  with the same ``(machine, graph, ids)`` triple, regardless of certificate
-  spaces or quantifier prefixes, via
-  :func:`repro.engine.evaluator.shared_evaluator`;
-* game engines (transposition caches) are shared across instances that also
-  agree on the certificate spaces.
-
-A :class:`GameInstance` describes one question; :func:`evaluate_batch`
-answers a sequence of them in order.  :func:`decide_batch` is the common
-special case of running one arbiter specification over many graphs.
+The separations, the locality comparison, the sweeps and the online
+service all ask the same shape of question many times over: *for each of
+these graphs (or identifier assignments, or properties), who wins the
+game?*  A :class:`GameInstance` describes one such question;
+:func:`engine_sharing_key` names the instances that may share one
+:class:`~repro.engine.compiled.CompiledGameEngine` (and hence its
+transposition cache).  :func:`repro.sweep.executor.evaluate_timed` answers
+a batch of instances under these keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.hierarchy.certificate_spaces import CertificateSpace
 from repro.hierarchy.game import Quantifier
 from repro.machines.interface import NodeMachine
-
-from repro.engine.game import GameEngine
 
 
 class IdentityKey:
@@ -89,19 +79,9 @@ class GameInstance:
     prefix: Sequence[Quantifier]
     name: str = ""
 
-    def engine(self):
-        """A compiled game engine for this instance (shared compiled instance).
-
-        Routed through :meth:`GameEngine.for_game`, so instances on the same
-        ``(machine, graph, ids)`` triple share one
-        :class:`~repro.engine.compiled.CompiledInstance` -- and with it the
-        interned certificate alphabet and the per-node verdict memo.
-        """
-        return GameEngine.for_game(self.machine, self.graph, self.ids, self.spaces)
-
 
 def engine_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, LabeledGraph, Tuple[str, ...]]:
-    """The key under which instances share a single :class:`GameEngine`.
+    """The key under which instances share a single game engine.
 
     Instances with equal keys agree on ``(machine, graph, ids, spaces)`` and
     may share one engine (and hence its transposition cache).  The machine
@@ -115,79 +95,3 @@ def engine_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, LabeledGrap
         instance.graph,
         ids_key,
     )
-
-
-def evaluate_batch(instances: Iterable[GameInstance]) -> List[bool]:
-    """Game values of many instances, sharing caches wherever possible.
-
-    Returns one boolean per instance, in input order.  Instances agreeing on
-    ``(machine, graph, ids, spaces)`` share a single engine (and hence its
-    transposition cache); instances agreeing only on ``(machine, graph,
-    ids)`` still share the per-node verdict cache through the evaluator
-    registry.  *instances* may be any iterable, including a lazy generator:
-    the engine registry's keys hold strong references, so identity-based
-    sharing stays sound even when the caller drops its own references
-    between iterations.
-    """
-    engines: Dict[Tuple[IdentityKey, LabeledGraph, Tuple[str, ...]], object] = {}
-    values: List[bool] = []
-    for instance in instances:
-        key = engine_sharing_key(instance)
-        engine = engines.get(key)
-        if engine is None:
-            engine = instance.engine()
-            engines[key] = engine
-        values.append(engine.eve_wins(instance.prefix))
-    return values
-
-
-def decide_batch(
-    spec,
-    graphs: Iterable[LabeledGraph],
-    ids_list: Optional[Sequence[Mapping[Node, str]]] = None,
-) -> List[bool]:
-    """Decide one arbiter specification on many graphs through the engine.
-
-    Parameters
-    ----------
-    spec:
-        An :class:`~repro.hierarchy.arbiters.ArbiterSpec` (or any object
-        with ``machine``, ``spaces``, ``identifier_radius`` attributes and a
-        ``prefix()`` method).
-    graphs:
-        The input graphs.
-    ids_list:
-        Optional identifier assignments, parallel to *graphs* (one entry per
-        graph; individual entries may be ``None``).  Small locally unique
-        assignments are constructed for ``None`` entries or when the whole
-        list is omitted.  A list whose length differs from the number of
-        graphs raises ``ValueError`` -- silently generating identifiers for
-        the tail would decide part of the batch on assignments the caller
-        never saw.
-    """
-    from repro.graphs.identifiers import small_identifier_assignment
-
-    graph_list = list(graphs)
-    if ids_list is not None and len(ids_list) != len(graph_list):
-        raise ValueError(
-            f"ids_list must have one entry per graph: got {len(ids_list)} "
-            f"assignments for {len(graph_list)} graphs"
-        )
-    instances: List[GameInstance] = []
-    for index, graph in enumerate(graph_list):
-        ids = None
-        if ids_list is not None and ids_list[index] is not None:
-            ids = ids_list[index]
-        if ids is None:
-            ids = small_identifier_assignment(graph, spec.identifier_radius)
-        instances.append(
-            GameInstance(
-                machine=spec.machine,
-                graph=graph,
-                ids=ids,
-                spaces=list(spec.spaces),
-                prefix=spec.prefix(),
-                name=getattr(spec, "name", ""),
-            )
-        )
-    return evaluate_batch(instances)

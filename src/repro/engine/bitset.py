@@ -1,7 +1,7 @@
 """Bitset leaf kernels: per-node acceptance tables as packed-int masks.
 
-The compiled core (PR 3) evaluates one node under one candidate certificate
-code at a time: the innermost search assigns a code, then asks the per-node
+The compiled core's generic search evaluates one node under one candidate
+certificate code at a time: it assigns a code, then asks the per-node
 memo (or the table-driven rule kernel) for a verdict, candidate by
 candidate.  This module vectorizes that loop.  For a machine carrying a
 declarative :mod:`repro.machines.rules` rule, the acceptance of *every*
@@ -29,8 +29,8 @@ prunes whole code-blocks with a few ``&`` operations before it descends:
 Masks are valid for one ``(generation, alphabet length)`` snapshot of the
 compiled instance; the engine refreshes the kernel (cheap compare) before
 each innermost search, so alphabet growth or a packing rebase can never
-serve a stale mask.  The tier is exercised against the non-bitset compiled
-engine, the PR-1 engine and the exhaustive oracle by ``tests/test_bitset.py``.
+serve a stale mask.  ``tests/test_bitset.py`` checks the mask searches
+against the exhaustive oracle.
 """
 
 from __future__ import annotations

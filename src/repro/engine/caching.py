@@ -129,7 +129,7 @@ class EvaluatorStats:
         the direct and table-driven paths).
     bitset_prunes:
         Search positions killed outright by an empty viability mask in the
-        bitset tier (whole code-blocks discarded before descending).
+        bitset search (whole code-blocks discarded before descending).
     bitset_evaluations:
         Rule-predicate evaluations spent building bitset slot masks (the
         pairwise tables count their builds on the kernel instead).

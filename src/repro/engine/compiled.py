@@ -1,10 +1,9 @@
 """The compiled instance core: integer-coded games on flat arrays.
 
-The PR-1 engine wins by caching: per-node verdicts are memoized under
-string-tuple restriction keys that are *rebuilt from scratch at every leaf*,
-and cache misses reconstruct dict-heavy local views.  This module makes the
-cold path itself cheap by lowering a ``(machine, graph, ids)`` instance to
-flat integer form once and running the whole game on it:
+The certificate game is decided here, by the repository's one fast engine
+(the exhaustive :func:`repro.hierarchy.game.eve_wins` is the oracle it is
+tested against).  A ``(machine, graph, ids)`` instance is lowered to flat
+integer form once and the whole game runs on it:
 
 * **CSR adjacency and balls.**  Nodes become indices ``0..n-1``; adjacency
   and dependency balls are flat index arrays, so the inner loops touch
@@ -32,9 +31,10 @@ flat integer form once and running the whole game on it:
 :class:`CompiledGameEngine` runs the full quantifier game on this substrate:
 level enumeration is an odometer over code arrays (one ``set_code`` delta
 per step, in exactly the reference solver's ``itertools.product`` order),
-the innermost levels reuse the PR-1 pruning strategies on coded state, and
-transposition keys are packed per-level code integers instead of frozen
-string tuples.  Caches are LRU-bounded (:mod:`repro.engine.caching`).
+the innermost levels are solved by pruned search on coded state (mask
+pruning through :mod:`repro.engine.bitset` where a rule allows it), and
+transposition keys are packed per-level code integers.  Caches are
+LRU-bounded (:mod:`repro.engine.caching`).
 
 The alphabet can grow at runtime (callers may present unseen certificate
 strings); when it outgrows the packing width the instance *rebases* --
@@ -78,15 +78,24 @@ class CompiledInstance:
 
     Construction performs the whole lowering: node indexing, CSR adjacency,
     dependency balls and their inverse (the *dependents* of each node, with
-    precomputed packed-key shift amounts), the direct/simulation decision
-    (same criteria as the PR-1 evaluator: plain gather machines with
-    collision-free identifiers in the gather horizon take the direct path),
+    precomputed packed-key shift amounts), the direct/simulation decision,
     and kernel selection from the machine's declarative rule, if any.
+
+    The direct path (a gather machine's ``compute`` applied to a rebuilt
+    local view) is taken only for plain
+    :class:`~repro.machines.local_algorithm.NeighborhoodGatherAlgorithm`
+    machines whose identifiers are pairwise distinct inside every
+    radius-``(r + 1)`` ball -- the *gather horizon*: the simulated gather
+    runs ``r + 1`` communication rounds, so its identifier-keyed knowledge
+    tables span one hop beyond the view radius, and a collision anywhere in
+    that horizon can plant phantom entries.  Every other machine is
+    simulated on its ball subgraph, which reproduces such collisions
+    exactly (e.g. on the periodic-identifier cycles of Proposition 26).
 
     The instance owns the shared per-node verdict memo (LRU-bounded, keyed
     by ``(node, levels, packed restriction key)``) and the certificate
-    alphabet; engines and evaluators on the same instance therefore share
-    every cached verdict, exactly like the PR-1 shared leaf evaluator.
+    alphabet; every engine and dict-facing leaf query on the same instance
+    therefore shares every cached verdict.
     """
 
     def __init__(
@@ -616,7 +625,7 @@ class CompiledInstance:
         ]
 
     # ------------------------------------------------------------------
-    # Leaf evaluation from certificate dicts (the evaluator-facing path)
+    # Leaf evaluation from certificate dicts (one-off verifier runs)
     # ------------------------------------------------------------------
     def key_from_dicts(self, u: int, assignments: Sequence[Mapping[Node, str]]) -> int:
         """The packed restriction key of node *u* under dict assignments.
@@ -923,8 +932,8 @@ class CodedState:
     ``keys[v]`` is the packed restriction key of ``v``'s ball, and
     ``full[level]`` the packed whole-graph key of the level (the engine's
     transposition-key component).  :meth:`set_code` applies a single-node
-    delta and updates exactly the affected packed keys -- the incremental
-    maintenance that replaces the per-leaf tuple rebuilding of PR 1.
+    delta and updates exactly the affected packed keys, so no key is ever
+    rebuilt from scratch on the game's hot path.
     """
 
     __slots__ = (
@@ -1044,13 +1053,14 @@ class CodedState:
 class CompiledGameEngine:
     """The certificate-game solver running entirely on a compiled instance.
 
-    Drop-in API match for :class:`repro.engine.game.GameEngine`
-    (``eve_wins`` / ``sigma_value`` / ``pi_value`` / ``winning_first_move``,
-    identical enumeration order), but every internal structure is coded:
-    candidate certificates are integer codes materialized from the spaces,
-    level enumeration is a delta odometer on a :class:`CodedState`, the
-    innermost levels run the PR-1 pruning strategies over packed keys, and
-    the transposition cache is keyed by packed per-level code integers.
+    Same API and enumeration order as the exhaustive solver
+    (``eve_wins`` / ``sigma_value`` / ``pi_value`` / ``winning_first_move``),
+    but every internal structure is coded: candidate certificates are
+    integer codes materialized from the spaces, level enumeration is a
+    delta odometer on a :class:`CodedState`, the innermost level is solved
+    by pruned search (bitset masks where a rule allows, packed-key memo
+    lookups otherwise), and the transposition cache is keyed by packed
+    per-level code integers.
     """
 
     def __init__(
@@ -1061,7 +1071,6 @@ class CompiledGameEngine:
         spaces: Sequence[CertificateSpace],
         instance: Optional[CompiledInstance] = None,
         transposition_cap: Optional[int] = DEFAULT_TRANSPOSITION_CAP,
-        use_bitset: bool = True,
     ) -> None:
         self.machine = machine
         self.graph = graph
@@ -1071,11 +1080,6 @@ class CompiledGameEngine:
         self.compiled = compiled
         self.nodes: List[Node] = list(graph.nodes)
         self.stats = EvaluatorStats()
-        #: Whether the vectorized bitset tier (mask-pruned innermost search,
-        #: quantifier collapse) may be used.  ``False`` pins the engine to
-        #: the PR-3 behavior -- the baseline of the ``bitset_vs_compiled``
-        #: benchmark gate and half of the equivalence suite.
-        self._use_bitset = use_bitset
         #: Per level, per node index: candidate certificate codes, in the
         #: reference solver's enumeration order.
         self._candidate_codes: List[List[List[int]]] = [
@@ -1084,8 +1088,8 @@ class CompiledGameEngine:
         ]
         #: Per level, per node: the candidate codes as one packed bitmask;
         #: plus the vacuity tables gating the quantifier collapse.  Built
-        #: lazily on the first bitset dispatch -- rule-less instances and
-        #: ``use_bitset=False`` baselines never read them.
+        #: lazily on the first bitset dispatch -- rule-less instances never
+        #: read them.
         self._candidate_masks: Optional[List[List[int]]] = None
         self._level_has_empty: Optional[List[bool]] = None
         self._nonempty_below: Optional[List[bool]] = None
@@ -1116,7 +1120,7 @@ class CompiledGameEngine:
         return cls(machine, graph, ids, spaces, instance=compile_instance(machine, graph, ids))
 
     # ------------------------------------------------------------------
-    # Game values (GameEngine-compatible API)
+    # Game values (the exhaustive solver's API)
     # ------------------------------------------------------------------
     def eve_wins(
         self,
@@ -1144,9 +1148,8 @@ class CompiledGameEngine:
     def winning_first_move(self, prefix: Sequence[Quantifier]) -> Optional[Dict[Node, str]]:
         """A winning first move for the owner of the first quantifier, if any.
 
-        Enumeration order matches the reference solver's, so all three
-        solvers (exhaustive, PR-1 engine, compiled engine) return the same
-        move.
+        Enumeration order matches the reference solver's, so both return
+        the same move.
         """
         if not prefix:
             raise ValueError("the game must have at least one quantifier")
@@ -1215,7 +1218,7 @@ class CompiledGameEngine:
         quantifier = prefix[depth]
         if depth == len(prefix) - 1:
             value = self._innermost(quantifier, depth)
-        elif self._use_bitset and self._collapsible(depth):
+        elif self._collapsible(depth):
             value = self._collapsed_value(quantifier, depth)
         elif quantifier is Quantifier.EXISTS:
             value = any(self._value(prefix, depth + 1) for _ in self._enumerate_level(depth))
@@ -1289,18 +1292,17 @@ class CompiledGameEngine:
             # No assignment exists at all: the existential player is stuck,
             # the universal statement is vacuously true.
             return quantifier is Quantifier.FORALL
-        if self._use_bitset:
-            compiled = self.compiled
-            rule = compiled._usable_rule(self._state.levels)
-            if rule is not None and rule.level == level:
-                kernel = compiled.bitset_kernel()
-                if kernel is not None and kernel.pairwise:
-                    if quantifier is Quantifier.EXISTS:
-                        return self._exists_bitset_pairwise(level, kernel)
-                    return self._forall_bitset_pairwise(level, kernel)
-                if kernel is not None and quantifier is Quantifier.EXISTS:
-                    return self._exists_bitset_star(level, kernel, 0)
-                # Star FORALL keeps the generic per-ball decomposition.
+        compiled = self.compiled
+        rule = compiled._usable_rule(self._state.levels)
+        if rule is not None and rule.level == level:
+            kernel = compiled.bitset_kernel()
+            if kernel is not None and kernel.pairwise:
+                if quantifier is Quantifier.EXISTS:
+                    return self._exists_bitset_pairwise(level, kernel)
+                return self._forall_bitset_pairwise(level, kernel)
+            if kernel is not None and quantifier is Quantifier.EXISTS:
+                return self._exists_bitset_star(level, kernel, 0)
+            # Star FORALL keeps the generic per-ball decomposition.
         if quantifier is Quantifier.EXISTS:
             return self._exists_accepting(level, 0)
         return self._forall_accepting(level)
@@ -1473,9 +1475,11 @@ class CompiledGameEngine:
     def _exists_accepting(self, level: int, position: int) -> bool:
         """Backtracking search for an accepting assignment, one code at a time.
 
-        Mirrors the PR-1 search exactly (node order, candidate order, prune
-        on the first rejecting fully-assigned ball) but each step is a
-        single ``set_code`` delta plus packed-key memo lookups.
+        Certificates are chosen node by node (graph order, candidate order);
+        as soon as all of a node's ball is assigned its verdict is checked,
+        and the branch is pruned on the first rejection.  Each step is a
+        single ``set_code`` delta plus packed-key memo lookups.  This is the
+        generic search for rule-less machines.
         """
         compiled = self.compiled
         if position == compiled.n:
@@ -1534,9 +1538,12 @@ class CompiledGameEngine:
     def _forall_accepting(self, level: int) -> bool:
         """Whether every innermost assignment makes every node accept.
 
-        Per-ball decomposition as in PR 1 -- a rejecting leaf exists iff
-        some node rejects under some assignment of its ball alone -- with
-        the ball product enumerated by a coded odometer.
+        Per-ball decomposition: a rejecting leaf exists iff some node
+        rejects under some assignment of its ball alone (any completion
+        outside the ball yields a full assignment with the same verdict, and
+        completions exist because every candidate set is nonempty), so each
+        ball's product is enumerated separately by a coded odometer --
+        exponential in the ball size instead of the graph size.
         """
         compiled = self.compiled
         state = self._state
@@ -1591,9 +1598,9 @@ class InstanceCompiler:
     """Compiles instances and shares them per ``(machine, graph, ids)``.
 
     The registry is weak in the machine and holds at most *limit* instances
-    per machine (FIFO eviction), mirroring the shared-evaluator registry.
-    Machines that do not support weak references get a fresh instance each
-    time.
+    per machine (FIFO eviction), so long sweeps over many graphs do not
+    grow memory without limit.  Machines that do not support weak
+    references get a fresh instance each time.
     """
 
     def __init__(self, limit: int = 64) -> None:

@@ -277,7 +277,6 @@ class MutableInstance:
         spaces: Sequence[CertificateSpace],
         prefix: Sequence[Quantifier],
         name: str = "",
-        use_bitset: bool = True,
         canonical=None,
     ) -> None:
         if len(spaces) != len(prefix):
@@ -286,7 +285,6 @@ class MutableInstance:
         self.spaces: List[CertificateSpace] = list(spaces)
         self.prefix: Tuple[Quantifier, ...] = tuple(prefix)
         self.name = name
-        self.use_bitset = use_bitset
         self.graph = graph
         self._nodes: Tuple[Node, ...] = graph.nodes
         self._index: Dict[Node, int] = {u: i for i, u in enumerate(self._nodes)}
@@ -582,7 +580,6 @@ class MutableInstance:
                 self._ids,
                 self.spaces,
                 instance=self.compiled,
-                use_bitset=self.use_bitset,
             )
         return self._engine
 
@@ -624,7 +621,7 @@ class MutableInstance:
         )
 
 
-def recompute_verdict(instance: GameInstance, use_bitset: bool = True) -> bool:
+def recompute_verdict(instance: GameInstance) -> bool:
     """A from-scratch verdict: fresh compiled instance, cold memo, cold engine.
 
     The baseline the differential harness and the dynamic benchmark compare
@@ -638,7 +635,6 @@ def recompute_verdict(instance: GameInstance, use_bitset: bool = True) -> bool:
         instance.ids,
         instance.spaces,
         instance=compiled,
-        use_bitset=use_bitset,
     )
     return engine.eve_wins(instance.prefix)
 

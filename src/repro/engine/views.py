@@ -1,28 +1,21 @@
-"""Precomputed radius-``r`` balls and static local views (the engine's substrate).
+"""Precomputed radius-``r`` balls and static local views (the fallback substrate).
 
-Everything the certificate-game engine memoizes hinges on one structural
-fact: in the LOCAL model the verdict of a node ``u`` after ``t`` rounds is a
+In the LOCAL model the verdict of a node ``u`` after ``t`` rounds is a
 function of the radius-``t`` ball around ``u`` -- its topology, labels and
 identifiers (all fixed for the duration of a game) plus the certificates of
 the ball's nodes (the only part that changes between game positions).  The
-:class:`BallIndex` precomputes, once per ``(graph, ids, radius)`` triple,
+compiled core (:mod:`repro.engine.compiled`) keys its verdict memo on that
+fact; for machines without a table-driven kernel it evaluates a memo miss
+through the :class:`BallIndex`, which precomputes, once per
+``(graph, ids, radius)`` triple,
 
 * the ball ``N^G_r(u)`` of every node, as a tuple in the graph's node order,
 * the *static* part of a node's :class:`~repro.machines.local_algorithm.LocalView`
   (center, nodes, edges, labels, distances -- everything except
-  certificates), built lazily on first use (only the direct evaluation path
+  certificates), built lazily on first use (only the direct view path
   reads views),
-* the induced subgraph of a node's ball (also lazy, for the generic
-  simulation path of the evaluator).
-
-With the index in hand, the per-node *certificate restriction key* -- the
-tuple of certificates assigned to the ball's nodes -- is a cheap pure
-function of a candidate game position, and two positions that agree on a
-node's ball are guaranteed to give that node the same verdict.  This is what
-lets the evaluator reuse verdicts across the exponentially many leaves of
-the quantifier tree: changing the certificate of a node ``v`` only changes
-the keys (and hence possibly the verdicts) of the nodes whose ball contains
-``v``; every other node hits its cache.
+* the induced subgraph of a node's ball (also lazy, for the ball
+  simulation path).
 """
 
 from __future__ import annotations
@@ -32,11 +25,6 @@ from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.machines.local_algorithm import LocalView
-
-#: The restriction of a certificate-list assignment to one node's ball:
-#: one tuple per ball node (in the index's ball order), each containing the
-#: node's certificate at every quantifier level.
-RestrictionKey = Tuple[Tuple[str, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -64,8 +52,8 @@ class BallIndex:
         immutable for the lifetime of the index (``LabeledGraph`` already is;
         the identifier mapping is copied).
     radius:
-        The dependency radius: the certificate restriction of a node is taken
-        over its radius-``radius`` ball.  For a gather-style algorithm this
+        The dependency radius: a node's verdict depends on the certificates
+        of its radius-``radius`` ball only.  For a gather-style algorithm this
         is the gathering radius; for a generic machine it is its round bound
         (information cannot travel further than one hop per round).
     """
@@ -87,36 +75,9 @@ class BallIndex:
             ball_set = graph.ball(u, radius)
             self._balls[u] = tuple(sorted(ball_set, key=position.__getitem__))
 
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-    @property
-    def nodes(self) -> Tuple[Node, ...]:
-        """The graph's nodes, in graph order."""
-        return self._node_order
-
-    def ball(self, node: Node) -> Tuple[Node, ...]:
-        """The radius-``radius`` ball of *node*, as a tuple in graph node order."""
-        return self._balls[node]
-
     def covers_graph(self, node: Node) -> bool:
         """Whether the node's ball contains every node of the graph."""
         return len(self._balls[node]) == len(self._node_order)
-
-    def restriction(
-        self, node: Node, assignments: Sequence[Mapping[Node, str]]
-    ) -> RestrictionKey:
-        """The certificate restriction of *assignments* to the node's ball.
-
-        The key is a tuple with one entry per ball node (in ball order), each
-        entry being the node's certificates across all quantifier levels.
-        Two certificate-list assignments with equal restriction keys are
-        indistinguishable to *node*, so its verdict may be reused.
-        """
-        return tuple(
-            tuple(assignment.get(v, "") for assignment in assignments)
-            for v in self._balls[node]
-        )
 
     def view(self, node: Node, assignments: Sequence[Mapping[Node, str]]) -> LocalView:
         """The node's :class:`LocalView` under the given certificate assignments.

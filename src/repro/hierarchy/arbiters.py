@@ -81,7 +81,7 @@ class ArbiterSpec:
         must not depend on this choice (tests verify this on several
         assignments).
 
-        Solved through the fast :class:`~repro.engine.game.GameEngine`;
+        Solved through the fast :class:`~repro.engine.compiled.CompiledGameEngine`;
         :meth:`decide_naive` runs the exhaustive reference solver instead.
         """
         return self.game_engine(graph, ids).eve_wins(self.prefix())
@@ -102,17 +102,18 @@ class ArbiterSpec:
 
     def game_engine(
         self, graph: LabeledGraph, ids: Optional[Mapping[Node, str]] = None
-    ) -> "GameEngine":
-        """A :class:`~repro.engine.game.GameEngine` for this spec on *graph*.
+    ) -> "CompiledGameEngine":
+        """A :class:`~repro.engine.compiled.CompiledGameEngine` for this spec on *graph*.
 
-        The engine's leaf evaluator is shared process-wide across games on
-        the same ``(machine, graph, ids)`` instance.
+        The engine's compiled instance (and its per-node verdict memo) is
+        shared process-wide across games on the same ``(machine, graph,
+        ids)`` instance.
         """
-        from repro.engine import GameEngine
+        from repro.engine import CompiledGameEngine
 
         if ids is None:
             ids = small_identifier_assignment(graph, self.identifier_radius)
-        return GameEngine.for_game(self.machine, graph, ids, list(self.spaces))
+        return CompiledGameEngine.for_game(self.machine, graph, ids, list(self.spaces))
 
     def certificates_bounded(self, graph: LabeledGraph, ids: Mapping[Node, str]) -> bool:
         """Whether every candidate certificate respects the ``(r, p)`` bound."""

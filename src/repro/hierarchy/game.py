@@ -17,11 +17,12 @@ Two solvers live behind this interface:
   sizes times a full simulation -- keep it for tiny instances and for
   cross-checking.
 * :func:`sigma_membership`, :func:`pi_membership` and
-  :func:`winning_first_move` route through the memoizing
-  :class:`~repro.engine.game.GameEngine` (cached per-node local views,
-  leaf short-circuiting, transposition cache, pruned innermost search),
-  which is observationally equivalent and orders of magnitude faster.
-  Randomized tests (``tests/test_engine.py``) assert the equivalence.
+  :func:`winning_first_move` route through the compiled
+  :class:`~repro.engine.compiled.CompiledGameEngine` (memoized per-node
+  verdicts, leaf short-circuiting, transposition cache, pruned innermost
+  search), which is observationally equivalent and orders of magnitude
+  faster.  Randomized tests (``tests/test_engine.py``) assert the
+  equivalence.
 """
 
 from __future__ import annotations
@@ -113,12 +114,12 @@ def sigma_membership(
 ) -> bool:
     """Game value with Eve moving first (membership under a Sigma^lp_l arbiter).
 
-    Solved through the fast :class:`~repro.engine.game.GameEngine`; use
-    :func:`eve_wins` directly for the exhaustive reference path.
+    Solved through the fast :class:`~repro.engine.compiled.CompiledGameEngine`;
+    use :func:`eve_wins` directly for the exhaustive reference path.
     """
-    from repro.engine import GameEngine
+    from repro.engine import CompiledGameEngine
 
-    return GameEngine.for_game(arbiter, graph, ids, spaces).sigma_value()
+    return CompiledGameEngine.for_game(arbiter, graph, ids, spaces).sigma_value()
 
 
 def pi_membership(
@@ -129,12 +130,12 @@ def pi_membership(
 ) -> bool:
     """Game value with Adam moving first (membership under a Pi^lp_l arbiter).
 
-    Solved through the fast :class:`~repro.engine.game.GameEngine`; use
-    :func:`eve_wins` directly for the exhaustive reference path.
+    Solved through the fast :class:`~repro.engine.compiled.CompiledGameEngine`;
+    use :func:`eve_wins` directly for the exhaustive reference path.
     """
-    from repro.engine import GameEngine
+    from repro.engine import CompiledGameEngine
 
-    return GameEngine.for_game(arbiter, graph, ids, spaces).pi_value()
+    return CompiledGameEngine.for_game(arbiter, graph, ids, spaces).pi_value()
 
 
 def winning_first_move(
@@ -151,10 +152,10 @@ def winning_first_move(
     makes Eve lose (i.e. a winning move for Adam).  Returns ``None`` when the
     first player has no winning move.
 
-    Solved through the fast :class:`~repro.engine.game.GameEngine`, whose
-    enumeration order matches the exhaustive solver's, so both return the
-    same move.
+    Solved through the fast :class:`~repro.engine.compiled.CompiledGameEngine`,
+    whose enumeration order matches the exhaustive solver's, so both return
+    the same move.
     """
-    from repro.engine import GameEngine
+    from repro.engine import CompiledGameEngine
 
-    return GameEngine.for_game(arbiter, graph, ids, spaces).winning_first_move(prefix)
+    return CompiledGameEngine.for_game(arbiter, graph, ids, spaces).winning_first_move(prefix)

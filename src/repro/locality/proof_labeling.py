@@ -70,15 +70,16 @@ class ProofLabelingScheme:
         """Run only the verifier on the given certificates.
 
         Routed through the engine's shared
-        :class:`~repro.engine.evaluator.LeafEvaluator`, so sweeps that try
+        :class:`~repro.engine.compiled.CompiledInstance`, so sweeps that try
         many certificate assignments on one graph (e.g. the soundness tests)
         reuse each node's cached verdicts instead of re-simulating.
         """
-        from repro.engine import shared_evaluator
+        from repro.engine import EvaluatorStats, compile_instance
 
         if ids is None:
             ids = sequential_identifier_assignment(graph)
-        return shared_evaluator(self.verifier, graph, ids).accepts([dict(certificates)])
+        instance = compile_instance(self.verifier, graph, ids)
+        return instance.accepts_dicts([dict(certificates)], EvaluatorStats())
 
     def max_certificate_length(self, graph: LabeledGraph, ids: Optional[Mapping[Node, str]] = None) -> int:
         """The longest certificate the prover assigns on *graph* (0 if it cannot prove)."""

@@ -108,7 +108,7 @@ class PairwiseRule:
         """``own_ok`` over a whole code alphabet, as a packed-int bitmask.
 
         Bit ``c`` is set iff ``own_ok(label, degree, alphabet[c])`` holds, so
-        the compiled bitset tier (:mod:`repro.engine.bitset`) answers "which
+        the engine's bitset kernels (:mod:`repro.engine.bitset`) answer "which
         certificates could this node even carry?" with one integer instead of
         one predicate call per candidate.
         """

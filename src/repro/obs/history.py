@@ -5,7 +5,7 @@ benchmark run clobbers -- fine for "what did this commit measure", useless
 for "is the repo getting slower".  Following the accountable append-only
 log ethos of the pod abstraction (Alpos et al.), this module turns them
 into an auditable trajectory: ``repro bench`` collects the tracked
-ratios out of the fresh snapshots and *appends* one record (git sha,
+metrics out of the fresh snapshots and *appends* one record (git sha,
 timestamp, python/cpu, metrics) to ``BENCH_history.jsonl``.  Records are
 never rewritten; the file replays into the full perf history of the
 branch.
@@ -14,8 +14,8 @@ branch.
 enforces two things against the newest record:
 
 * an **absolute floor/ceiling** where one exists (the hard invariants CI
-  used to check with inline python snippets -- e.g. the compiled tier
-  must beat the engine by >= 5x, dynamic repair must do zero full
+  used to check with inline python snippets -- e.g. the engine must
+  beat the exhaustive solver by >= 5x, dynamic repair must do zero full
   rebuilds), and
 * **drift** against the median of a window of previous records: with the
   default threshold factor of 1.5, a genuine 2x slowdown trips the gate
@@ -79,12 +79,10 @@ class MetricSpec:
 #: CI previously enforced with inline snippets; ratio metrics also get
 #: drift checking against the history window.
 TRACKED_METRICS: List[MetricSpec] = [
-    MetricSpec("fig02.compiled_vs_engine", "fig02",
-               ("compiled_vs_engine", "speedup_median"), "higher", floor=5.0),
     MetricSpec("fig02.engine_vs_naive", "fig02",
                ("engine_vs_naive", "speedup_median"), "higher", floor=5.0),
-    MetricSpec("fig02.bitset_vs_compiled", "fig02",
-               ("bitset_vs_compiled", "speedup_median"), "higher", floor=3.0),
+    MetricSpec("fig02.figure2_cold_seconds", "fig02",
+               ("figure2_cold_median_seconds",), "lower"),
     MetricSpec("fig07.sweep_locality_seconds", "fig07",
                ("sweep_locality_median_seconds",), "lower"),
     MetricSpec("service.hot_vs_cold", "service",

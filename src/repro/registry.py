@@ -1,9 +1,9 @@
 """A weak-keyed, bounded sharing registry (one pattern, one home).
 
-Several layers share expensive derived objects per *owner*: leaf evaluators
-and compiled instances per machine, materialized certificate spaces per
-space.  They all need the same shape of registry -- weak in the owner (so
-a dead machine or space releases everything derived from it), bounded per
+Several layers share expensive derived objects per *owner*: compiled
+instances per machine, materialized certificate spaces per space.  They
+all need the same shape of registry -- weak in the owner (so a dead
+machine or space releases everything derived from it), bounded per
 owner with FIFO eviction (so long sweeps over many graphs cannot grow
 memory without limit), and degrading gracefully to "build a fresh one"
 when the owner does not support weak references.

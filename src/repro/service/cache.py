@@ -245,7 +245,7 @@ class ComputeTier:
 
     Batches are dispatched through the sweep executor's
     :func:`~repro.sweep.executor.evaluate_timed`, handing it two *long-lived*
-    LRU caches: compiled instances keyed by their leaf-evaluator sharing
+    LRU caches: compiled instances keyed by their ``(machine, graph, ids)``
     group, and game engines keyed by the full engine sharing key.  Unlike a
     sweep shard -- whose caches die with the shard -- the daemon's engines
     survive across batches, so a miss on a previously seen ``(machine,

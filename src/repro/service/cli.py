@@ -40,7 +40,7 @@ def add_service_commands(commands: argparse._SubParsersAction) -> None:
     serve.add_argument("--host", default="127.0.0.1", help="TCP bind host")
     serve.add_argument("--port", type=int, default=DEFAULT_PORT, help="TCP bind port (0: ephemeral)")
     serve.add_argument("--socket", default=None, metavar="PATH", help="serve on a UNIX socket instead of TCP")
-    serve.add_argument("--store", default=None, metavar="PATH", help="persistent verdict store (sqlite:// or jsonl:// scheme, or a bare path)")
+    serve.add_argument("--store", default=None, metavar="PATH", help="persistent SQLite verdict store (sqlite:// scheme or a bare path)")
     serve.add_argument("--workers", type=int, default=1, metavar="N", help="run a supervised pool of N worker daemons behind a fingerprint-hash router (requires --store; sqlite:// recommended)")
     serve.add_argument("--probe-interval", type=float, default=0.5, help="pool supervisor: seconds between worker health probes")
     serve.add_argument("--restart-backoff", type=float, default=0.25, help="pool supervisor: first restart backoff (doubles per crash, capped)")

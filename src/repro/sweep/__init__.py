@@ -11,11 +11,11 @@ top of :mod:`repro.engine`:
   fagin) registered out of the box alongside new graph families (random
   regular, grids, trees, gadgets);
 * :mod:`repro.sweep.executor` -- a sharded executor that keeps instances
-  sharing a leaf evaluator on one shard, runs shards across a
+  sharing a compiled instance on one shard, runs shards across a
   ``multiprocessing`` pool (with a deterministic in-process fallback), and
   merges fresh verdicts back;
-* :mod:`repro.sweep.store` -- persistent verdict stores (SQLite or
-  append-only JSONL) keyed by the content-addressed fingerprints of
+* :mod:`repro.sweep.store` -- the persistent SQLite verdict store, keyed
+  by the content-addressed fingerprints of
   :mod:`repro.sweep.fingerprint`, making re-runs across sessions
   incremental;
 * :mod:`repro.sweep.cli` -- ``python -m repro sweep <scenario> [--jobs N]
@@ -28,13 +28,7 @@ from repro.sweep.fingerprint import (
     machine_fingerprint,
     structural_fingerprint,
 )
-from repro.sweep.store import (
-    JsonlVerdictStore,
-    MemoryVerdictStore,
-    SQLiteVerdictStore,
-    VerdictStore,
-    open_store,
-)
+from repro.sweep.store import SQLiteVerdictStore, VerdictStore, open_store
 from repro.sweep.scenarios import (
     IDENTIFIER_SCHEMES,
     Scenario,
@@ -61,8 +55,6 @@ __all__ = [
     "instance_key",
     "machine_fingerprint",
     "structural_fingerprint",
-    "JsonlVerdictStore",
-    "MemoryVerdictStore",
     "SQLiteVerdictStore",
     "VerdictStore",
     "open_store",

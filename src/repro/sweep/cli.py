@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         metavar="PATH",
-        help="persistent verdict store (SQLite by default, .jsonl for append-only lines)",
+        help="persistent SQLite verdict store (sqlite:// scheme or a bare path)",
     )
     sweep.add_argument(
         "--json",

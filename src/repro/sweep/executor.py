@@ -8,8 +8,8 @@ questions in three steps:
    hits skip evaluation entirely, so re-running a sweep across sessions is
    incremental.
 2. **Sharding.**  The remaining instances are partitioned so that all
-   instances sharing a ``(machine, graph, ids)`` leaf evaluator -- and hence
-   its per-node verdict cache -- land on the same shard
+   instances sharing a ``(machine, graph, ids)`` compiled instance -- and
+   hence its per-node verdict cache -- land on the same shard
    (:func:`shard_indices`).  Splitting such a group across processes would
    duplicate the cache cold-start in every process; keeping it together
    preserves the engine's within-group reuse.
@@ -129,7 +129,7 @@ class SweepResult:
 # Sharding
 # ----------------------------------------------------------------------
 def evaluator_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, object, Tuple[str, ...]]:
-    """The key under which instances share one leaf evaluator.
+    """The key under which instances share one compiled instance.
 
     Coarser than :func:`~repro.engine.batch.engine_sharing_key`: the
     certificate spaces are *not* part of it, because the per-node verdict
@@ -146,7 +146,7 @@ def evaluator_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, object, 
 def shard_indices(instances: Sequence[GameInstance], shard_count: int) -> List[List[int]]:
     """Partition instance indices into at most *shard_count* balanced shards.
 
-    Instances sharing a leaf evaluator (same ``(machine, graph, ids)``, see
+    Instances sharing a compiled instance (same ``(machine, graph, ids)``, see
     :func:`evaluator_sharing_key`) form an atomic group: the whole group
     lands on one shard so the per-node verdict cache is built once instead
     of once per process.  Groups are assigned greedily, in first-appearance
@@ -181,10 +181,10 @@ def evaluate_timed(
     engine_cache=None,
     canonical=None,
 ) -> Tuple[List[bool], List[float]]:
-    """Like :func:`~repro.engine.batch.evaluate_batch`, with per-instance timing.
+    """Game values of *instances*, in order, with per-instance timing.
 
     One :class:`~repro.engine.compiled.CompiledInstance` is built per
-    leaf-evaluator group (same ``(machine, graph, ids)``), so every engine
+    sharing group (same ``(machine, graph, ids)``), so every engine
     of the group -- across certificate spaces and prefixes -- runs on the
     same interned certificate alphabet and shares the per-node verdict
     memo.  The per-call caches keep the group's compiled form pinned for

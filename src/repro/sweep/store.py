@@ -1,4 +1,4 @@
-"""Persistent verdict stores: re-running a sweep across sessions is incremental.
+"""The persistent verdict store: re-running a sweep across sessions is incremental.
 
 A verdict store maps content-addressed instance keys
 (:func:`repro.sweep.fingerprint.instance_key`) to the boolean game value,
@@ -7,22 +7,20 @@ digests everything the game value depends on, a store entry can be trusted
 unconditionally: a changed machine, graph, identifier assignment,
 certificate space or prefix changes the key and therefore misses.
 
-Three interchangeable backends:
+:class:`SQLiteVerdictStore` is the one implementation: verdicts, canonical
+node verdicts, the dynamic sessions' journal and the replicated append log
+live in one database.  File-backed stores open in WAL mode with a busy
+timeout and an internal lock, so one store object can be shared between
+the threads of a serving daemon and concurrent processes can read while
+one writes.  :class:`VerdictStore` is the interface it implements (and
+that :class:`repro.service.resilience.FaultingStore` wraps).
 
-* :class:`MemoryVerdictStore` -- a dictionary; the in-process default.
-* :class:`SQLiteVerdictStore` -- one table, keyed by digest; the default
-  on-disk backend.  Opened in WAL mode with a busy timeout and an internal
-  lock, so one store object can be shared between the threads of a serving
-  daemon and concurrent processes can read while one writes.
-* :class:`JsonlVerdictStore` -- append-only JSON lines; trivially
-  inspectable and mergeable with ``cat``.
-
-:func:`open_store` picks a backend from the path: an explicit scheme
-prefix (``sqlite://``, ``jsonl://``, ``memory://``) always wins; without
-one, ``.jsonl`` / ``.ndjson`` suffixes select the append-only file and
-anything else (including ``:memory:``) selects SQLite.  Parent directories
-of on-disk stores are created on open, so a daemon can be pointed at a
-fresh state directory without a bootstrap step.
+:func:`open_store` opens a store from a path: ``None`` or ``memory://``
+gives a private in-memory database, ``sqlite://PATH`` or a bare path (any
+suffix, including ``:memory:``) a SQLite database at that path; any other
+``scheme://`` is rejected.  Parent directories of on-disk stores are
+created on open, so a daemon can be pointed at a fresh state directory
+without a bootstrap step.
 """
 
 from __future__ import annotations
@@ -44,30 +42,20 @@ LogEntry = Tuple[int, str, Dict]
 
 
 class VerdictStore:
-    """Interface shared by all backends (also usable as a context manager)."""
+    """The verdict-store interface (also usable as a context manager)."""
 
     def get(self, key: str) -> Optional[bool]:
         raise NotImplementedError
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, bool]:
-        """Verdicts for every *known* key among *keys* (missing keys absent).
-
-        The default implementation loops over :meth:`get`; backends with a
-        cheaper bulk path (SQLite) override it.
-        """
-        found: Dict[str, bool] = {}
-        for key in keys:
-            verdict = self.get(key)
-            if verdict is not None:
-                found[key] = verdict
-        return found
+        """Verdicts for every *known* key among *keys* (missing keys absent)."""
+        raise NotImplementedError
 
     def put(self, key: str, verdict: bool, name: str = "", seconds: float = 0.0) -> None:
         raise NotImplementedError
 
     def put_many(self, records: Iterable[Tuple[str, bool, str, float]]) -> None:
-        for key, verdict, name, seconds in records:
-            self.put(key, verdict, name, seconds)
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Node verdicts (the canonical ball cache's persistence tier)
@@ -78,28 +66,23 @@ class VerdictStore:
         Node verdicts are keyed by the canonical ball signature
         (:mod:`repro.engine.canonical`): one entry answers the same local
         neighborhood wherever it reappears -- other nodes, other graphs,
-        other sessions.  Backends without a node table may keep these
-        defaults (non-persistent, always miss).
+        other sessions.
         """
-        return None
+        raise NotImplementedError
 
     def get_node_many(self, keys: Iterable[str]) -> Dict[str, bool]:
-        found: Dict[str, bool] = {}
-        for key in keys:
-            verdict = self.get_node(key)
-            if verdict is not None:
-                found[key] = verdict
-        return found
+        raise NotImplementedError
 
     def put_node(self, key: str, verdict: bool) -> None:
-        self.put_node_many([(key, verdict)])
+        raise NotImplementedError
 
     def put_node_many(self, records: Iterable[Tuple[str, bool]]) -> None:
-        """Persist canonical node verdicts (no-op without a node table)."""
+        """Persist canonical node verdicts."""
+        raise NotImplementedError
 
     def node_count(self) -> int:
         """How many canonical node verdicts are persisted."""
-        return 0
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Session journal (the dynamic sessions' write-ahead mutation log)
@@ -111,20 +94,20 @@ class VerdictStore:
         the ``n``-th applied delta batch in wire form.  Replaying entries in
         sequence rebuilds the session's exact mutable state after a crash
         (:meth:`repro.service.server.VerdictService.recover_sessions`).
-        Backends without journal support keep these no-op defaults --
-        sessions on such stores simply do not survive restarts.
         """
+        raise NotImplementedError
 
     def journal_entries(self, session: str) -> List[Tuple[int, Dict]]:
         """All journaled ``(seq, entry)`` pairs of *session*, in order."""
-        return []
+        raise NotImplementedError
 
     def journal_sessions(self) -> List[str]:
         """Names of every session with at least one journal entry."""
-        return []
+        raise NotImplementedError
 
     def journal_clear(self, session: str) -> None:
         """Drop all journal entries of *session* (it was closed cleanly)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Replicated append log (pool workers catch up by replaying it)
@@ -137,11 +120,11 @@ class VerdictStore:
         A serving replica remembers the last sequence it has seen; on
         (re)join it replays :meth:`entries_since` that sequence to warm its
         caches and state before accepting traffic -- the pod-style
-        accountable-log catch-up from the paper's related work.  Backends
+        accountable-log catch-up from the paper's related work.  Stores
         created before the log existed start at 0: only appends made after
         migration are replayable.
         """
-        return 0
+        raise NotImplementedError
 
     def entries_since(
         self, seq: int, limit: Optional[int] = None
@@ -153,7 +136,7 @@ class VerdictStore:
         ``verdict``, ``name``, ``seconds``) or ``"journal"`` (record keys:
         ``session``, ``seq``, ``entry``).
         """
-        return iter(())
+        raise NotImplementedError
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -169,75 +152,6 @@ class VerdictStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class MemoryVerdictStore(VerdictStore):
-    """A plain in-process dictionary (no persistence)."""
-
-    def __init__(self) -> None:
-        self._data: Dict[str, StoredVerdict] = {}
-        self._nodes: Dict[str, bool] = {}
-        self._journal: Dict[str, Dict[int, Dict]] = {}
-        self._log: List[LogEntry] = []
-        self._seq = 0
-
-    def _log_append(self, kind: str, record: Dict) -> None:
-        self._seq += 1
-        self._log.append((self._seq, kind, record))
-
-    def get(self, key: str) -> Optional[bool]:
-        record = self._data.get(key)
-        return None if record is None else record[0]
-
-    def put(self, key: str, verdict: bool, name: str = "", seconds: float = 0.0) -> None:
-        self._data[key] = (bool(verdict), name, seconds)
-        self._log_append(
-            "verdict",
-            {"key": key, "verdict": bool(verdict), "name": name, "seconds": seconds},
-        )
-
-    def get_node(self, key: str) -> Optional[bool]:
-        return self._nodes.get(key)
-
-    def put_node_many(self, records: Iterable[Tuple[str, bool]]) -> None:
-        for key, verdict in records:
-            self._nodes[key] = bool(verdict)
-
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def journal_append(self, session: str, seq: int, entry: Dict) -> None:
-        self._journal.setdefault(session, {})[int(seq)] = dict(entry)
-        self._log_append(
-            "journal", {"session": session, "seq": int(seq), "entry": dict(entry)}
-        )
-
-    def journal_entries(self, session: str) -> List[Tuple[int, Dict]]:
-        entries = self._journal.get(session, {})
-        return [(seq, dict(entries[seq])) for seq in sorted(entries)]
-
-    def journal_sessions(self) -> List[str]:
-        return sorted(self._journal)
-
-    def journal_clear(self, session: str) -> None:
-        self._journal.pop(session, None)
-
-    def last_seq(self) -> int:
-        return self._seq
-
-    def entries_since(
-        self, seq: int, limit: Optional[int] = None
-    ) -> Iterator[LogEntry]:
-        newer = [entry for entry in self._log if entry[0] > seq]
-        if limit is not None:
-            newer = newer[:limit]
-        return iter(newer)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def items(self) -> Iterator[Tuple[str, StoredVerdict]]:
-        return iter(self._data.items())
 
 
 class SQLiteVerdictStore(VerdictStore):
@@ -422,6 +336,9 @@ class SQLiteVerdictStore(VerdictStore):
                     found[key] = bool(verdict)
         return found
 
+    def put_node(self, key: str, verdict: bool) -> None:
+        self.put_node_many([(key, verdict)])
+
     def put_node_many(self, records: Iterable[Tuple[str, bool]]) -> None:
         now = time.time()
         rows = [(key, int(bool(verdict)), now) for key, verdict in records]
@@ -541,216 +458,8 @@ class SQLiteVerdictStore(VerdictStore):
             self._connection.close()
 
 
-class JsonlVerdictStore(VerdictStore):
-    """Append-only JSON-lines verdicts (one ``{"key": ..., "verdict": ...}`` per line).
-
-    The whole file is read once at open; later lines win on duplicate keys,
-    so two stores can be merged by concatenation.
-
-    Crash safety: a process killed mid-append leaves a truncated final
-    line.  Opening detects that (the last line fails to parse *and* has no
-    trailing newline), keeps every complete record, and truncates the file
-    back to the last good byte -- ``truncated_bytes`` reports how much was
-    dropped.  A malformed line in the *middle* of the file is real
-    corruption, not a crash artifact, and still raises.  ``close()``
-    flushes and ``fsync``\\ s, so a cleanly closed store is durable.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        self._lock = threading.RLock()
-        self._data: Dict[str, StoredVerdict] = {}
-        self._nodes: Dict[str, bool] = {}
-        self._journal: Dict[str, Dict[int, Dict]] = {}
-        # The file itself is the append log; sequence numbers are rebuilt
-        # from line order at open (torn tails are truncated first, so a
-        # crashed writer never leaves a half-assigned sequence).
-        self._log: List[LogEntry] = []
-        self._seq = 0
-        #: Bytes dropped from a truncated trailing line at open (0 = clean).
-        self.truncated_bytes = 0
-        if os.path.exists(path):
-            self._load(path)
-        self._handle = open(path, "a", encoding="utf-8")
-
-    def _load(self, path: str) -> None:
-        with open(path, "rb") as handle:
-            raw = handle.read()
-        position = 0
-        good_end = 0
-        while position < len(raw):
-            newline = raw.find(b"\n", position)
-            end = len(raw) if newline < 0 else newline + 1
-            line = raw[position:end].strip()
-            if line:
-                try:
-                    self._apply_line(json.loads(line.decode("utf-8")))
-                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                    if newline < 0:
-                        # An unterminated, unparsable final line: the
-                        # signature of a crash mid-append.  Drop it.
-                        break
-                    raise
-            position = end
-            good_end = end
-        self.truncated_bytes = len(raw) - good_end
-        if self.truncated_bytes:
-            with open(path, "r+b") as handle:
-                handle.truncate(good_end)
-
-    def _apply_line(self, record: Dict) -> None:
-        # Canonical node verdicts and session-journal entries ride in the
-        # same file as kind-tagged lines; untagged lines (including every
-        # pre-node-table store) are instance verdicts.
-        kind = record.get("kind")
-        if kind == "node":
-            self._nodes[record["key"]] = bool(record["verdict"])
-        elif kind == "journal":
-            session_entries = self._journal.setdefault(record["session"], {})
-            session_entries[int(record["seq"])] = dict(record["entry"])
-            self._log_append(
-                "journal",
-                {
-                    "session": record["session"],
-                    "seq": int(record["seq"]),
-                    "entry": dict(record["entry"]),
-                },
-            )
-        elif kind == "journal-clear":
-            self._journal.pop(record["session"], None)
-        else:
-            stored = (
-                bool(record["verdict"]),
-                record.get("name", ""),
-                float(record.get("seconds", 0.0)),
-            )
-            self._data[record["key"]] = stored
-            self._log_append(
-                "verdict",
-                {
-                    "key": record["key"],
-                    "verdict": stored[0],
-                    "name": stored[1],
-                    "seconds": stored[2],
-                },
-            )
-
-    def _log_append(self, kind: str, record: Dict) -> None:
-        self._seq += 1
-        self._log.append((self._seq, kind, record))
-
-    def get(self, key: str) -> Optional[bool]:
-        with self._lock:
-            record = self._data.get(key)
-        return None if record is None else record[0]
-
-    def put(self, key: str, verdict: bool, name: str = "", seconds: float = 0.0) -> None:
-        with self._lock:
-            self._data[key] = (bool(verdict), name, seconds)
-            self._log_append(
-                "verdict",
-                {"key": key, "verdict": bool(verdict), "name": name, "seconds": seconds},
-            )
-            self._handle.write(
-                json.dumps(
-                    {"key": key, "verdict": bool(verdict), "name": name, "seconds": seconds},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            self._handle.flush()
-
-    def get_node(self, key: str) -> Optional[bool]:
-        with self._lock:
-            return self._nodes.get(key)
-
-    def put_node_many(self, records: Iterable[Tuple[str, bool]]) -> None:
-        with self._lock:
-            wrote = False
-            for key, verdict in records:
-                self._nodes[key] = bool(verdict)
-                self._handle.write(
-                    json.dumps(
-                        {"kind": "node", "key": key, "verdict": bool(verdict)},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                wrote = True
-            if wrote:
-                self._handle.flush()
-
-    def node_count(self) -> int:
-        return len(self._nodes)
-
-    def journal_append(self, session: str, seq: int, entry: Dict) -> None:
-        with self._lock:
-            self._journal.setdefault(session, {})[int(seq)] = dict(entry)
-            self._log_append(
-                "journal", {"session": session, "seq": int(seq), "entry": dict(entry)}
-            )
-            self._handle.write(
-                json.dumps(
-                    {"kind": "journal", "session": session, "seq": int(seq), "entry": entry},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            self._handle.flush()
-
-    def journal_entries(self, session: str) -> List[Tuple[int, Dict]]:
-        with self._lock:
-            entries = self._journal.get(session, {})
-            return [(seq, dict(entries[seq])) for seq in sorted(entries)]
-
-    def journal_sessions(self) -> List[str]:
-        with self._lock:
-            return sorted(self._journal)
-
-    def journal_clear(self, session: str) -> None:
-        with self._lock:
-            if self._journal.pop(session, None) is None:
-                return
-            # A tombstone line, honored on the next load (append-only file).
-            self._handle.write(
-                json.dumps({"kind": "journal-clear", "session": session}, sort_keys=True)
-                + "\n"
-            )
-            self._handle.flush()
-
-    def last_seq(self) -> int:
-        with self._lock:
-            return self._seq
-
-    def entries_since(
-        self, seq: int, limit: Optional[int] = None
-    ) -> Iterator[LogEntry]:
-        with self._lock:
-            newer = [entry for entry in self._log if entry[0] > seq]
-        if limit is not None:
-            newer = newer[:limit]
-        return iter(newer)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def items(self) -> Iterator[Tuple[str, StoredVerdict]]:
-        with self._lock:
-            return iter(list(self._data.items()))
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-            self._handle.close()
-
-
 #: Scheme prefixes accepted by :func:`open_store`.
-_SCHEMES: Tuple[str, ...] = ("sqlite", "jsonl", "memory")
+_SCHEMES: Tuple[str, ...] = ("sqlite", "memory")
 
 
 def _split_scheme(path: str) -> Tuple[Optional[str], str]:
@@ -771,23 +480,14 @@ def _split_scheme(path: str) -> Tuple[Optional[str], str]:
 def open_store(path: Optional[str]) -> VerdictStore:
     """Open (creating if necessary) the verdict store at *path*.
 
-    ``None`` or ``memory://`` yields a fresh :class:`MemoryVerdictStore`.
-    An explicit ``sqlite://PATH`` or ``jsonl://PATH`` scheme forces that
-    backend regardless of suffix -- the form daemons should use, since it
-    cannot be misrouted by an unusual file name.  Without a scheme, a path
-    ending in ``.jsonl`` / ``.ndjson`` yields the append-only file backend
-    and anything else (including ``:memory:``) yields SQLite.  Parent
-    directories are created as needed.
+    ``None`` or ``memory://`` yields a fresh in-memory SQLite store.
+    ``sqlite://PATH`` (the form daemons should use) or a bare path opens
+    the SQLite database at that path, whatever its suffix.  A file that is
+    not a SQLite database (e.g. a JSON-lines store from an older release)
+    raises :class:`sqlite3.DatabaseError` instead of reading as empty.
+    Parent directories are created as needed.
     """
     if path is None:
-        return MemoryVerdictStore()
+        return SQLiteVerdictStore(":memory:")
     scheme, stripped = _split_scheme(path)
-    if scheme == "memory":
-        return MemoryVerdictStore()
-    if scheme == "jsonl":
-        return JsonlVerdictStore(stripped)
-    if scheme == "sqlite":
-        return SQLiteVerdictStore(stripped)
-    if stripped != ":memory:" and os.path.splitext(stripped)[1] in (".jsonl", ".ndjson"):
-        return JsonlVerdictStore(stripped)
-    return SQLiteVerdictStore(stripped)
+    return SQLiteVerdictStore(":memory:" if scheme == "memory" else stripped)

@@ -1,16 +1,15 @@
-"""Regression tests for the batch API's cache keys and input validation."""
+"""Regression tests for the batch evaluation's identity-based cache keys."""
 
 from __future__ import annotations
 
 import gc
 
-import pytest
-
-from repro.engine.batch import GameInstance, IdentityKey, decide_batch, evaluate_batch
+from repro.engine.batch import GameInstance, IdentityKey
 from repro.graphs import generators
-from repro.graphs.identifiers import sequential_identifier_assignment
+from repro.graphs.identifiers import sequential_identifier_assignment, small_identifier_assignment
 from repro.hierarchy.arbiters import three_colorability_spec
 from repro.machines import builtin
+from repro.sweep.executor import evaluate_timed
 
 
 class TestIdentityKey:
@@ -63,32 +62,21 @@ class TestEvaluateBatchLazy:
                 del machine
                 gc.collect()
 
-        assert evaluate_batch(lazy_instances()) == [True, False, True, False, True, False]
+        verdicts, _ = evaluate_timed(lazy_instances())
+        assert verdicts == [True, False, True, False, True, False]
 
     def test_list_input_still_works(self):
         spec = three_colorability_spec()
         graphs = [generators.cycle_graph(3), generators.complete_graph(4)]
-        assert decide_batch(spec, graphs) == [True, False]
-
-
-class TestDecideBatchValidation:
-    def test_short_ids_list_rejected(self):
-        """A truncated ids_list used to silently fall back to generated ids."""
-        spec = three_colorability_spec()
-        graphs = [generators.cycle_graph(3), generators.cycle_graph(5)]
-        ids = sequential_identifier_assignment(graphs[0])
-        with pytest.raises(ValueError, match="one entry per graph"):
-            decide_batch(spec, graphs, ids_list=[ids])
-
-    def test_long_ids_list_rejected(self):
-        spec = three_colorability_spec()
-        graphs = [generators.cycle_graph(3)]
-        ids = sequential_identifier_assignment(graphs[0])
-        with pytest.raises(ValueError, match="one entry per graph"):
-            decide_batch(spec, graphs, ids_list=[ids, ids])
-
-    def test_none_entries_still_generate(self):
-        spec = three_colorability_spec()
-        graphs = [generators.cycle_graph(3), generators.complete_graph(4)]
-        ids = sequential_identifier_assignment(graphs[0])
-        assert decide_batch(spec, graphs, ids_list=[ids, None]) == [True, False]
+        instances = [
+            GameInstance(
+                spec.machine,
+                graph,
+                small_identifier_assignment(graph, spec.identifier_radius),
+                list(spec.spaces),
+                spec.prefix(),
+            )
+            for graph in graphs
+        ]
+        verdicts, _ = evaluate_timed(instances)
+        assert verdicts == [True, False]

@@ -66,7 +66,7 @@ class TestCheckDrift:
 
 class TestCheckBounds:
     def test_floor_violation_fails_even_with_no_history(self):
-        records = [_record(**{"fig02.compiled_vs_engine": 2.0})]  # floor is 5.0
+        records = [_record(**{"fig02.engine_vs_naive": 2.0})]  # floor is 5.0
         result = bh.check(records)
         (failure,) = result.failures
         assert "below floor" in failure["reason"]
@@ -122,8 +122,8 @@ class TestCollect:
         (tmp_path / "BENCH_fig02.json").write_text(
             json.dumps(
                 {
-                    "compiled_vs_engine": {"speedup_median": 12.5},
                     "engine_vs_naive": {"speedup_median": 40.0},
+                    "figure2_cold_median_seconds": 0.0125,
                 }
             )
         )
@@ -131,7 +131,7 @@ class TestCollect:
             json.dumps({"hot_cache": {"requests_per_second": 999.0}})
         )
         metrics = bh.collect_metrics(tmp_path)
-        assert metrics["fig02.compiled_vs_engine"] == 12.5
+        assert metrics["fig02.figure2_cold_seconds"] == 0.0125
         assert metrics["fig02.engine_vs_naive"] == 40.0
         assert metrics["service.hot_qps"] == 999.0
         # Sources with no snapshot are simply absent.

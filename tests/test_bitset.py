@@ -1,11 +1,10 @@
-"""Bitset tier equivalence: masks == compiled == PR-1 engine == oracle.
+"""Bitset search equivalence: mask-pruned engine == exhaustive oracle.
 
-The vectorized tier (``repro.engine.bitset`` plus the mask-pruned searches
-and quantifier collapse in ``CompiledGameEngine``) must be bit-identical to
-the PR-3 compiled engine (``use_bitset=False``), the PR-1 engine
-(``GameEngine`` constructed directly) and the exhaustive reference solver,
-across every builtin rule kind, identifier scheme, certificate space
-(including empty ones, which gate the collapse) and quantifier prefix.
+The vectorized search (``repro.engine.bitset`` plus the mask-pruned
+searches and quantifier collapse in ``CompiledGameEngine``) must be
+bit-identical to the exhaustive reference solver, across every builtin rule
+kind, identifier scheme, certificate space (including empty ones, which
+gate the collapse) and quantifier prefix.
 """
 
 import random
@@ -14,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import BitsetKernel, CompiledGameEngine, CompiledInstance, GameEngine
+from repro.engine import BitsetKernel, CompiledGameEngine, CompiledInstance
 from repro.graphs import generators
 from repro.graphs.identifiers import (
     random_identifier_assignment,
@@ -27,7 +26,13 @@ from repro.hierarchy.certificate_spaces import (
     empty_space,
     enumerated_space,
 )
-from repro.hierarchy.game import Quantifier, eve_wins, pi_prefix, sigma_prefix
+from repro.hierarchy.game import (
+    Quantifier,
+    eve_wins,
+    pi_prefix,
+    sigma_prefix,
+    winning_first_move,
+)
 from repro.locality.proof_labeling import all_schemes
 from repro.machines import builtin
 from repro.machines.rules import PairwiseRule, rule_of
@@ -74,14 +79,13 @@ def _id_schemes(graph, rng):
     yield random_identifier_assignment(graph, 1, rng=random.Random(rng.randrange(100)))
 
 
-def _engine(machine, graph, ids, spaces, use_bitset):
+def _engine(machine, graph, ids, spaces):
     return CompiledGameEngine(
         machine,
         graph,
         ids,
         spaces,
         instance=CompiledInstance(machine, graph, ids),
-        use_bitset=use_bitset,
     )
 
 
@@ -135,7 +139,7 @@ class TestMaskTables:
 
 
 class TestBitsetEquivalence:
-    """bitset == PR-3 compiled == PR-1 engine == exhaustive oracle."""
+    """bitset engine == exhaustive oracle."""
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_randomized_equivalence(self, level):
@@ -147,10 +151,8 @@ class TestBitsetEquivalence:
             for ids in _id_schemes(graph, rng):
                 for prefix in (sigma_prefix(level), pi_prefix(level)):
                     expected = eve_wins(machine, graph, ids, spaces, prefix)
-                    legacy = GameEngine(machine, graph, ids, spaces).eve_wins(prefix)
-                    compiled = _engine(machine, graph, ids, spaces, False).eve_wins(prefix)
-                    bitset = _engine(machine, graph, ids, spaces, True).eve_wins(prefix)
-                    assert expected == legacy == compiled == bitset, (
+                    bitset = _engine(machine, graph, ids, spaces).eve_wins(prefix)
+                    assert expected == bitset, (
                         trial, machine, graph, [s.name for s in spaces], prefix, ids,
                     )
 
@@ -183,9 +185,8 @@ class TestBitsetEquivalence:
         ]
         ids = sequential_identifier_assignment(graph)
         expected = eve_wins(machine, graph, ids, spaces, quantifiers)
-        bitset = _engine(machine, graph, ids, spaces, True).eve_wins(quantifiers)
-        compiled = _engine(machine, graph, ids, spaces, False).eve_wins(quantifiers)
-        assert expected == bitset == compiled
+        bitset = _engine(machine, graph, ids, spaces).eve_wins(quantifiers)
+        assert expected == bitset
 
     def test_star_rules_through_bitset_search(self):
         # Star verifiers (slot masks): honest certificate spaces must accept,
@@ -196,7 +197,7 @@ class TestBitsetEquivalence:
             for spaces in ([bit_space()], [enumerated_space(("", "1"), name="m1")]):
                 for prefix in (sigma_prefix(1), pi_prefix(1)):
                     expected = eve_wins(scheme.verifier, graph, ids, spaces, prefix)
-                    got = _engine(scheme.verifier, graph, ids, spaces, True).eve_wins(prefix)
+                    got = _engine(scheme.verifier, graph, ids, spaces).eve_wins(prefix)
                     assert expected == got, (scheme.property_name, prefix)
 
     def test_winning_first_move_parity(self):
@@ -204,11 +205,9 @@ class TestBitsetEquivalence:
         for graph in (generators.cycle_graph(3), generators.complete_graph(4)):
             ids = sequential_identifier_assignment(graph)
             for prefix in (sigma_prefix(1), pi_prefix(1)):
-                bitset = _engine(machine, graph, ids, [color_space(3)], True)
-                compiled = _engine(machine, graph, ids, [color_space(3)], False)
-                assert bitset.winning_first_move(prefix) == compiled.winning_first_move(
-                    prefix
-                )
+                bitset = _engine(machine, graph, ids, [color_space(3)])
+                expected = winning_first_move(machine, graph, ids, [color_space(3)], prefix)
+                assert bitset.winning_first_move(prefix) == expected
 
     def test_fixed_prefix_equivalence(self):
         machine = builtin.three_colorability_verifier()
@@ -216,7 +215,7 @@ class TestBitsetEquivalence:
         ids = sequential_identifier_assignment(graph)
         fixed = [{u: "00" for u in graph.nodes}]
         expected = eve_wins(machine, graph, ids, [color_space(3)], sigma_prefix(1), fixed)
-        engine = _engine(machine, graph, ids, [color_space(3)], True)
+        engine = _engine(machine, graph, ids, [color_space(3)])
         assert engine.eve_wins(sigma_prefix(1), fixed) == expected
 
 
@@ -226,7 +225,7 @@ class TestPruningBehavior:
         machine = builtin.three_colorability_verifier()
         graph = generators.complete_graph(4)
         ids = sequential_identifier_assignment(graph)
-        engine = _engine(machine, graph, ids, [color_space(3)], True)
+        engine = _engine(machine, graph, ids, [color_space(3)])
         assert engine.eve_wins(sigma_prefix(1)) is False
         assert engine.stats.bitset_prunes > 0
         # The pairwise mask search leaves no per-node memo trail at all.
@@ -236,7 +235,7 @@ class TestPruningBehavior:
         scheme = [s for s in all_schemes() if s.property_name == "acyclic"][0]
         graph = generators.random_tree(6, seed=3)
         ids = sequential_identifier_assignment(graph)
-        engine = _engine(scheme.verifier, graph, ids, [bit_space()], True)
+        engine = _engine(scheme.verifier, graph, ids, [bit_space()])
         value = engine.eve_wins(sigma_prefix(1))
         kernel = engine.compiled.bitset_kernel()
         assert kernel.star_entries > 0
@@ -251,6 +250,6 @@ class TestPruningBehavior:
         graph = generators.cycle_graph(6)  # uniform labels
         assert len(set(graph.label(u) for u in graph.nodes)) == 1
         ids = sequential_identifier_assignment(graph)
-        bitset = _engine(machine, graph, ids, [bit_space()], True).eve_wins(sigma_prefix(1))
+        bitset = _engine(machine, graph, ids, [bit_space()]).eve_wins(sigma_prefix(1))
         oracle = eve_wins(machine, graph, ids, [bit_space()], sigma_prefix(1))
         assert bitset == oracle is True

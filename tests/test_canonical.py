@@ -30,7 +30,7 @@ from repro.machines import builtin
 from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
 from repro.sweep.executor import evaluate_timed, run_instances
 from repro.sweep.scenarios import build_instances
-from repro.sweep.store import MemoryVerdictStore
+from repro.sweep.store import SQLiteVerdictStore
 
 
 class _SimulatedGather(NeighborhoodGatherAlgorithm):
@@ -147,7 +147,7 @@ class TestCacheBehavior:
         machine = _simulated_two_colorability()
         graph = generators.cycle_graph(6)
         ids = cyclic_identifier_assignment(graph, 3)
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
 
         first = CanonicalVerdictCache(store=store)
         instance = CompiledInstance(machine, graph, ids)
@@ -170,7 +170,7 @@ class TestCacheBehavior:
         assert stats.simulator_runs == 0
 
     def test_bounded_cache_evicts_oldest_half(self):
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         cache = CanonicalVerdictCache(store=store, max_entries=4)
         for i in range(6):
             cache.put(f"ball:{i}", i % 2 == 0)
@@ -202,7 +202,7 @@ class TestSweepIntegration:
         assert "canonical" in result.as_dict()
 
     def test_sweep_persists_node_verdicts_and_rereads_them(self):
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         instances = build_instances("separations")
         first = run_instances(instances, store=store, scenario_name="separations")
         assert store.node_count() > 0

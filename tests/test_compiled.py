@@ -1,14 +1,15 @@
-"""Compiled core equivalence: compiled engine vs PR-1 engine vs oracle.
+"""Compiled core equivalence: cold and shared-instance engines vs the oracle.
 
 The compiled instance core (``repro.engine.compiled``) must be bit-identical
-to both the PR-1 engine (``GameEngine`` constructed directly) and the
-exhaustive reference solver ``repro.hierarchy.game.eve_wins`` on every
-machine kind (table-driven pairwise rules, star rules, the generic direct
-path, ball simulation), every identifier scheme (globally unique, locally
-unique, colliding), every quantifier prefix and every certificate space.
-These tests assert that three-way equivalence on randomized instances, plus
-the compiled-specific machinery: incremental packed restriction keys,
-alphabet rebase, memo bounds and counters, and kernel selection.
+to the exhaustive reference solver ``repro.hierarchy.game.eve_wins`` on
+every machine kind (table-driven pairwise rules, star rules, the generic
+direct path, ball simulation), every identifier scheme (globally unique,
+locally unique, colliding), every quantifier prefix and every certificate
+space -- both on a fresh instance and on the process-wide shared one that
+``CompiledGameEngine.for_game`` reuses across games.  These tests assert
+that three-way equivalence on randomized instances, plus the
+compiled-specific machinery: incremental packed restriction keys, alphabet
+rebase, memo bounds and counters, and kernel selection.
 """
 
 import random
@@ -17,14 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    CompiledGameEngine,
-    CompiledInstance,
-    GameEngine,
-    LeafEvaluator,
-    compile_instance,
-    evaluate_batch,
-)
+from repro.engine import CompiledGameEngine, CompiledInstance, compile_instance
 from repro.engine.batch import GameInstance
 from repro.engine.caching import EvaluatorStats, LRUCache
 from repro.graphs import generators
@@ -53,6 +47,7 @@ from repro.machines import builtin
 from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
 from repro.machines.rules import PairwiseRule, StarRule, rule_of
 from repro.machines.simulator import execute
+from repro.sweep.executor import evaluate_timed
 
 
 class _SubclassedGather(NeighborhoodGatherAlgorithm):
@@ -121,7 +116,7 @@ def _id_schemes(graph, rng):
 
 
 class TestThreeWayEquivalence:
-    """compiled == PR-1 engine == exhaustive oracle, on randomized instances."""
+    """cold engine == shared-instance engine == exhaustive oracle."""
 
     @pytest.mark.parametrize("level", [0, 1])
     def test_randomized_equivalence(self, level):
@@ -133,12 +128,14 @@ class TestThreeWayEquivalence:
             for ids in _id_schemes(graph, rng):
                 for prefix in (sigma_prefix(level), pi_prefix(level)):
                     expected = eve_wins(machine, graph, ids, spaces, prefix)
-                    legacy = GameEngine(machine, graph, ids, spaces).eve_wins(prefix)
+                    shared = CompiledGameEngine.for_game(
+                        machine, graph, ids, spaces
+                    ).eve_wins(prefix)
                     compiled = CompiledGameEngine(
                         machine, graph, ids, spaces,
                         instance=CompiledInstance(machine, graph, ids),
                     ).eve_wins(prefix)
-                    assert expected == legacy == compiled, (
+                    assert expected == shared == compiled, (
                         trial, machine, graph, [s.name for s in spaces], prefix, ids,
                     )
 
@@ -200,12 +197,14 @@ class TestThreeWayEquivalence:
             ids = sequential_identifier_assignment(graph)
             for prefix in (sigma_prefix(1), pi_prefix(1)):
                 expected = winning_first_move(machine, graph, ids, [color_space(3)], prefix)
-                legacy = GameEngine(machine, graph, ids, [color_space(3)]).winning_first_move(prefix)
+                shared = CompiledGameEngine.for_game(
+                    machine, graph, ids, [color_space(3)]
+                ).winning_first_move(prefix)
                 compiled = CompiledGameEngine(
                     machine, graph, ids, [color_space(3)],
                     instance=CompiledInstance(machine, graph, ids),
                 ).winning_first_move(prefix)
-                assert expected == legacy == compiled
+                assert expected == shared == compiled
 
 
 class TestProofLabelingKernels:
@@ -367,14 +366,17 @@ class TestBoundsAndCounters:
             LRUCache(0)
 
     def test_compiled_memo_cap_and_counters(self):
-        machine = builtin.three_colorability_verifier()
+        # The 3-coloring verifier without its rule: the bitset search leaves
+        # no memo trail, so the generic backtracking search exercises the
+        # cap machinery.
+        verifier = builtin.three_colorability_verifier()
+        machine = NeighborhoodGatherAlgorithm(verifier.radius, verifier.compute, name="bare")
         graph = generators.cycle_graph(6)
         ids = sequential_identifier_assignment(graph)
         instance = CompiledInstance(machine, graph, ids, memo_cap=8)
-        # The bitset tier bypasses the per-node memo for pairwise rules, so
-        # the cap machinery is exercised through the PR-3 engine behavior.
+        assert instance.rule is None
         engine = CompiledGameEngine(
-            machine, graph, ids, [color_space(3)], instance=instance, use_bitset=False
+            machine, graph, ids, [color_space(3)], instance=instance
         )
         assert engine.eve_wins(sigma_prefix(1)) is True
         info = instance.memo_info()
@@ -430,43 +432,20 @@ class TestBoundsAndCounters:
         assert info["size"] <= 4
         assert info["hits"] >= 1  # the repeated root query
 
-    def test_legacy_engine_transposition_cap(self):
-        machine = builtin.three_colorability_verifier()
-        graph = generators.cycle_graph(4)
-        ids = sequential_identifier_assignment(graph)
-        engine = GameEngine(machine, graph, ids, [color_space(3)], transposition_cap=2)
-        value = engine.eve_wins(sigma_prefix(1))
-        assert engine.eve_wins(sigma_prefix(1)) == value
-        info = engine.transposition_info()
-        assert info["maxsize"] == 2 and info["size"] <= 2
-
     def test_leaf_evaluator_memo_info_both_paths(self):
-        machine = builtin.eulerian_decider()
+        # The kernel path (eulerian's rule) and the simulation path report
+        # the same memo counters, rewire invalidations included.
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
-        for compiled in (None, False):
-            evaluator = LeafEvaluator(machine, graph, ids, compiled=compiled)
-            evaluator.accepts([])
-            evaluator.accepts([])
-            info = evaluator.memo_info()
+        simulated = _SubclassedGather(1, _parity_machine().compute, name="sub")
+        for machine in (builtin.eulerian_decider(), simulated):
+            instance = CompiledInstance(machine, graph, ids)
+            stats = EvaluatorStats()
+            instance.accepts_dicts([], stats)
+            instance.accepts_dicts([], stats)
+            info = instance.memo_info()
             assert info["hits"] >= 1
-            base = {"size", "maxsize", "hits", "misses", "evictions"}
-            # The compiled path also reports rewire invalidations.
-            assert base <= set(info) <= base | {"invalidations"}
-
-    def test_legacy_leaf_memo_cap(self):
-        machine = builtin.three_colorability_verifier()
-        graph = generators.cycle_graph(5)
-        ids = sequential_identifier_assignment(graph)
-        evaluator = LeafEvaluator(machine, graph, ids, compiled=False, memo_cap=3)
-        rng = random.Random(0)
-        for _ in range(20):
-            assignment = {u: rng.choice(["00", "01", "10"]) for u in graph.nodes}
-            expected = execute(machine, graph, ids, [assignment]).accepts()
-            assert evaluator.accepts([assignment]) == expected
-        info = evaluator.memo_info()
-        assert info["maxsize"] == 3 and info["size"] <= 3
-        assert info["evictions"] > 0
+            assert set(info) == {"size", "maxsize", "hits", "misses", "evictions", "invalidations"}
 
 
 class TestSharingAndIntegration:
@@ -474,8 +453,12 @@ class TestSharingAndIntegration:
         machine = builtin.three_colorability_verifier()
         graph = generators.cycle_graph(3)
         ids = sequential_identifier_assignment(graph)
-        engine = GameEngine.for_game(machine, graph, ids, [color_space(3)])
-        assert isinstance(engine, CompiledGameEngine)
+        engine = CompiledGameEngine.for_game(machine, graph, ids, [color_space(3)])
+        assert engine.compiled is compile_instance(machine, graph, ids)
+        from repro.hierarchy.arbiters import three_colorability_spec
+
+        spec_engine = three_colorability_spec().game_engine(graph)
+        assert isinstance(spec_engine, CompiledGameEngine)
 
     def test_compile_instance_registry_shares(self):
         machine = builtin.eulerian_decider()
@@ -484,21 +467,19 @@ class TestSharingAndIntegration:
         assert compile_instance(machine, graph, ids) is compile_instance(machine, graph, ids)
 
     def test_leaf_evaluator_shares_instance_memo_with_engine(self):
-        machine = builtin.three_colorability_verifier()
+        # Dict-facing leaf queries and engines on one instance share the
+        # per-node memo.  A rule-less machine: the bitset search leaves no
+        # memo trail for rules.
+        machine = _parity_machine()
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
         instance = CompiledInstance(machine, graph, ids)
-        # The bitset search leaves no memo trail for pairwise rules; the
-        # shared-memo contract is the PR-3 engine behavior.
-        engine = CompiledGameEngine(
-            machine, graph, ids, [color_space(3)], instance=instance, use_bitset=False
-        )
+        engine = CompiledGameEngine(machine, graph, ids, [bit_space()], instance=instance)
         assert engine.eve_wins(sigma_prefix(1)) is True
-        evaluator = LeafEvaluator(machine, graph, ids, compiled=instance)
-        coloring = {u: c for u, c in zip(graph.nodes, ["00", "01", "00", "01"])}
+        all_zero = {u: "0" for u in graph.nodes}
         before = instance.memo_info()["misses"]
-        assert evaluator.accepts([coloring]) is True
-        # The engine's search already visited this proper coloring.
+        assert instance.accepts_dicts([all_zero], EvaluatorStats()) is True
+        # The engine's search accepted this assignment first.
         assert instance.memo_info()["misses"] == before
 
     def test_batch_runs_on_compiled_engines(self):
@@ -514,7 +495,7 @@ class TestSharingAndIntegration:
             )
             for graph in graphs
         ]
-        values = evaluate_batch(instances)
+        values, _ = evaluate_timed(instances)
         assert values == [True, False, True]
 
     def test_materialized_space_is_cached_and_coded(self):

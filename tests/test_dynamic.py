@@ -2,7 +2,7 @@
 
 The contract under test: after ANY valid mutation sequence, the repaired
 verdict of :class:`repro.engine.dynamic.MutableInstance` is bitwise-equal
-to a full recompute (both engine tiers) and to the exhaustive oracle --
+to a full recompute and to the exhaustive oracle --
 and no cache tier (per-node memo, canonical ball signatures, store-backed
 node verdicts, content-addressed instance keys) can ever serve a
 pre-mutation answer for a post-mutation state.
@@ -46,7 +46,7 @@ from repro.hierarchy.game import eve_wins, pi_prefix, sigma_prefix
 from repro.machines import builtin
 from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
 from repro.sweep.fingerprint import game_instance_key
-from repro.sweep.store import MemoryVerdictStore
+from repro.sweep.store import open_store
 
 
 def _parity_machine():
@@ -161,14 +161,13 @@ class TestDifferentialRepair:
 
             repaired = mutable.verdict()
             snapshot = mutable.as_game_instance()
-            bitset = recompute_verdict(snapshot, use_bitset=True)
-            compiled = recompute_verdict(snapshot, use_bitset=False)
+            recomputed = recompute_verdict(snapshot)
             oracle = eve_wins(
                 machine, snapshot.graph, snapshot.ids, spaces, prefix
             )
-            assert repaired == bitset == compiled == oracle, (
+            assert repaired == recomputed == oracle, (
                 f"divergence after {applied!r}: repair={repaired} "
-                f"bitset={bitset} compiled={compiled} oracle={oracle}"
+                f"recompute={recomputed} oracle={oracle}"
             )
             _assert_structurally_fresh(mutable)
 
@@ -428,7 +427,7 @@ class TestCacheFreshness:
         graph = generators.cycle_graph(8)
         ids = cyclic_identifier_assignment(graph, period=4)
         machine = builtin.two_colorability_verifier()
-        store = MemoryVerdictStore()
+        store = open_store("memory://")
 
         seed_cache = CanonicalVerdictCache(store=store)
         seeded = MutableInstance(

@@ -1,11 +1,13 @@
-"""Engine/oracle equivalence: the fast game engine vs the exhaustive solver.
+"""Engine/oracle equivalence: the compiled game engine vs the exhaustive solver.
 
 The engine (``repro.engine``) must be observationally equivalent to the
 reference solver ``repro.hierarchy.game.eve_wins`` -- same game values, same
 winning first moves -- on every machine kind (direct gather path, generic
-simulation path), every quantifier prefix and every certificate space.
-These tests assert that equivalence on randomized small instances, plus the
-engine-specific behaviors (memoization, batching, sharing).
+simulation path, Turing machines, raw node machines), every quantifier
+prefix and every certificate space.  Leaf verdicts are checked against a
+full simulator execution.  These tests assert that equivalence on
+randomized small instances, plus the engine-specific behaviors
+(memoization, batching, sharing).
 """
 
 import random
@@ -13,11 +15,12 @@ import random
 import pytest
 
 from repro.engine import (
-    GameEngine,
+    CompiledGameEngine,
+    CompiledInstance,
+    EvaluatorStats,
     GameInstance,
-    LeafEvaluator,
-    evaluate_batch,
-    shared_evaluator,
+    LRUCache,
+    compile_instance,
 )
 from repro.graphs import generators
 from repro.graphs.identifiers import (
@@ -41,6 +44,7 @@ from repro.machines import builtin
 from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
 from repro.machines.simulator import execute
 from repro.machines.turing import label_is_one_machine
+from repro.sweep.executor import evaluate_timed
 
 
 class _SubclassedGather(NeighborhoodGatherAlgorithm):
@@ -50,6 +54,13 @@ class _SubclassedGather(NeighborhoodGatherAlgorithm):
     instances, so running the same compute function through a subclass pits
     the two strategies against each other.
     """
+
+
+def _engine(machine, graph, ids, spaces):
+    """A cold engine: fresh compiled instance, memo and transposition cache."""
+    return CompiledGameEngine(
+        machine, graph, ids, spaces, instance=CompiledInstance(machine, graph, ids)
+    )
 
 
 def _graph_pool():
@@ -99,7 +110,7 @@ def _space_pool():
 
 
 class TestLeafEquivalence:
-    """The leaf evaluator must agree with a full simulator execution."""
+    """Compiled leaf verdicts must agree with a full simulator execution."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_direct_path_matches_simulator(self, seed):
@@ -107,11 +118,11 @@ class TestLeafEquivalence:
         for graph in _graph_pool():
             ids = sequential_identifier_assignment(graph)
             machine = _certificate_parity_machine()
-            evaluator = LeafEvaluator(machine, graph, ids)
-            assert evaluator.direct
+            instance = CompiledInstance(machine, graph, ids)
+            assert instance.direct
             certificates = {u: rng.choice(["", "0", "1", "11"]) for u in graph.nodes}
             expected = execute(machine, graph, ids, [certificates]).accepts()
-            assert evaluator.accepts([certificates]) == expected
+            assert instance.accepts_dicts([certificates], EvaluatorStats()) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_simulation_path_matches_simulator(self, seed):
@@ -121,11 +132,11 @@ class TestLeafEquivalence:
         )
         for graph in _graph_pool():
             ids = sequential_identifier_assignment(graph)
-            evaluator = LeafEvaluator(machine, graph, ids)
-            assert not evaluator.direct
+            instance = CompiledInstance(machine, graph, ids)
+            assert not instance.direct
             certificates = {u: rng.choice(["", "0", "1"]) for u in graph.nodes}
             expected = execute(machine, graph, ids, [certificates]).accepts()
-            assert evaluator.accepts([certificates]) == expected
+            assert instance.accepts_dicts([certificates], EvaluatorStats()) == expected
 
     def test_turing_machine_path(self):
         machine = label_is_one_machine()
@@ -135,26 +146,28 @@ class TestLeafEquivalence:
             generators.cycle_graph(4),
         ):
             ids = sequential_identifier_assignment(graph)
-            evaluator = LeafEvaluator(machine, graph, ids)
-            assert evaluator.accepts([]) == execute(machine, graph, ids).accepts()
+            instance = CompiledInstance(machine, graph, ids)
+            expected = execute(machine, graph, ids).accepts()
+            assert instance.accepts_dicts([], EvaluatorStats()) == expected
 
     def test_memoization_hits_on_repeated_leaves(self):
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
-        evaluator = LeafEvaluator(builtin.three_colorability_verifier(), graph, ids)
+        instance = CompiledInstance(builtin.three_colorability_verifier(), graph, ids)
+        stats = EvaluatorStats()
         certificates = {u: "00" for u in graph.nodes}
-        evaluator.accepts([certificates])
-        misses = evaluator.stats.node_misses
-        evaluator.accepts([certificates])
-        assert evaluator.stats.node_misses == misses
-        assert evaluator.stats.node_hits > 0
+        instance.accepts_dicts([certificates], stats)
+        misses = stats.node_misses
+        instance.accepts_dicts([certificates], stats)
+        assert stats.node_misses == misses
+        assert stats.node_hits > 0
 
     def test_id_collision_at_gather_horizon_forces_fallback(self):
         # Regression: two nodes sharing an identifier at distance radius + 1
         # plant phantom entries in the *simulated* gather (an out-of-view
         # name-sharer reports an edge between two in-view identifiers), so
-        # the direct path must not be taken -- the evaluator has to fall
-        # back to simulation and reproduce the simulator's answer exactly.
+        # the direct path must not be taken -- the engine has to fall back
+        # to simulation and reproduce the simulator's answer exactly.
         def compute(view):
             neighbors = sorted(view.neighbors_of(view.center))
             for i in range(len(neighbors)):
@@ -167,15 +180,21 @@ class TestLeafEquivalence:
         graph = generators.path_graph(5)
         nodes = list(graph.nodes)
         ids = dict(zip(nodes, ["0", "1", "2", "3", "1"]))  # collision at distance 3
-        evaluator = LeafEvaluator(machine, graph, ids)
-        assert not evaluator.direct
-        assert evaluator.verdicts([]) == execute(machine, graph, ids).verdicts()
+        instance = CompiledInstance(machine, graph, ids)
+        assert not instance.direct
+        expected = execute(machine, graph, ids).verdicts()
+        assert instance.verdicts_dicts([], EvaluatorStats()) == expected
+        for prefix in (sigma_prefix(1), pi_prefix(1)):
+            oracle = eve_wins(machine, graph, ids, [bit_space()], prefix)
+            assert _engine(machine, graph, ids, [bit_space()]).eve_wins(prefix) == oracle
 
     def test_ball_subgraph_preserves_influential_degrees(self):
         # Regression guard for the simulation path's truncation argument: a
         # machine whose round-1 messages carry node degrees must see the
         # same degrees on the induced ball subgraph as on the full graph
-        # (nodes at distance max_rounds cannot influence the center).
+        # (nodes at distance max_rounds cannot influence the center).  On
+        # graphs whose balls span every node, one execution is harvested
+        # into every node's memo slot.
         class DegreeEcho:
             def initial_state(self, node_input):
                 return {"deg": node_input.degree, "got": None}
@@ -202,23 +221,25 @@ class TestLeafEquivalence:
             generators.random_tree(8, seed=3),
         ):
             ids = sequential_identifier_assignment(graph)
-            evaluator = LeafEvaluator(machine, graph, ids)
-            assert evaluator.verdicts([]) == execute(machine, graph, ids).verdicts()
+            instance = CompiledInstance(machine, graph, ids)
+            expected = execute(machine, graph, ids).verdicts()
+            assert instance.verdicts_dicts([], EvaluatorStats()) == expected
 
     def test_restriction_localizes_certificate_changes(self):
         # Changing one node's certificate must not invalidate nodes whose
         # ball does not contain it.
         graph = generators.path_graph(4)
         ids = sequential_identifier_assignment(graph)
-        evaluator = LeafEvaluator(builtin.eulerian_decider(), graph, ids)
+        instance = CompiledInstance(builtin.eulerian_decider(), graph, ids)
+        stats = EvaluatorStats()
         nodes = list(graph.nodes)
         first = {u: "0" for u in nodes}
-        evaluator.verdicts([first])
-        misses = evaluator.stats.node_misses
+        instance.verdicts_dicts([first], stats)
+        misses = stats.node_misses
         changed = dict(first)
         changed[nodes[-1]] = "1"  # outside the balls of nodes[0] and nodes[1]
-        evaluator.verdicts([changed])
-        assert evaluator.stats.node_misses - misses <= 2
+        instance.verdicts_dicts([changed], stats)
+        assert stats.node_misses - misses <= 2
 
 
 class TestGameEquivalence:
@@ -234,7 +255,7 @@ class TestGameEquivalence:
             ids = sequential_identifier_assignment(graph)
             for prefix in (sigma_prefix(level), pi_prefix(level)):
                 expected = eve_wins(machine, graph, ids, spaces, prefix)
-                engine = GameEngine(machine, graph, ids, spaces)
+                engine = _engine(machine, graph, ids, spaces)
                 assert engine.eve_wins(prefix) == expected, (
                     trial,
                     machine,
@@ -259,7 +280,7 @@ class TestGameEquivalence:
             ids = sequential_identifier_assignment(graph)
             for prefix in (sigma_prefix(2), pi_prefix(2)):
                 expected = eve_wins(machine, graph, ids, spaces, prefix)
-                engine = GameEngine(machine, graph, ids, spaces)
+                engine = _engine(machine, graph, ids, spaces)
                 assert engine.eve_wins(prefix) == expected, (trial, prefix)
 
     @pytest.mark.slow
@@ -270,7 +291,7 @@ class TestGameEquivalence:
             graph = generators.cycle_graph(5)
             ids = random_identifier_assignment(graph, 1, rng=random.Random(seed))
             expected = eve_wins(machine, graph, ids, [color_space(3)], sigma_prefix(1))
-            engine = GameEngine(machine, graph, ids, [color_space(3)])
+            engine = _engine(machine, graph, ids, [color_space(3)])
             assert engine.eve_wins(sigma_prefix(1)) == expected
 
     def test_simulation_and_direct_paths_agree_in_games(self):
@@ -280,8 +301,9 @@ class TestGameEquivalence:
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
         for prefix_fn in (sigma_prefix, pi_prefix):
-            direct = GameEngine(direct_machine, graph, ids, [bit_space()])
-            generic = GameEngine(generic_machine, graph, ids, [bit_space()])
+            direct = _engine(direct_machine, graph, ids, [bit_space()])
+            generic = _engine(generic_machine, graph, ids, [bit_space()])
+            assert direct.compiled.direct and not generic.compiled.direct
             assert direct.eve_wins(prefix_fn(1)) == generic.eve_wins(prefix_fn(1))
 
     def test_fixed_prefix_equivalence(self):
@@ -290,13 +312,13 @@ class TestGameEquivalence:
         ids = sequential_identifier_assignment(graph)
         fixed = [{u: "00" for u in graph.nodes}]
         expected = eve_wins(machine, graph, ids, [color_space(3)], sigma_prefix(1), fixed)
-        engine = GameEngine(machine, graph, ids, [color_space(3)])
+        engine = _engine(machine, graph, ids, [color_space(3)])
         assert engine.eve_wins(sigma_prefix(1), fixed) == expected
 
     def test_prefix_length_validation(self):
         graph = generators.cycle_graph(3)
         ids = sequential_identifier_assignment(graph)
-        engine = GameEngine(builtin.constant_algorithm(), graph, ids, [bit_space()])
+        engine = _engine(builtin.constant_algorithm(), graph, ids, [bit_space()])
         with pytest.raises(ValueError):
             engine.eve_wins([])
 
@@ -304,14 +326,14 @@ class TestGameEquivalence:
         machine = builtin.three_colorability_verifier()
         graph = generators.cycle_graph(5)
         ids = sequential_identifier_assignment(graph)
-        engine = GameEngine(machine, graph, ids, [color_space(3)])
+        engine = _engine(machine, graph, ids, [color_space(3)])
         engine.eve_wins(sigma_prefix(1))
-        leaves = engine.evaluator.stats.leaves
-        misses = engine.evaluator.stats.node_misses
+        hits = engine.transposition_info()["hits"]
+        stats = dict(vars(engine.stats))
         engine.eve_wins(sigma_prefix(1))
         # The repeated query is answered from the transposition cache.
-        assert engine.evaluator.stats.leaves == leaves
-        assert engine.evaluator.stats.node_misses == misses
+        assert engine.transposition_info()["hits"] == hits + 1
+        assert vars(engine.stats) == stats
 
 
 class TestWinningMoves:
@@ -322,14 +344,14 @@ class TestWinningMoves:
             expected = winning_first_move(
                 machine, graph, ids, [color_space(3)], sigma_prefix(1)
             )
-            engine = GameEngine(machine, graph, ids, [color_space(3)])
+            engine = _engine(machine, graph, ids, [color_space(3)])
             assert engine.winning_first_move(sigma_prefix(1)) == expected
 
     def test_adam_refutation_on_pi_game(self):
         machine = builtin.three_colorability_verifier()
         graph = generators.cycle_graph(3)
         ids = sequential_identifier_assignment(graph)
-        engine = GameEngine(machine, graph, ids, [color_space(3)])
+        engine = _engine(machine, graph, ids, [color_space(3)])
         move = engine.winning_first_move(pi_prefix(1))
         # Adam can always refute: e.g. a monochromatic assignment.
         assert move is not None
@@ -338,6 +360,7 @@ class TestWinningMoves:
 
 class TestBatchAPI:
     def test_batch_matches_individual_decisions(self):
+        from repro.graphs.identifiers import small_identifier_assignment
         from repro.hierarchy.arbiters import three_colorability_spec
 
         spec = three_colorability_spec()
@@ -346,30 +369,53 @@ class TestBatchAPI:
             generators.complete_graph(4),
             generators.cycle_graph(5),
         ]
-        from repro.engine import decide_batch
-
-        values = decide_batch(spec, graphs)
+        instances = [
+            GameInstance(
+                spec.machine,
+                graph,
+                small_identifier_assignment(graph, spec.identifier_radius),
+                list(spec.spaces),
+                spec.prefix(),
+            )
+            for graph in graphs
+        ]
+        values, _ = evaluate_timed(instances)
         assert values == [spec.decide(graph) for graph in graphs]
+        assert values == [spec.decide_naive(graph) for graph in graphs]
 
     def test_batch_shares_engines_across_prefixes(self):
         machine = builtin.three_colorability_verifier()
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
+        spaces = [color_space(3)]
         instances = [
-            GameInstance(machine, graph, ids, [color_space(3)], sigma_prefix(1)),
-            GameInstance(machine, graph, ids, [color_space(3)], pi_prefix(1)),
-            GameInstance(machine, graph, ids, [color_space(3)], sigma_prefix(1)),
+            GameInstance(machine, graph, ids, spaces, sigma_prefix(1)),
+            GameInstance(machine, graph, ids, spaces, pi_prefix(1)),
+            GameInstance(machine, graph, ids, spaces, sigma_prefix(1)),
         ]
-        sigma_value, pi_value, sigma_again = evaluate_batch(instances)
+        engines = LRUCache(None)
+        (sigma_value, pi_value, sigma_again), _ = evaluate_timed(
+            instances, engine_cache=engines
+        )
         assert sigma_value is True
         assert pi_value is False
         assert sigma_again is True
+        assert len(engines) == 1
 
     def test_shared_evaluator_is_reused(self):
-        machine = builtin.eulerian_decider()
+        """Verifier runs share one compiled instance (and its verdict memo)."""
+        from repro.locality.proof_labeling import all_schemes
+
+        scheme = [s for s in all_schemes() if s.property_name == "eulerian"][0]
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
-        assert shared_evaluator(machine, graph, ids) is shared_evaluator(machine, graph, ids)
+        certificates = scheme.prover(graph, ids)
+        assert scheme.verify(graph, certificates, ids) is True
+        instance = compile_instance(scheme.verifier, graph, ids)
+        assert compile_instance(scheme.verifier, graph, ids) is instance
+        misses = instance.memo_info()["misses"]
+        assert scheme.verify(graph, certificates, ids) is True
+        assert instance.memo_info()["misses"] == misses
 
 
 class TestSpecIntegration:

@@ -8,7 +8,7 @@ import pytest
 from repro.obs.prof import SamplingProfiler, _frame_label
 from repro.service.client import ServiceClient
 from repro.service.server import ServerThread
-from repro.sweep.store import MemoryVerdictStore
+from repro.sweep.store import SQLiteVerdictStore
 
 
 def _spin_inner(stop):
@@ -211,7 +211,7 @@ class TestFrameLabel:
 
 class TestAdminProfileOps:
     def test_profile_start_snapshot_stop_over_the_wire(self):
-        with ServerThread(store=MemoryVerdictStore()) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:")) as server:
             with ServiceClient(server.address) as client:
                 status = client.profile_start(hz=251)
                 assert status["running"] is True
@@ -234,7 +234,7 @@ class TestAdminProfileOps:
     def test_profile_start_with_bad_hz_is_a_protocol_error(self):
         from repro.service.client import ServiceError
 
-        with ServerThread(store=MemoryVerdictStore()) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:")) as server:
             with ServiceClient(server.address) as client:
                 with pytest.raises(ServiceError) as excinfo:
                     client.profile_start(hz=-5)

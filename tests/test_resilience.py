@@ -9,7 +9,6 @@ error -- never by dying or hanging.
 from __future__ import annotations
 
 import asyncio
-import os
 import socket
 import threading
 import time
@@ -28,11 +27,7 @@ from repro.service.resilience import (
     parse_fault_spec,
 )
 from repro.service.server import ServerThread, ServiceConfig, VerdictService
-from repro.sweep.store import (
-    JsonlVerdictStore,
-    MemoryVerdictStore,
-    SQLiteVerdictStore,
-)
+from repro.sweep.store import SQLiteVerdictStore, open_store
 
 SPEC = {"arbiter": "2-colorable", "family": "cycle", "n": 6, "scheme": "sequential"}
 
@@ -137,7 +132,7 @@ class TestFaultInjector:
 
 class TestFaultingStore:
     def test_faults_bite_and_passthrough(self):
-        inner = MemoryVerdictStore()
+        inner = SQLiteVerdictStore(":memory:")
         inner.put("k", True, name="x")
         faults = FaultInjector()
         store = FaultingStore(inner, faults)
@@ -154,7 +149,7 @@ class TestFaultingStore:
 
     def test_journal_reads_are_never_faulted(self):
         """Recovery must read what a healthy daemon journaled earlier."""
-        inner = MemoryVerdictStore()
+        inner = SQLiteVerdictStore(":memory:")
         inner.journal_append("s", 0, {"kind": "open", "address": {}})
         faults = FaultInjector()
         faults.configure("store-get-error")  # armed, but reads pass
@@ -166,7 +161,7 @@ class TestFaultingStore:
             store.journal_append("s", 1, {"kind": "deltas", "deltas": []})
 
     def test_latency_failpoint_sleeps(self):
-        store = FaultingStore(MemoryVerdictStore(), FaultInjector())
+        store = FaultingStore(SQLiteVerdictStore(":memory:"), FaultInjector())
         store.faults.configure("store-get-latency", latency=0.05, times=1)
         started = time.perf_counter()
         store.get("missing")
@@ -279,7 +274,7 @@ class TestRetryPolicy:
 
 
 # ----------------------------------------------------------------------
-# Session journal on every backend
+# Session journal, in memory and on disk
 # ----------------------------------------------------------------------
 class TestJournalBackends:
     def _roundtrip(self, store):
@@ -298,7 +293,7 @@ class TestJournalBackends:
         assert store.journal_entries("wb") == []
 
     def test_memory(self):
-        self._roundtrip(MemoryVerdictStore())
+        self._roundtrip(SQLiteVerdictStore(":memory:"))
 
     def test_sqlite(self, tmp_path):
         store = SQLiteVerdictStore(str(tmp_path / "v.sqlite"))
@@ -319,68 +314,18 @@ class TestJournalBackends:
             reopened.close()
 
     def test_jsonl(self, tmp_path):
-        store = JsonlVerdictStore(str(tmp_path / "v.jsonl"))
-        try:
+        # A bare path with the JSON-lines suffix opens SQLite too.
+        with open_store(str(tmp_path / "v.jsonl")) as store:
             self._roundtrip(store)
-        finally:
-            store.close()
 
     def test_jsonl_journal_and_tombstone_survive_reopen(self, tmp_path):
         path = str(tmp_path / "v.jsonl")
-        store = JsonlVerdictStore(path)
-        store.journal_append("wb", 0, {"kind": "open", "address": {}})
-        store.journal_append("gone", 0, {"kind": "open", "address": {}})
-        store.journal_clear("gone")
-        store.close()
-        reopened = JsonlVerdictStore(path)
-        try:
+        with open_store(path) as store:
+            store.journal_append("wb", 0, {"kind": "open", "address": {}})
+            store.journal_append("gone", 0, {"kind": "open", "address": {}})
+            store.journal_clear("gone")
+        with open_store(path) as reopened:
             assert reopened.journal_sessions() == ["wb"]
-        finally:
-            reopened.close()
-
-
-class TestJsonlCrashSafety:
-    def test_truncated_trailing_line_is_recovered(self, tmp_path):
-        path = str(tmp_path / "v.jsonl")
-        store = JsonlVerdictStore(path)
-        store.put("k1", True, name="a")
-        store.put("k2", False, name="b")
-        store.close()
-        good_size = os.path.getsize(path)
-        with open(path, "ab") as handle:
-            handle.write(b'{"key": "k3", "verd')  # the crash artifact
-        recovered = JsonlVerdictStore(path)
-        try:
-            assert recovered.get("k1") is True and recovered.get("k2") is False
-            assert recovered.truncated_bytes > 0
-            # The partial line was physically truncated away: appends go
-            # after the last *good* record, not after garbage.
-            assert os.path.getsize(path) == good_size
-            recovered.put("k3", True, name="c")
-        finally:
-            recovered.close()
-        clean = JsonlVerdictStore(path)
-        try:
-            assert clean.get("k3") is True and clean.truncated_bytes == 0
-        finally:
-            clean.close()
-
-    def test_mid_file_corruption_still_raises(self, tmp_path):
-        path = str(tmp_path / "v.jsonl")
-        store = JsonlVerdictStore(path)
-        store.put("k1", True)
-        store.close()
-        with open(path, "ab") as handle:
-            handle.write(b"garbage\n")
-            handle.write(b'{"key": "k2", "verdict": true, "name": "", "seconds": 0}\n')
-        with pytest.raises(Exception):
-            JsonlVerdictStore(path)
-
-    def test_close_is_idempotent_and_fsyncs(self, tmp_path):
-        store = JsonlVerdictStore(str(tmp_path / "v.jsonl"))
-        store.put("k", True)
-        store.close()
-        store.close()  # second close must be a no-op, not ValueError
 
 
 # ----------------------------------------------------------------------
@@ -388,7 +333,7 @@ class TestJsonlCrashSafety:
 # ----------------------------------------------------------------------
 class TestFailpointsEndToEnd:
     def test_store_error_degrades_instead_of_failing(self):
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         with ServerThread(store=store, config=ServiceConfig(window_seconds=0.0)) as server:
             with ServiceClient(server.address) as client:
                 healthy = _query(client, n=5)
@@ -473,7 +418,7 @@ class TestBreakerEndToEnd:
         config = ServiceConfig(
             window_seconds=0.0, breaker_threshold=2, breaker_reset_seconds=0.2
         )
-        with ServerThread(store=MemoryVerdictStore(), config=config) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), config=config) as server:
             with ServiceClient(server.address) as client:
                 client.set_faults("store-get-error,store-put-error")
                 for n in (4, 5, 6, 7):
@@ -499,7 +444,7 @@ class TestBreakerEndToEnd:
         config = ServiceConfig(
             window_seconds=0.0, breaker_threshold=1, breaker_reset_seconds=60.0
         )
-        with ServerThread(store=MemoryVerdictStore(), config=config) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), config=config) as server:
             with ServiceClient(server.address) as client:
                 client.set_faults("store-get-error=1.0:times=1,store-put-error")
                 _query(client, n=4)  # trips the breaker
@@ -581,7 +526,7 @@ class TestClientResilience:
                 assert client.retries >= 1
 
     def test_mutate_retry_needs_token_and_dedupes(self):
-        with ServerThread(store=MemoryVerdictStore()) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:")) as server:
             with ServiceClient(server.address) as client:
                 client.mutate("wb", spec=SPEC)
                 first = client.mutate(
@@ -602,7 +547,7 @@ class TestClientResilience:
                 assert client.query_session("wb")["key"] == key_after
 
     def test_retrying_client_autogenerates_mutate_tokens(self):
-        with ServerThread(store=MemoryVerdictStore()) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:")) as server:
             policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
             with ServiceClient(server.address, retry=policy) as client:
                 client.mutate("wb", spec=SPEC)
@@ -671,7 +616,7 @@ class TestSessionRecovery:
 
     def test_recovery_with_shared_memory_store(self):
         """Same story without touching disk: two services, one store."""
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         first = ServerThread(store=store)
         first.start()
         try:
@@ -686,7 +631,7 @@ class TestSessionRecovery:
 
     def test_unjournaled_sessions_do_not_resurrect(self):
         """A store with no journal recovers nothing (and does not crash)."""
-        service = VerdictService(store=MemoryVerdictStore())
+        service = VerdictService(store=SQLiteVerdictStore(":memory:"))
         try:
             assert service.recover_sessions() == 0
         finally:
@@ -717,7 +662,7 @@ class TestDrainAndChaos:
         config = ServiceConfig(
             window_seconds=0.0, breaker_threshold=3, breaker_reset_seconds=0.2
         )
-        with ServerThread(store=MemoryVerdictStore(), config=config) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), config=config) as server:
             report = run_load(
                 server.address,
                 inline_cycle_payloads(sizes=(4, 5, 6, 7)),

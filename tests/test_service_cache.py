@@ -8,7 +8,7 @@ from repro.engine.batch import GameInstance
 from repro.service.cache import ComputeTier, TieredVerdictCache
 from repro.service.resolver import Resolver
 from repro.service.protocol import QueryRequest
-from repro.sweep.store import MemoryVerdictStore
+from repro.sweep.store import SQLiteVerdictStore
 
 
 def _instances(sizes=(4, 5, 6)):
@@ -33,20 +33,20 @@ def _instances(sizes=(4, 5, 6)):
 
 class TestTieredVerdictCache:
     def test_full_miss_returns_none(self):
-        cache = TieredVerdictCache(MemoryVerdictStore())
+        cache = TieredVerdictCache(SQLiteVerdictStore(":memory:"))
         assert cache.lookup("nope") is None
         stats = cache.stats()
         assert stats["lru"]["misses"] == 1
         assert stats["store"]["misses"] == 1
 
     def test_insert_then_lru_hit(self):
-        cache = TieredVerdictCache(MemoryVerdictStore())
+        cache = TieredVerdictCache(SQLiteVerdictStore(":memory:"))
         cache.insert("k", True, name="x", seconds=0.1)
         assert cache.lookup("k") == (True, "lru")
         assert cache.stats()["lru"]["hits"] == 1
 
     def test_store_hit_is_promoted_into_lru(self):
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         first = TieredVerdictCache(store)
         first.insert("k", False)
         # A fresh process (new LRU) over the same shared store.
@@ -58,7 +58,7 @@ class TestTieredVerdictCache:
         assert stats["lru"]["hits"] == 1
 
     def test_insert_without_persist_skips_store(self):
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         cache = TieredVerdictCache(store)
         cache.insert("k", True, persist=False)
         assert store.get("k") is None
@@ -161,7 +161,7 @@ class TestBulkStoreLookups:
     """Multi-key reads route through VerdictStore.get_many with promotion."""
 
     def test_lookup_store_many_promotes_all_hits(self):
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         store.put("a", True)
         store.put("b", False)
         cache = TieredVerdictCache(store)
@@ -232,7 +232,7 @@ class TestCanonicalTier:
             prefix=spec.prefix(),
             name="sim|cycle6",
         )
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         tier = ComputeTier(store=store)
         tier.evaluate([instance])
         assert store.node_count() > 0

@@ -10,13 +10,13 @@ import pytest
 from repro.obs.top import render, run_top
 from repro.service.client import ServiceClient
 from repro.service.server import ServerThread
-from repro.sweep.store import MemoryVerdictStore
+from repro.sweep.store import SQLiteVerdictStore
 
 
 @pytest.fixture(scope="module")
 def console_server():
     """One daemon + console shared by the module (read-mostly assertions)."""
-    with ServerThread(store=MemoryVerdictStore(), http_port=0) as server:
+    with ServerThread(store=SQLiteVerdictStore(":memory:"), http_port=0) as server:
         yield server
 
 
@@ -61,13 +61,13 @@ class TestStatsEndpoint:
 
 class TestStatsSelfCounting:
     def test_first_stats_poll_does_not_count_itself(self):
-        with ServerThread(store=MemoryVerdictStore()) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:")) as server:
             with ServiceClient(server.address) as client:
                 stats = client.stats()
         assert stats["requests"]["stats"] == 0
 
     def test_later_polls_count_only_earlier_polls(self):
-        with ServerThread(store=MemoryVerdictStore()) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:")) as server:
             with ServiceClient(server.address) as client:
                 client.stats()
                 client.stats()
@@ -191,7 +191,7 @@ class TestHealthz:
         assert body["breaker"] == "closed"
 
     def test_draining_daemon_is_503(self):
-        with ServerThread(store=MemoryVerdictStore(), http_port=0) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), http_port=0) as server:
             server.service.draining = True
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server, "/healthz")
@@ -200,7 +200,7 @@ class TestHealthz:
             assert body["healthy"] is False and body["draining"] is True
 
     def test_open_breaker_is_503(self):
-        with ServerThread(store=MemoryVerdictStore(), http_port=0) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), http_port=0) as server:
             breaker = server.service.breaker
             for _ in range(breaker.failure_threshold):
                 breaker.record_failure()

@@ -3,7 +3,7 @@
 Three layers of coverage, cheapest first:
 
 * unit tests of the store append log (``last_seq`` / ``entries_since``)
-  on every backend, including cross-process SQLite contention -- the
+  in memory and on disk, including cross-process SQLite contention -- the
   replication substrate the pool's catch-up rides on;
 * unit tests of the router's key extraction and the supervisor's
   stats-merging helpers (pure functions);
@@ -25,27 +25,24 @@ import pytest
 
 from repro.service.loadgen import LoadReport
 from repro.service.pool import _merge_latency, _merge_values, _slot, routing_key
-from repro.sweep.store import (
-    JsonlVerdictStore,
-    MemoryVerdictStore,
-    SQLiteVerdictStore,
-)
+from repro.sweep.store import SQLiteVerdictStore, open_store
 
 
 @pytest.fixture(params=["memory", "sqlite", "jsonl"])
 def store(request, tmp_path):
-    if request.param == "memory":
-        yield MemoryVerdictStore()
-    elif request.param == "sqlite":
-        with SQLiteVerdictStore(str(tmp_path / "verdicts.sqlite")) as opened:
-            yield opened
-    else:
-        with JsonlVerdictStore(str(tmp_path / "verdicts.jsonl")) as opened:
-            yield opened
+    # "jsonl": a bare path with the JSON-lines suffix names a SQLite
+    # database like any other path.
+    path = {
+        "memory": "memory://",
+        "sqlite": str(tmp_path / "verdicts.sqlite"),
+        "jsonl": str(tmp_path / "verdicts.jsonl"),
+    }[request.param]
+    with open_store(path) as opened:
+        yield opened
 
 
 # ----------------------------------------------------------------------
-# The append log every backend replicates
+# The replicated append log
 # ----------------------------------------------------------------------
 class TestStoreAppendLog:
     def test_empty_store_is_seq_zero(self, store):
@@ -112,10 +109,10 @@ class TestStoreAppendLog:
 
     def test_jsonl_reload_rebuilds_the_log(self, tmp_path):
         path = str(tmp_path / "v.jsonl")
-        with JsonlVerdictStore(path) as first:
+        with open_store(path) as first:
             first.put("a", True)
             first.journal_append("sess", 1, {"op": "open"})
-        with JsonlVerdictStore(path) as second:
+        with open_store(path) as second:
             assert second.last_seq() == 2
             kinds = [kind for _, kind, _ in second.entries_since(0)]
             assert kinds == ["verdict", "journal"]
@@ -126,7 +123,7 @@ class TestStoreAppendLog:
 # ----------------------------------------------------------------------
 _WRITER_SNIPPET = """
 import sys
-from repro.sweep.store import SQLiteVerdictStore
+from repro.sweep.store import SQLiteVerdictStore, open_store
 
 path, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
 with SQLiteVerdictStore(path) as store:

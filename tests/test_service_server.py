@@ -16,7 +16,7 @@ from repro.service.loadgen import run_load, scenario_payloads
 from repro.service.server import ServerThread, ServiceConfig
 from repro.sweep.executor import evaluate_timed
 from repro.sweep.scenarios import build_instances, instances_for_spec, register_scenario
-from repro.sweep.store import MemoryVerdictStore
+from repro.sweep.store import SQLiteVerdictStore
 
 #: The Figure-2 workload the acceptance criteria are phrased over.
 FIG2_SCENARIO = "separations"
@@ -25,7 +25,7 @@ FIG2_SCENARIO = "separations"
 @pytest.fixture(scope="module")
 def fig2_server():
     """One daemon over a shared in-memory store, used by the module's tests."""
-    with ServerThread(store=MemoryVerdictStore()) as server:
+    with ServerThread(store=SQLiteVerdictStore(":memory:")) as server:
         yield server
 
 
@@ -106,7 +106,7 @@ class TestEndToEnd:
         assert second["verdict"] == first["verdict"]
 
     def test_store_tier_survives_lru_restart(self):
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         with ServerThread(store=store) as first:
             with ServiceClient(first.address) as client:
                 cold = client.query_scenario("smoke", index=0)
@@ -127,7 +127,7 @@ class TestEndToEnd:
         stored verdicts are already tier-1 hits, without ever having been
         queried individually.
         """
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         from repro.sweep.executor import run_instances
 
         run_instances(build_instances("smoke"), store=store, scenario_name="smoke")
@@ -175,18 +175,25 @@ class TestEndToEnd:
         assert grid["error"]["code"] == "bad-spec"
 
     def test_failing_store_does_not_hang_queries(self):
-        class BrokenPutStore(MemoryVerdictStore):
+        class BrokenPutStore(SQLiteVerdictStore):
             def put_many(self, records):
                 raise OSError("disk full")
 
-        with ServerThread(store=BrokenPutStore()) as server:
+        with ServerThread(store=BrokenPutStore(":memory:")) as server:
             with ServiceClient(server.address) as client:
                 first = client.query_scenario("smoke", index=0)
                 second = client.query_scenario("smoke", index=0)
-                stats = client.stats()
+                # The failure is counted by the persist done-callback, which
+                # may run after a stats reply has gone out: poll for it.
+                deadline = time.monotonic() + 5.0
+                while True:
+                    failures = client.stats()["tiers"]["store"]["async_put_failures"]
+                    if failures >= 1 or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.01)
         assert first["ok"] and second["ok"]
         assert second["source"] == "lru"  # tier 1 still works
-        assert stats["tiers"]["store"]["async_put_failures"] >= 1
+        assert failures >= 1
 
     def test_unknown_scenario_and_instance_errors(self, fig2_server):
         with ServiceClient(fig2_server.address) as client:
@@ -343,7 +350,7 @@ class TestWarmThroughputSpeedup:
         cold_seconds = time.perf_counter() - started
         cold_qps = len(cold_instances) / cold_seconds
 
-        store = MemoryVerdictStore()
+        store = SQLiteVerdictStore(":memory:")
         with ServerThread(store=store) as server:
             payloads = scenario_payloads(FIG2_SCENARIO)
             # Warm the store and LRU once, then measure closed-loop.
@@ -377,7 +384,7 @@ class TestDynamicSessions:
     def test_mutate_query_flip_and_revert(self):
         """A chord flips the verdict; reverting re-hits the original LRU
         entry -- the content-addressed key makes stale answers impossible."""
-        with ServerThread(store=MemoryVerdictStore()) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:")) as server:
             with ServiceClient(server.address) as client:
                 opened = self._open(client, "workbench")
                 assert opened["opened"] is True and opened["applied"] == 0

@@ -111,9 +111,8 @@ class TestSubprocess:
 class TestBenchCommand:
     def _snapshots(self, tmp_path, qps=500.0):
         (tmp_path / "BENCH_fig02.json").write_text(json.dumps({
-            "compiled_vs_engine": {"speedup_median": 20.0},
             "engine_vs_naive": {"speedup_median": 50.0},
-            "bitset_vs_compiled": {"speedup_median": 8.0},
+            "figure2_cold_median_seconds": 0.004,
         }))
         (tmp_path / "BENCH_service.json").write_text(json.dumps({
             "speedup_hot_vs_cold": 80.0,
@@ -195,9 +194,9 @@ class TestProfileLive:
     def test_profile_live_reads_a_real_daemon(self, tmp_path, capsys):
         from repro.service.client import ServiceClient
         from repro.service.server import ServerThread
-        from repro.sweep.store import MemoryVerdictStore
+        from repro.sweep.store import SQLiteVerdictStore
 
-        with ServerThread(store=MemoryVerdictStore(), http_port=0) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), http_port=0) as server:
             host, port = server.http_address
             with ServiceClient(server.address) as client:
                 client.profile_start(hz=397)
@@ -228,9 +227,9 @@ class TestTraceExportCommand:
     def test_trace_export_writes_a_loadable_document(self, tmp_path, capsys):
         from repro.service.client import ServiceClient
         from repro.service.server import ServerThread
-        from repro.sweep.store import MemoryVerdictStore
+        from repro.sweep.store import SQLiteVerdictStore
 
-        with ServerThread(store=MemoryVerdictStore(), http_port=0) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), http_port=0) as server:
             with ServiceClient(server.address) as client:
                 client.query_scenario("smoke", index=0)
                 client.query_scenario("smoke", index=0)
@@ -246,9 +245,9 @@ class TestTraceExportCommand:
 
     def test_trace_export_to_stdout(self, capsys):
         from repro.service.server import ServerThread
-        from repro.sweep.store import MemoryVerdictStore
+        from repro.sweep.store import SQLiteVerdictStore
 
-        with ServerThread(store=MemoryVerdictStore(), http_port=0) as server:
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), http_port=0) as server:
             host, port = server.http_address
             assert main(["trace", "--connect", f"{host}:{port}"]) == 0
         document = json.loads(capsys.readouterr().out)

@@ -1,7 +1,8 @@
-"""Verdict stores: round-trips, backend parity, concurrency, key invalidation."""
+"""The verdict store: round-trips, persistence, concurrency, key invalidation."""
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 
 import pytest
@@ -13,8 +14,6 @@ from repro.hierarchy.game import pi_prefix, sigma_prefix
 from repro.machines import builtin
 from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
 from repro.sweep import (
-    JsonlVerdictStore,
-    MemoryVerdictStore,
     SQLiteVerdictStore,
     instance_key,
     machine_fingerprint,
@@ -24,14 +23,15 @@ from repro.sweep import (
 
 @pytest.fixture(params=["memory", "sqlite", "jsonl"])
 def store(request, tmp_path):
-    if request.param == "memory":
-        yield MemoryVerdictStore()
-    elif request.param == "sqlite":
-        with SQLiteVerdictStore(str(tmp_path / "verdicts.sqlite")) as opened:
-            yield opened
-    else:
-        with JsonlVerdictStore(str(tmp_path / "verdicts.jsonl")) as opened:
-            yield opened
+    # "jsonl": a bare path with the JSON-lines suffix names a SQLite
+    # database like any other path.
+    path = {
+        "memory": "memory://",
+        "sqlite": str(tmp_path / "verdicts.sqlite"),
+        "jsonl": str(tmp_path / "verdicts.jsonl"),
+    }[request.param]
+    with open_store(path) as opened:
+        yield opened
 
 
 class TestStoreRoundTrip:
@@ -63,45 +63,57 @@ class TestPersistence:
             assert second.get("k") is True
             assert len(second) == 1
 
+    def test_open_store_dispatch(self, tmp_path):
+        for in_memory in (open_store(None), open_store("memory://")):
+            assert isinstance(in_memory, SQLiteVerdictStore)
+            assert in_memory.path == ":memory:"
+            in_memory.close()
+        # JSONL is not a backend: its scheme is unknown, and a bare .jsonl
+        # path names a SQLite database like any other suffix.
+        with pytest.raises(ValueError, match="unknown store scheme"):
+            open_store(f"jsonl://{tmp_path}/a.jsonl")
+        with open_store(str(tmp_path / "a.jsonl")) as suffixed:
+            assert isinstance(suffixed, SQLiteVerdictStore)
+            assert suffixed.path == str(tmp_path / "a.jsonl")
+
     def test_jsonl_survives_reopen(self, tmp_path):
         path = str(tmp_path / "v.jsonl")
-        with JsonlVerdictStore(path) as first:
+        with open_store(path) as first:
             first.put("k", False)
             first.put("k2", True)
-        with JsonlVerdictStore(path) as second:
+        with open_store(path) as second:
             assert second.get("k") is False
             assert second.get("k2") is True
-
-    def test_open_store_dispatch(self, tmp_path):
-        assert isinstance(open_store(None), MemoryVerdictStore)
-        with open_store(str(tmp_path / "a.jsonl")) as jsonl:
-            assert isinstance(jsonl, JsonlVerdictStore)
-        with open_store(str(tmp_path / "a.db")) as sqlite:
-            assert isinstance(sqlite, SQLiteVerdictStore)
 
     def test_open_store_scheme_prefixes_win_over_suffixes(self, tmp_path):
         # The scheme decides, not the extension: daemons can name their
         # store unambiguously.
         with open_store(f"sqlite://{tmp_path}/odd.jsonl") as forced_sqlite:
             assert isinstance(forced_sqlite, SQLiteVerdictStore)
-        with open_store(f"jsonl://{tmp_path}/odd.db") as forced_jsonl:
-            assert isinstance(forced_jsonl, JsonlVerdictStore)
-        assert isinstance(open_store("memory://"), MemoryVerdictStore)
-        assert isinstance(open_store("sqlite://:memory:"), SQLiteVerdictStore)
+            assert forced_sqlite.path == f"{tmp_path}/odd.jsonl"
+        assert open_store("sqlite://:memory:").path == ":memory:"
 
     def test_open_store_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             open_store("postgres://x")
+
+    def test_leftover_jsonl_store_is_not_read_as_empty(self, tmp_path):
+        # A JSON-lines store written by an older release must fail loudly
+        # rather than be silently shadowed by an empty database.
+        path = tmp_path / "verdicts.jsonl"
+        path.write_text('{"key": "old", "verdict": true, "name": "i"}\n')
+        with pytest.raises(sqlite3.DatabaseError, match="file is not a database"):
+            open_store(str(path))
 
     def test_open_store_creates_parent_directories(self, tmp_path):
         deep_sqlite = tmp_path / "a" / "b" / "c" / "verdicts.sqlite"
         with open_store(f"sqlite://{deep_sqlite}") as store:
             store.put("k", True)
         assert deep_sqlite.exists()
-        deep_jsonl = tmp_path / "x" / "y" / "verdicts.jsonl"
-        with open_store(str(deep_jsonl)) as store:
+        deep_bare = tmp_path / "x" / "y" / "verdicts.db"
+        with open_store(str(deep_bare)) as store:
             store.put("k", False)
-        assert deep_jsonl.exists()
+        assert deep_bare.exists()
 
 
 class TestBulkLookup:
@@ -312,22 +324,13 @@ class TestNodeVerdicts:
             assert store.get_node("ball:new") is True
 
     def test_jsonl_mixes_kinds_in_one_file(self, tmp_path):
+        # Instance and node verdicts share one database file and both
+        # survive reopen, whatever the file's suffix.
         path = str(tmp_path / "mixed.jsonl")
-        with JsonlVerdictStore(path) as first:
+        with open_store(path) as first:
             first.put("instance-key", True, name="i")
             first.put_node_many([("ball:a", False)])
-        with JsonlVerdictStore(path) as second:
+        with open_store(path) as second:
             assert second.get("instance-key") is True
             assert second.get_node("ball:a") is False
             assert len(second) == 1 and second.node_count() == 1
-
-    def test_jsonl_legacy_untagged_lines_stay_instance_verdicts(self, tmp_path):
-        import json as json_module
-
-        path = tmp_path / "legacy.jsonl"
-        path.write_text(
-            json_module.dumps({"key": "old", "verdict": True, "name": "i"}) + "\n"
-        )
-        with JsonlVerdictStore(str(path)) as store:
-            assert store.get("old") is True
-            assert store.node_count() == 0
