@@ -63,6 +63,7 @@ from repro.service.resilience import (
     FaultingStore,
     InjectedFault,
     RetryPolicy,
+    StoreUnavailable,
     parse_fault_spec,
 )
 from repro.service.resolver import ResolvedQuery, Resolver
@@ -112,6 +113,7 @@ __all__ = [
     "FaultingStore",
     "InjectedFault",
     "RetryPolicy",
+    "StoreUnavailable",
     "parse_fault_spec",
     "ResolvedQuery",
     "Resolver",

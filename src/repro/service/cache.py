@@ -28,12 +28,17 @@ from repro.engine.caching import LRUCache, MISSING
 from repro.engine.canonical import CanonicalVerdictCache
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, MetricsRegistry
 from repro.obs.trace import RequestTrace, TraceLog, active
+from repro.service.resilience import StoreUnavailable
 from repro.sweep.executor import evaluate_timed
 from repro.sweep.store import VerdictStore
 
 #: Bound on the compute tier's in-memory canonical ball cache (the daemon
 #: is long-lived; sweeps use unbounded per-run caches instead).
 CANONICAL_CACHE_ENTRIES = 1 << 18
+
+#: Bounds on the compute tier's long-lived compiled-instance and engine caches.
+MAX_COMPILED = 64
+MAX_ENGINES = 256
 
 
 class TieredVerdictCache:
@@ -85,23 +90,6 @@ class TieredVerdictCache:
             buckets=LATENCY_BUCKETS_SECONDS,
             help="tier-2 store lookup latency (single and bulk)",
         )
-
-    # Registry-backed counters, exposed as the plain ints they replaced.
-    @property
-    def store_hits(self) -> int:
-        return self._store_hits.value
-
-    @property
-    def store_misses(self) -> int:
-        return self._store_misses.value
-
-    @property
-    def store_promotions(self) -> int:
-        return self._store_promotions.value
-
-    @property
-    def inserts(self) -> int:
-        return self._inserts.value
 
     def lookup(self, key: str) -> Optional[Tuple[bool, str]]:
         """``(verdict, tier)`` when some tier knows *key*; ``None`` on full miss.
@@ -217,14 +205,14 @@ class TieredVerdictCache:
             "store": {
                 "attached": self.store is not None,
                 "size": store_size,
-                "hits": self.store_hits,
-                "misses": self.store_misses,
-                "promotions": self.store_promotions,
+                "hits": self._store_hits.value,
+                "misses": self._store_misses.value,
+                "promotions": self._store_promotions.value,
                 "errors": self._store_errors.value,
                 "skipped": self._store_skips.value,
                 "seconds": round(self._store_seconds.sum, 6),
             },
-            "inserts": self.inserts,
+            "inserts": self._inserts.value,
         }
 
 
@@ -259,25 +247,20 @@ class ComputeTier:
 
     def __init__(
         self,
-        max_compiled: int = 64,
-        max_engines: int = 256,
         store: Optional[VerdictStore] = None,
         registry: Optional[MetricsRegistry] = None,
         trace_log: Optional[TraceLog] = None,
         faults=None,
-        breaker=None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace_log = trace_log
-        #: Optional resilience hooks (the daemon wires both): the fault
-        #: injector's ``compute-error`` failpoint, and the store circuit
-        #: breaker gating canonical-cache flushes.
+        #: Optional fault injector (the daemon wires it): the
+        #: ``compute-error`` failpoint.
         self.faults = faults
-        self.breaker = breaker
-        self._compiled = LRUCache(max_compiled).bind_metrics(
+        self._compiled = LRUCache(MAX_COMPILED).bind_metrics(
             self.registry, "repro_compute_compiled_cache"
         )
-        self._engines = LRUCache(max_engines).bind_metrics(
+        self._engines = LRUCache(MAX_ENGINES).bind_metrics(
             self.registry, "repro_compute_engine_cache"
         )
         #: Canonical ball cache shared by every compiled instance the tier
@@ -320,10 +303,6 @@ class ComputeTier:
     def computed(self) -> int:
         return self._computed.value
 
-    @property
-    def seconds(self) -> float:
-        return self._batch_seconds.sum
-
     def evaluate(self, instances: Sequence[GameInstance]) -> Tuple[List[bool], List[float]]:
         """Verdicts and per-instance solve times, sharing cached engines.
 
@@ -355,16 +334,11 @@ class ComputeTier:
             # verdicts are already computed: a failed or breaker-shed flush
             # only costs persistence, never the answers.
             try:
-                if self.breaker is None or self.breaker.allow():
-                    self.canonical.flush()
-                    if self.breaker is not None:
-                        self.breaker.record_success()
-                else:
-                    self.canonical.drain_records()
+                self.canonical.flush()
+            except StoreUnavailable:
+                pass
             except Exception:  # noqa: BLE001 -- persistence is best-effort
                 self._flush_failures.inc()
-                if self.breaker is not None:
-                    self.breaker.record_failure()
             self._batches.inc()
             self._computed.inc(len(verdicts))
             self._batch_seconds.observe(time.perf_counter() - start)
@@ -394,7 +368,7 @@ class ComputeTier:
         return {
             "batches": self.batches,
             "computed": self.computed,
-            "seconds": round(self.seconds, 6),
+            "seconds": round(self._batch_seconds.sum, 6),
             "flush_failures": self._flush_failures.value,
             "compiled_instances": len(compiled),
             "engines": len(engines),

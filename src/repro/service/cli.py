@@ -22,6 +22,7 @@ import asyncio
 import json
 import signal
 import sys
+from functools import partial
 from typing import Any, Dict, Optional
 
 from repro.service.client import (
@@ -125,6 +126,35 @@ def _install_stop_handlers(loop: asyncio.AbstractEventLoop, stop: asyncio.Event)
             )
 
 
+async def _serve_until_signal(args, listener, target, pages: str, shutdown) -> int:
+    """Serve *listener* (and, with ``--http``, the console over *target*)
+    until SIGTERM/SIGINT, then stop the console and await *shutdown*."""
+    from repro.obs.log import get_logger
+
+    log = get_logger("repro.serve")
+    console = None
+    if args.http is not None:
+        from repro.obs.http import ConsoleServer
+
+        console = ConsoleServer(target, host=args.http_host, port=args.http)
+        http_host, http_port = await console.start()
+        log.info("console-started", url=f"http://{http_host}:{http_port}/", pages=pages)
+    loop = asyncio.get_running_loop()
+    stop = asyncio.Event()
+    _install_stop_handlers(loop, stop)
+    try:
+        serving = asyncio.ensure_future(listener.serve_forever())
+        stopping = asyncio.ensure_future(stop.wait())
+        await asyncio.wait({serving, stopping}, return_when=asyncio.FIRST_COMPLETED)
+        serving.cancel()
+    finally:
+        if console is not None:
+            await console.stop()
+        await shutdown()
+    log.info("stopped")
+    return 0
+
+
 async def _serve(args: argparse.Namespace) -> int:
     from repro.obs.log import configure as configure_logging, get_logger
 
@@ -156,38 +186,19 @@ async def _serve(args: argparse.Namespace) -> int:
     )
     address = await server.start()
     log.info("listening", address=format_address(address))
-    console = None
-    if args.http is not None:
-        from repro.obs.http import ConsoleServer
-
-        console = ConsoleServer(service, host=args.http_host, port=args.http)
-        http_host, http_port = await console.start()
-        log.info(
-            "console-started",
-            url=f"http://{http_host}:{http_port}/",
-            pages="/stats /metrics /profile /traces /bench",
-        )
     if args.store:
         log.info("store-attached", store=args.store)
     if args.profile_hz is not None:
         log.info("profiler-started", hz=args.profile_hz)
-
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    _install_stop_handlers(loop, stop)
-    try:
-        serving = asyncio.ensure_future(server.serve_forever())
-        stopping = asyncio.ensure_future(stop.wait())
-        await asyncio.wait({serving, stopping}, return_when=asyncio.FIRST_COMPLETED)
-        serving.cancel()
-    finally:
-        if console is not None:
-            await console.stop()
-        # Graceful drain: stop listening, answer in-flight requests, then
-        # flush pending store writes inside service.close().
-        await server.stop(drain_seconds=max(0.0, args.drain_seconds))
-    log.info("stopped")
-    return 0
+    # Graceful drain: stop listening, answer in-flight requests, then
+    # flush pending store writes inside service.close().
+    return await _serve_until_signal(
+        args,
+        server,
+        service,
+        "/stats /metrics /profile /traces /bench",
+        partial(server.stop, drain_seconds=max(0.0, args.drain_seconds)),
+    )
 
 
 def _worker_passthrough_args(args: argparse.Namespace) -> list:
@@ -234,33 +245,11 @@ async def _serve_pool(args: argparse.Namespace) -> int:
     )
     address = await pool.start()
     log.info("pool-listening", address=format_address(address), workers=args.workers)
-    console = None
-    if args.http is not None:
-        from repro.obs.http import ConsoleServer
-
-        console = ConsoleServer(pool, host=args.http_host, port=args.http)
-        http_host, http_port = await console.start()
-        log.info(
-            "console-started",
-            url=f"http://{http_host}:{http_port}/",
-            pages="/healthz /stats /metrics",
-        )
-    loop = asyncio.get_running_loop()
-    stop = asyncio.Event()
-    _install_stop_handlers(loop, stop)
-    try:
-        serving = asyncio.ensure_future(pool.serve_forever())
-        stopping = asyncio.ensure_future(stop.wait())
-        await asyncio.wait({serving, stopping}, return_when=asyncio.FIRST_COMPLETED)
-        serving.cancel()
-    finally:
-        if console is not None:
-            await console.stop()
-        # Rolling drain: each worker gets SIGTERM and its drain budget in
-        # turn, so in-flight requests finish before the process goes away.
-        await pool.stop()
-    log.info("stopped")
-    return 0
+    # Rolling drain: each worker gets SIGTERM and its drain budget in
+    # turn, so in-flight requests finish before the process goes away.
+    return await _serve_until_signal(
+        args, pool, pool, "/healthz /stats /metrics", pool.stop
+    )
 
 
 def _command_serve(args: argparse.Namespace) -> int:

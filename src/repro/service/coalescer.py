@@ -126,31 +126,6 @@ class RequestCoalescer:
             help="on_computed callbacks that raised (verdicts still answered)",
         )
 
-    # Registry-backed counters, exposed as the plain ints they replaced.
-    @property
-    def submitted(self) -> int:
-        return self._submitted.value
-
-    @property
-    def deduped(self) -> int:
-        return self._deduped.value
-
-    @property
-    def batches(self) -> int:
-        return self._batches.value
-
-    @property
-    def batched(self) -> int:
-        return self._batched.value
-
-    @property
-    def largest_batch(self) -> int:
-        return int(self._largest_batch.value)
-
-    @property
-    def record_failures(self) -> int:
-        return self._record_failures.value
-
     # ------------------------------------------------------------------
     async def submit(
         self, key: str, instance: GameInstance, name: str = ""
@@ -186,12 +161,12 @@ class RequestCoalescer:
         return {
             "window_seconds": self.window_seconds,
             "max_batch": self.max_batch,
-            "submitted": self.submitted,
-            "deduped": self.deduped,
-            "batches": self.batches,
-            "batched": self.batched,
-            "largest_batch": self.largest_batch,
-            "record_failures": self.record_failures,
+            "submitted": self._submitted.value,
+            "deduped": self._deduped.value,
+            "batches": self._batches.value,
+            "batched": self._batched.value,
+            "largest_batch": int(self._largest_batch.value),
+            "record_failures": self._record_failures.value,
             "inflight": len(self._inflight),
         }
 

@@ -68,7 +68,7 @@ from repro.service.protocol import (
     pong_response,
     stats_response,
 )
-from repro.service.server import MAX_LINE_BYTES, Address
+from repro.service.server import MAX_LINE_BYTES, Address, listen
 from repro.sweep.store import VerdictStore, open_store
 
 _log = get_logger("repro.pool")
@@ -336,21 +336,9 @@ class WorkerPool:
             *(self._launch(worker, catch_up_from=0) for worker in self.workers)
         )
         self._probe_task = asyncio.ensure_future(self._probe_loop())
-        if self.socket_path is not None:
-            parent = os.path.dirname(os.path.abspath(self.socket_path))
-            os.makedirs(parent, exist_ok=True)
-            if os.path.exists(self.socket_path):
-                os.unlink(self.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_client, path=self.socket_path, limit=MAX_LINE_BYTES
-            )
-            self.address = ("unix", self.socket_path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
-            )
-            port = self._server.sockets[0].getsockname()[1]
-            self.address = ("tcp", self.host, port)
+        self._server, self.address = await listen(
+            self._dispatch, self._connections, self.host, self.port, self.socket_path
+        )
         _log.info(
             "pool-started",
             workers=len(self.workers),
@@ -597,37 +585,6 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # router
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    answer = error_response(None, "bad-request", "request line too long")
-                    writer.write(encode_response(answer).encode("utf-8") + b"\n")
-                    await writer.drain()
-                    return
-                if not line:
-                    return
-                if not line.strip():
-                    continue
-                response = await self._dispatch(line)
-                writer.write(response + b"\n")
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001
-                pass
-
     async def _dispatch(self, line: bytes) -> bytes:
         try:
             body = json.loads(line)

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 #: The protocol version this module speaks.
 PROTOCOL_VERSION = 1
@@ -376,21 +376,7 @@ def _parse_query(body: Mapping[str, Any], request_id: RequestId) -> QueryRequest
         if not isinstance(spec, dict):
             raise ProtocolError("bad-spec", "spec must be a JSON object", request_id)
         return QueryRequest(id=request_id, spec=spec, deadline_ms=deadline_ms)
-
-    if not isinstance(scenario, str):
-        raise ProtocolError("bad-request", "scenario must be a string", request_id)
-    instance = body.get("instance")
-    index = body.get("index")
-    if (instance is None) == (index is None):
-        raise ProtocolError(
-            "bad-request",
-            "a scenario query names exactly one of 'instance' (name) or 'index'",
-            request_id,
-        )
-    if instance is not None and not isinstance(instance, str):
-        raise ProtocolError("bad-request", "instance must be a string", request_id)
-    if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
-        raise ProtocolError("bad-request", "index must be an integer", request_id)
+    scenario, instance, index = _parse_scenario_address(body, request_id)
     return QueryRequest(
         id=request_id,
         scenario=scenario,
@@ -398,6 +384,31 @@ def _parse_query(body: Mapping[str, Any], request_id: RequestId) -> QueryRequest
         index=index,
         deadline_ms=deadline_ms,
     )
+
+
+def _parse_scenario_address(
+    body: Mapping[str, Any], request_id: RequestId
+) -> Tuple[Optional[str], Optional[str], Optional[int]]:
+    """``(scenario, instance, index)`` of a scenario-addressed query or
+    opening mutate (all ``None`` without a ``scenario`` field)."""
+    scenario = body.get("scenario")
+    if scenario is None:
+        return None, None, None
+    if not isinstance(scenario, str):
+        raise ProtocolError("bad-request", "scenario must be a string", request_id)
+    instance = body.get("instance")
+    index = body.get("index")
+    if (instance is None) == (index is None):
+        raise ProtocolError(
+            "bad-request",
+            "a scenario address names exactly one of 'instance' (name) or 'index'",
+            request_id,
+        )
+    if instance is not None and not isinstance(instance, str):
+        raise ProtocolError("bad-request", "instance must be a string", request_id)
+    if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
+        raise ProtocolError("bad-request", "index must be an integer", request_id)
+    return scenario, instance, index
 
 
 def validate_wire_delta(delta: Any, request_id: RequestId = None) -> Dict[str, Any]:
@@ -456,9 +467,8 @@ def _parse_mutate(body: Mapping[str, Any], request_id: RequestId) -> MutateReque
         )
     validated = tuple(validate_wire_delta(delta, request_id) for delta in deltas)
 
-    scenario = body.get("scenario")
     spec = body.get("spec")
-    if scenario is not None and spec is not None:
+    if body.get("scenario") is not None and spec is not None:
         raise ProtocolError(
             "bad-request",
             "a mutate opening address names at most one of 'scenario' or 'spec'",
@@ -466,21 +476,7 @@ def _parse_mutate(body: Mapping[str, Any], request_id: RequestId) -> MutateReque
         )
     if spec is not None and not isinstance(spec, dict):
         raise ProtocolError("bad-spec", "spec must be a JSON object", request_id)
-    instance = body.get("instance")
-    index = body.get("index")
-    if scenario is not None:
-        if not isinstance(scenario, str):
-            raise ProtocolError("bad-request", "scenario must be a string", request_id)
-        if (instance is None) == (index is None):
-            raise ProtocolError(
-                "bad-request",
-                "a scenario address names exactly one of 'instance' (name) or 'index'",
-                request_id,
-            )
-        if instance is not None and not isinstance(instance, str):
-            raise ProtocolError("bad-request", "instance must be a string", request_id)
-        if index is not None and (isinstance(index, bool) or not isinstance(index, int)):
-            raise ProtocolError("bad-request", "index must be an integer", request_id)
+    scenario, instance, index = _parse_scenario_address(body, request_id)
     token = body.get("token")
     if token is not None and (not isinstance(token, str) or not token):
         raise ProtocolError(
@@ -491,8 +487,8 @@ def _parse_mutate(body: Mapping[str, Any], request_id: RequestId) -> MutateReque
         session=session,
         deltas=validated,
         scenario=scenario,
-        instance=instance if scenario is not None else None,
-        index=index if scenario is not None else None,
+        instance=instance,
+        index=index,
         spec=spec,
         token=token,
         deadline_ms=_parse_deadline(body, request_id),

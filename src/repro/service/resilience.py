@@ -10,19 +10,25 @@ testable pieces:
   (``rate``), bounded (``times=N`` / ``for=SECONDS``) and deterministic
   under a seeded RNG, so a chaos run is reproducible.
 * :class:`CircuitBreaker` -- consecutive store failures open the store
-  tier; while open, reads skip straight to compute (the ``degraded``
-  response flag) instead of paying a timeout per request, and writes are
-  shed.  After ``reset_seconds`` a single half-open probe is let through;
-  success re-closes the breaker, failure re-opens it.
+  tier; while open, store calls are shed instead of paying a timeout per
+  request (reads degrade to compute -- the ``degraded`` response flag --
+  and writes are skipped).  After ``reset_seconds`` a single half-open
+  probe is let through; success re-closes the breaker, failure re-opens
+  it.
 * :class:`RetryPolicy` -- client-side exponential backoff with jitter and
   an overall deadline, applied to ``overloaded`` responses and transport/
   timeout errors.  The clock, sleep and RNG are injectable so backoff
   schedules are unit-testable against a fake clock.
 
 :class:`FaultingStore` wraps any :class:`~repro.sweep.store.VerdictStore`
-and applies the store failpoints on the way through -- the daemon always
-wraps its store, so every store interaction (verdict reads/writes, node
-verdicts, the session journal) shares one chaos surface.
+and is where the first two meet: every verdict or node-verdict read or
+write and every journal append asks the daemon's breaker first, raises
+:class:`StoreUnavailable` when shed, and otherwise applies the store
+failpoints, makes the call and reports its outcome to the breaker.  The
+daemon always wraps its store, so every store interaction shares one
+chaos surface and one breaker protocol, and every probe the breaker lets
+through gets its outcome reported, whatever became of the request that
+triggered it.
 """
 
 from __future__ import annotations
@@ -69,6 +75,12 @@ class InjectedFault(OSError):
     def __init__(self, failpoint: str) -> None:
         super().__init__(f"injected fault at failpoint {failpoint!r}")
         self.failpoint = failpoint
+
+
+class StoreUnavailable(OSError):
+    """The error a store call raises when the circuit breaker sheds it (an
+    ``OSError``, like :class:`InjectedFault`, so best-effort store paths
+    degrade the same way whether the store failed or was never asked)."""
 
 
 class _Rule:
@@ -467,73 +479,77 @@ class RetryPolicy:
 
 
 class FaultingStore(VerdictStore):
-    """A store wrapper applying the ``store-*`` failpoints on the way through.
+    """The daemon's store wrapper: the store breaker and the ``store-*``
+    failpoints, applied on the way through.
 
-    The daemon always wraps its store in one of these, so a single
-    injector covers every store interaction: verdict reads/writes, the
-    canonical node-verdict table, and session-journal appends.  Structural
-    calls (``__len__``, ``items``, ``close``) and journal *reads* pass
-    through unfaulted -- stats must stay observable and startup recovery
-    must be able to read what an earlier, healthy daemon journaled.
+    Verdict and node-verdict reads and writes and journal appends ask
+    *breaker* first and raise :class:`StoreUnavailable` when shed;
+    otherwise the failpoints apply, the call is made and its outcome is
+    reported on the calling thread, so no caller can leave a probe
+    unreported.  Structural calls (``__len__``, ``items``, ``close``),
+    journal *reads* and append-log reads pass through ungated -- stats
+    must stay observable and startup recovery must be able to read what
+    an earlier, healthy daemon journaled.
     """
 
-    def __init__(self, inner: VerdictStore, faults: FaultInjector) -> None:
+    _GET = ("store-get-latency", "store-get-error")
+    _PUT = ("store-put-latency", "store-put-error")
+
+    def __init__(
+        self, inner: VerdictStore, faults: FaultInjector, breaker: CircuitBreaker
+    ) -> None:
         self.inner = inner
         self.faults = faults
+        self.breaker = breaker
 
-    def _gate_get(self) -> None:
-        delay = self.faults.delay("store-get-latency")
-        if delay > 0.0:
-            time.sleep(delay)
-        self.faults.check("store-get-error")
-
-    def _gate_put(self) -> None:
-        delay = self.faults.delay("store-put-latency")
-        if delay > 0.0:
-            time.sleep(delay)
-        self.faults.check("store-put-error")
+    def _call(self, failpoints: Tuple[str, str], method: Callable, *args: Any) -> Any:
+        if not self.breaker.allow():
+            raise StoreUnavailable("store call shed: the store circuit breaker is open")
+        latency, error = failpoints
+        try:
+            delay = self.faults.delay(latency)
+            if delay > 0.0:
+                time.sleep(delay)
+            self.faults.check(error)
+            result = method(*args)
+        except BaseException:
+            self.breaker.record_failure()
+            raise
+        self.breaker.record_success()
+        return result
 
     # -- verdicts ------------------------------------------------------
     def get(self, key):
-        self._gate_get()
-        return self.inner.get(key)
+        return self._call(self._GET, self.inner.get, key)
 
     def get_many(self, keys):
-        self._gate_get()
-        return self.inner.get_many(keys)
+        return self._call(self._GET, self.inner.get_many, keys)
 
     def put(self, key, verdict, name="", seconds=0.0):
-        self._gate_put()
-        self.inner.put(key, verdict, name=name, seconds=seconds)
+        self._call(self._PUT, self.inner.put, key, verdict, name, seconds)
 
     def put_many(self, records):
-        self._gate_put()
-        self.inner.put_many(records)
+        self._call(self._PUT, self.inner.put_many, records)
 
     # -- node verdicts -------------------------------------------------
     def get_node(self, key):
-        self._gate_get()
-        return self.inner.get_node(key)
+        return self._call(self._GET, self.inner.get_node, key)
 
     def get_node_many(self, keys):
-        self._gate_get()
-        return self.inner.get_node_many(keys)
+        return self._call(self._GET, self.inner.get_node_many, keys)
 
     def put_node(self, key, verdict):
-        self._gate_put()
-        self.inner.put_node(key, verdict)
+        self._call(self._PUT, self.inner.put_node, key, verdict)
 
     def put_node_many(self, records):
-        self._gate_put()
-        self.inner.put_node_many(records)
+        self._call(self._PUT, self.inner.put_node_many, records)
 
     def node_count(self):
         return self.inner.node_count()
 
     # -- session journal -----------------------------------------------
     def journal_append(self, session, seq, entry):
-        self._gate_put()
-        self.inner.journal_append(session, seq, entry)
+        self._call(self._PUT, self.inner.journal_append, session, seq, entry)
 
     def journal_entries(self, session):
         return self.inner.journal_entries(session)

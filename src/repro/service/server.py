@@ -25,7 +25,8 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from functools import partial
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.engine.canonical import CanonicalVerdictCache
 from repro.engine.dynamic import DeltaError, MutableInstance, delta_from_wire
@@ -51,8 +52,13 @@ from repro.service.protocol import (
     query_response,
     stats_response,
 )
-from repro.service.resilience import CircuitBreaker, FaultInjector, FaultingStore
-from repro.service.resolver import ResolvedQuery, Resolver
+from repro.service.resilience import (
+    CircuitBreaker,
+    FaultInjector,
+    FaultingStore,
+    StoreUnavailable,
+)
+from repro.service.resolver import Resolver
 from repro.sweep.store import VerdictStore, open_store
 
 #: A served endpoint: ("tcp", host, port) or ("unix", path).
@@ -60,6 +66,9 @@ Address = Tuple[Any, ...]
 
 #: Longest accepted request line (64 KiB, the StreamReader default).
 MAX_LINE_BYTES = 64 * 1024
+
+#: The wire fields of a session's opening address.
+_ADDRESS_FIELDS = ("scenario", "instance", "index", "spec")
 
 #: Structured event log of the serving layer (JSON lines on stderr by
 #: default; ``repro serve --log-level`` / REPRO_LOG_LEVEL tune it).
@@ -80,13 +89,7 @@ class _DynamicSession:
     #: Most idempotency tokens remembered per session (oldest evicted).
     MAX_TOKENS = 512
 
-    def __init__(
-        self,
-        name: str,
-        mutable: MutableInstance,
-        opening: Optional[Dict[str, Any]] = None,
-        recovered: bool = False,
-    ) -> None:
+    def __init__(self, name: str, mutable: MutableInstance, opening: Dict[str, Any]) -> None:
         self.name = name
         self.lock = threading.Lock()
         self.mutable = mutable
@@ -96,8 +99,8 @@ class _DynamicSession:
         self.queries = 0
         #: The wire-form address the opening mutate carried -- journaled as
         #: sequence 0 so recovery can reopen the same game.
-        self.opening: Dict[str, Any] = dict(opening or {})
-        self.recovered = recovered
+        self.opening = opening
+        self.recovered = False
         self.journaled_open = False
         #: Once an append fails the journal is a divergent prefix: stop
         #: writing to it rather than let recovery silently skip a batch.
@@ -106,11 +109,28 @@ class _DynamicSession:
         #: token -> (applied, dirty) for mutate retries after a lost reply.
         self.token_results: "OrderedDict[str, Tuple[int, int]]" = OrderedDict()
 
-    def remember_token(self, token: str, applied: int, dirty: int) -> None:
-        self.token_results[token] = (applied, dirty)
-        self.token_results.move_to_end(token)
-        while len(self.token_results) > self.MAX_TOKENS:
-            self.token_results.popitem(last=False)
+    def apply(self, deltas, token: Optional[str]) -> Tuple[int, int]:
+        """Apply one wire-form delta batch; returns ``(applied, dirty)``.
+
+        All or nothing: a :class:`DeltaError` leaves the game untouched.
+        The batch is counted, and its outcome remembered under *token* so
+        a retried mutate is answered instead of applied twice.  Callers
+        hold ``lock`` once the session is shared.
+        """
+        mutable = self.mutable
+        reports = mutable.apply_batch(
+            [delta_from_wire(body, mutable.nodes) for body in deltas]
+        )
+        applied = len(reports)
+        dirty = sum(len(report.dirty) for report in reports)
+        self.mutate_batches += 1
+        self.deltas_applied += applied
+        if token is not None:
+            self.token_results[token] = (applied, dirty)
+            self.token_results.move_to_end(token)
+            while len(self.token_results) > self.MAX_TOKENS:
+                self.token_results.popitem(last=False)
+        return applied, dirty
 
     def info(self) -> Dict[str, Any]:
         return {
@@ -130,8 +150,6 @@ class ServiceConfig:
     window_seconds: float = 0.002
     max_batch: int = 32
     max_pending: int = 64
-    max_compiled: int = 64
-    max_engines: int = 256
     max_sessions: int = 32
     #: Consecutive store failures before the store tier's breaker opens.
     breaker_threshold: int = 5
@@ -167,18 +185,32 @@ class VerdictService:
         #: live here; ``/metrics`` and ``stats`` both read it).
         self.registry = MetricsRegistry()
         #: Named failpoints (chaos testing): inert until configured via
-        #: ``--faults`` or the ``admin`` op; every store call goes through
-        #: the :class:`FaultingStore` wrapper so injected errors exercise
-        #: the same degraded paths real store trouble does.
+        #: ``--faults`` or the ``admin`` op.
         self.faults = faults if faults is not None else FaultInjector(
             registry=self.registry
+        )
+        #: The store tier's circuit breaker.  Every store call goes through
+        #: the :class:`FaultingStore` wrapper, which reports each outcome to
+        #: it and, while it is open, sheds the call: reads degrade to LRU ->
+        #: compute and writes are skipped.  Injected faults exercise the
+        #: same paths real store trouble does.
+        self.breaker = CircuitBreaker(
+            failure_threshold=self.config.breaker_threshold,
+            reset_seconds=self.config.breaker_reset_seconds,
+            on_transition=self._breaker_transition,
+        )
+        self._breaker_gauge = self.registry.gauge(
+            "repro_breaker_state",
+            help="store breaker state (0=closed, 1=half-open, 2=open)",
         )
         self._owns_store = isinstance(store, str) or store is None
         raw_store: Optional[VerdictStore] = (
             open_store(store) if isinstance(store, str) else store
         )
         self.store: Optional[VerdictStore] = (
-            FaultingStore(raw_store, self.faults) if raw_store is not None else None
+            FaultingStore(raw_store, self.faults, self.breaker)
+            if raw_store is not None
+            else None
         )
         #: Recent per-request traces (plus the compute tier's batch traces).
         self.traces = TraceLog(capacity=256)
@@ -191,30 +223,15 @@ class VerdictService:
         self.events = self.registry.events(
             "repro_service", capacity=512, help="notable daemon events"
         )
-        #: The store tier's circuit breaker: fed by every store get/put
-        #: outcome; while open, reads are skipped (answers degrade to
-        #: LRU -> compute) and writes are shed instead of attempted.
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            reset_seconds=self.config.breaker_reset_seconds,
-            on_transition=self._breaker_transition,
-        )
-        self._breaker_gauge = self.registry.gauge(
-            "repro_breaker_state",
-            help="store breaker state (0=closed, 1=half-open, 2=open)",
-        )
         self.resolver = resolver or Resolver()
         self.cache = TieredVerdictCache(
             self.store, lru_size=self.config.lru_size, registry=self.registry
         )
         self.compute = ComputeTier(
-            max_compiled=self.config.max_compiled,
-            max_engines=self.config.max_engines,
             store=self.store,
             registry=self.registry,
             trace_log=self.traces,
             faults=self.faults,
-            breaker=self.breaker,
         )
         #: Scenarios whose keys were already bulk-promoted from the store.
         self._promoted_scenarios: set = set()
@@ -292,22 +309,9 @@ class VerdictService:
         self._persist_futures: set = set()
         self._closed = False
 
-    # Registry-backed counters, exposed as the plain ints they replaced.
-    @property
-    def request_counts(self) -> Dict[str, int]:
-        return {op: counter.value for op, counter in self._request_counters.items()}
-
-    @property
-    def error_count(self) -> int:
-        return self._errors.value
-
     @property
     def overloaded_count(self) -> int:
         return self._overloaded.value
-
-    @property
-    def store_put_failures(self) -> int:
-        return self._store_put_failures.value
 
     # ------------------------------------------------------------------
     def _breaker_transition(self, old: str, new: str) -> None:
@@ -324,7 +328,7 @@ class VerdictService:
         _log.warning("breaker-transition", old=old, new=new)
 
     def _count_store_put_failure(self, error: BaseException) -> None:
-        """One failed store write: total, per-error-code counter, breaker."""
+        """One failed store write: total and per-error-code counters, event."""
         self._store_put_failures.inc()
         code = type(error).__name__
         self.registry.counter(
@@ -333,9 +337,25 @@ class VerdictService:
             help="failed store writes by error type",
         ).inc()
         self._put_failures_by_error[code] = self._put_failures_by_error.get(code, 0) + 1
-        self.breaker.record_failure()
         self.events.append("store-put-failure", error=repr(error))
         _log.error("store-put-failure", error=repr(error), code=code)
+
+    def _write(self, write: Callable[[], Any], skipped=None, count: int = 1) -> bool:
+        """Run one store write; ``False`` when the breaker shed it or it failed.
+
+        A shed write counts *count* in the *skipped* counter (if any), a
+        failed one as a put failure.  Persistence is best-effort: the
+        caller's verdicts stand either way.
+        """
+        try:
+            write()
+            return True
+        except StoreUnavailable:
+            if skipped is not None:
+                skipped.inc(count)
+        except Exception as error:  # noqa: BLE001 -- persistence is best-effort
+            self._count_store_put_failure(error)
+        return False
 
     def _record_computed(self, entries, verdicts, seconds) -> None:
         """Record a computed batch: LRU now, the store off the event loop."""
@@ -344,27 +364,14 @@ class VerdictService:
             self.cache.insert(key, verdict, name=name, seconds=spent, persist=False)
             records.append((key, bool(verdict), name, spent))
         if self.store is not None and records:
-            if not self.breaker.allow():
-                # The store tier is open: shed the write instead of feeding
-                # the failure streak (the LRU already has the verdicts).
-                self._store_writes_skipped.inc(len(records))
-                return
             # A store write is a COMMIT that can wait out a concurrent
             # writer's lock; keep it off the loop.  close() drains these.
-            loop = asyncio.get_running_loop()
-            future = loop.run_in_executor(None, self.store.put_many, records)
+            write = partial(self.store.put_many, records)
+            future = asyncio.get_running_loop().run_in_executor(
+                None, self._write, write, self._store_writes_skipped, len(records)
+            )
             self._persist_futures.add(future)
-            future.add_done_callback(self._persist_done)
-
-    def _persist_done(self, future) -> None:
-        self._persist_futures.discard(future)
-        if future.cancelled():
-            return
-        error = future.exception()
-        if error is None:
-            self.breaker.record_success()
-        else:
-            self._count_store_put_failure(error)
+            future.add_done_callback(self._persist_futures.discard)
 
     # ------------------------------------------------------------------
     async def handle_line(self, line: str) -> str:
@@ -393,9 +400,14 @@ class VerdictService:
         if isinstance(request, AdminRequest):
             return self._handle_admin(request)
         if isinstance(request, MutateRequest):
-            return await self._handle_mutate(request)
+            return await self._admit(
+                "mutate", request, None, lambda: self._mutate(request)
+            )
         assert isinstance(request, QueryRequest)
-        return await self._handle_query(request)
+        trace = RequestTrace(op="query", request_id=request.id)
+        return await self._admit(
+            "query", request, trace, lambda: self._query(request, trace)
+        )
 
     def _handle_admin(self, request: AdminRequest) -> Dict[str, Any]:
         """Inspect or reconfigure faults / the profiler on a live daemon."""
@@ -449,194 +461,21 @@ class VerdictService:
             profile = self.profiler.snapshot()
         return admin_response(request.id, self.faults.snapshot(), profile=profile)
 
-    def _deadline_seconds(
-        self, request: Union[QueryRequest, MutateRequest]
-    ) -> Optional[float]:
-        if request.deadline_ms is not None:
-            return request.deadline_ms / 1000.0
-        return self.config.default_deadline_seconds
-
-    async def _handle_query(self, request: QueryRequest) -> Dict[str, Any]:
-        self._request_counters["query"].inc()
-        started = time.perf_counter()
-        trace = RequestTrace(op="query", request_id=request.id)
-        if self.draining:
-            self._errors.inc()
-            return error_response(
-                request.id, "draining", "daemon is draining; no new work accepted"
-            )
-        if self.pending >= self.config.max_pending:
-            self._overloaded.inc()
-            return error_response(
-                request.id,
-                "overloaded",
-                f"{self.pending} queries already pending "
-                f"(max_pending={self.config.max_pending}); retry later",
-            )
-        self.pending += 1
-        self.peak_pending = max(self.peak_pending, self.pending)
-        self._pending_gauge.set(self.pending)
-        deadline = self._deadline_seconds(request)
-        try:
-            with active(trace):
-                work = self._dispatch_query(request, trace)
-                if deadline is not None:
-                    return await asyncio.wait_for(work, timeout=deadline)
-                return await work
-        except asyncio.TimeoutError:
-            self._errors.inc()
-            self._deadline_exceeded.inc()
-            trace.annotate(error="deadline-exceeded")
-            self.events.append("query-error", code="deadline-exceeded", id=request.id)
-            return error_response(
-                request.id,
-                "deadline-exceeded",
-                f"query abandoned at its {deadline:.3f}s deadline",
-            )
-        except ProtocolError as error:
-            self._errors.inc()
-            trace.annotate(error=error.code)
-            self.events.append("query-error", code=error.code, id=request.id)
-            _log.debug("query-error", code=error.code, id=request.id)
-            return error_response(
-                error.request_id if error.request_id is not None else request.id,
-                error.code,
-                str(error),
-            )
-        except Exception as error:  # noqa: BLE001 -- the daemon must not die
-            self._errors.inc()
-            trace.annotate(error="internal")
-            self.events.append("query-error", code="internal", id=request.id)
-            _log.error("query-internal-error", id=request.id, error=repr(error))
-            return error_response(request.id, "internal", repr(error))
-        finally:
-            self.pending -= 1
-            self._pending_gauge.set(self.pending)
-            self._latency["query"].observe(time.perf_counter() - started)
-            self.traces.record(trace)
-
-    async def _dispatch_query(
-        self, request: QueryRequest, trace: RequestTrace
+    async def _admit(
+        self,
+        op: str,
+        request: Union[QueryRequest, MutateRequest],
+        trace: Optional[RequestTrace],
+        body: Callable[[], Awaitable[Dict[str, Any]]],
     ) -> Dict[str, Any]:
-        """The deadline-wrapped body of one query (session or static)."""
-        delay = self.faults.delay("slow-response")
-        if delay > 0.0:
-            await asyncio.sleep(delay)
-        if request.session is not None:
-            return await self._answer_session(request, trace)
-        with trace.span("resolve"):
-            resolved = self.resolver.resolve(request)
-        trace.name = resolved.name
-        return await self._answer(request, resolved, trace)
+        """Admission, deadline and typed errors around one query or mutate.
 
-    #: Scenarios larger than this are not bulk-promoted (the first query
-    #: would pay fingerprinting for every sibling instance).
-    SCENARIO_PROMOTE_LIMIT = 512
-
-    def _bulk_store_lookup(
-        self, scenario: str, key: str
-    ) -> Optional[Tuple[bool, str]]:
-        """First store lookup of a scenario: promote all its keys at once.
-
-        Runs on a worker thread.  One ``get_many`` round-trip pulls every
-        stored sibling verdict into the LRU, so a warm-store client sweeping
-        a scenario pays tier-2 latency once instead of once per instance.
+        Refused while draining or at ``max_pending``; otherwise *body* runs
+        counted as pending, under the request's deadline (the
+        ``slow-response`` failpoint sleeps inside it, before *body* is
+        called), and every failure is answered with a typed error.
         """
-        keys = self.resolver.scenario_keys(scenario)
-        if len(keys) > self.SCENARIO_PROMOTE_LIMIT:
-            return self.cache.lookup_store(key)
-        found = self.cache.lookup_store_many(keys)
-        if key in found:
-            self.cache.note_store_hit()
-            return found[key], "store"
-        self.cache.note_store_miss()
-        return None
-
-    async def _answer(
-        self, request: QueryRequest, resolved: ResolvedQuery, trace: RequestTrace
-    ) -> Dict[str, Any]:
-        start = time.perf_counter()
-        degraded = False
-        with trace.span("lru"):
-            hit = self.cache.lookup_lru(resolved.key)
-        if hit is None and self.store is not None:
-            # Tier 2 is disk I/O (and can wait out a concurrent writer's
-            # lock): run it on the loop's default worker pool, not the loop.
-            # The span measures the wait as the request saw it, executor
-            # queueing included.  A store failure here degrades the answer
-            # (LRU -> compute still yields a correct verdict) and feeds the
-            # breaker; an open breaker skips the tier outright.
-            loop = asyncio.get_running_loop()
-            scenario = request.scenario
-            with trace.span("store"):
-                if not self.breaker.allow():
-                    degraded = True
-                    self.cache.note_store_skipped()
-                else:
-                    try:
-                        if (
-                            scenario is not None
-                            and scenario not in self._promoted_scenarios
-                        ):
-                            self._promoted_scenarios.add(scenario)
-                            hit = await loop.run_in_executor(
-                                None, self._bulk_store_lookup, scenario, resolved.key
-                            )
-                        else:
-                            hit = await loop.run_in_executor(
-                                None, self.cache.lookup_store, resolved.key
-                            )
-                    except Exception as error:  # noqa: BLE001 -- degrade, not die
-                        degraded = True
-                        hit = None
-                        self.cache.note_store_error("get", error)
-                        self.breaker.record_failure()
-                        self.events.append("store-get-failure", error=repr(error))
-                    else:
-                        self.breaker.record_success()
-        if degraded:
-            self._degraded.inc()
-            trace.annotate(degraded=True)
-        if hit is not None:
-            verdict, tier = hit
-            trace.annotate(source=tier, key=resolved.key)
-            return query_response(
-                request.id,
-                verdict,
-                source=tier,
-                key=resolved.key,
-                name=resolved.name,
-                seconds=time.perf_counter() - start,
-                trace=trace.breakdown(),
-            )
-        with trace.span("coalesce"):
-            result = await self.coalescer.submit(
-                resolved.key, resolved.instance, resolved.name
-            )
-        # The engine time inside the (shared) batch, attributed to this
-        # request; the batch's own compile/engine spans live in the
-        # compute tier's ``compute-batch`` trace.
-        trace.add_span(
-            "engine", result.seconds, deduped=result.deduped, batch=result.batch_size
-        )
-        source = "coalesced" if result.deduped else "compute"
-        trace.annotate(source=source, key=resolved.key)
-        return query_response(
-            request.id,
-            result.verdict,
-            source=source,
-            key=resolved.key,
-            name=resolved.name,
-            seconds=result.seconds,
-            trace=trace.breakdown(),
-            degraded=degraded,
-        )
-
-    # ------------------------------------------------------------------
-    # Dynamic sessions
-    # ------------------------------------------------------------------
-    async def _handle_mutate(self, request: MutateRequest) -> Dict[str, Any]:
-        self._request_counters["mutate"].inc()
+        self._request_counters[op].inc()
         started = time.perf_counter()
         if self.draining:
             self._errors.inc()
@@ -654,61 +493,225 @@ class VerdictService:
         self.pending += 1
         self.peak_pending = max(self.peak_pending, self.pending)
         self._pending_gauge.set(self.pending)
-        deadline = self._deadline_seconds(request)
-        try:
+        deadline = (
+            request.deadline_ms / 1000.0
+            if request.deadline_ms is not None
+            else self.config.default_deadline_seconds
+        )
+
+        async def admitted() -> Dict[str, Any]:
             delay = self.faults.delay("slow-response")
             if delay > 0.0:
                 await asyncio.sleep(delay)
-            session, opened = self._session_for_mutate(request)
-            loop = asyncio.get_running_loop()
-            work = loop.run_in_executor(None, self._mutate_session, session, request)
-            if deadline is not None:
-                spent = time.perf_counter() - started
-                applied, dirty, seconds, deduped, journaled = await asyncio.wait_for(
-                    work, timeout=max(0.0, deadline - spent)
+            return await body()
+
+        try:
+            try:
+                with active(trace):
+                    if deadline is None:
+                        return await admitted()
+                    return await asyncio.wait_for(admitted(), timeout=deadline)
+            except asyncio.TimeoutError:
+                self._deadline_exceeded.inc()
+                message = f"{op} abandoned at its {deadline:.3f}s deadline"
+                if op == "mutate":
+                    message += "; retry with the same token to learn its outcome"
+                response = error_response(request.id, "deadline-exceeded", message)
+            except ProtocolError as error:
+                response = error_response(
+                    error.request_id if error.request_id is not None else request.id,
+                    error.code,
+                    str(error),
                 )
-            else:
-                applied, dirty, seconds, deduped, journaled = await work
-            return mutate_response(
-                request.id,
-                session=request.session,
-                applied=applied,
-                dirty=dirty,
-                generation=session.mutable.compiled.generation,
-                seconds=seconds,
-                opened=opened,
-                deduped=deduped,
-                journaled=journaled,
-            )
-        except asyncio.TimeoutError:
+            except Exception as error:  # noqa: BLE001 -- the daemon must not die
+                _log.error(f"{op}-internal-error", id=request.id, error=repr(error))
+                response = error_response(request.id, "internal", repr(error))
+            code = response["error"]["code"]
             self._errors.inc()
-            self._deadline_exceeded.inc()
-            self.events.append(
-                "mutate-error", code="deadline-exceeded", id=request.id
-            )
-            return error_response(
-                request.id,
-                "deadline-exceeded",
-                f"mutate abandoned at its {deadline:.3f}s deadline; "
-                "retry with the same token to learn its outcome",
-            )
-        except ProtocolError as error:
-            self._errors.inc()
-            self.events.append("mutate-error", code=error.code, id=request.id)
-            return error_response(
-                error.request_id if error.request_id is not None else request.id,
-                error.code,
-                str(error),
-            )
-        except Exception as error:  # noqa: BLE001 -- the daemon must not die
-            self._errors.inc()
-            self.events.append("mutate-error", code="internal", id=request.id)
-            _log.error("mutate-internal-error", id=request.id, error=repr(error))
-            return error_response(request.id, "internal", repr(error))
+            self.events.append(f"{op}-error", code=code, id=request.id)
+            _log.debug(f"{op}-error", code=code, id=request.id)
+            if trace is not None:
+                trace.annotate(error=code)
+            return response
         finally:
             self.pending -= 1
             self._pending_gauge.set(self.pending)
-            self._latency["mutate"].observe(time.perf_counter() - started)
+            self._latency[op].observe(time.perf_counter() - started)
+            if trace is not None:
+                self.traces.record(trace)
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
+    async def _query(self, request: QueryRequest, trace: RequestTrace) -> Dict[str, Any]:
+        """The body of one query: a dynamic session's state or a static game."""
+        loop = asyncio.get_running_loop()
+        degraded = False
+        if request.session is not None:
+            session = self.sessions.get(request.session)
+            if session is None:
+                raise ProtocolError(
+                    "unknown-session",
+                    f"unknown session {request.session!r}; open it with a mutate "
+                    "carrying 'scenario' or 'spec' addressing",
+                    request.id,
+                )
+            trace.annotate(session=request.session)
+            # contextvars do not cross run_in_executor: hand the trace object
+            # to the worker explicitly so its spans land on this request.
+            verdict, source, key, name, seconds, degraded = await loop.run_in_executor(
+                None, self._query_session, session, trace
+            )
+        else:
+            with trace.span("resolve"):
+                resolved = self.resolver.resolve(request)
+            key, name = resolved.key, resolved.name
+            trace.name = name
+            start = time.perf_counter()
+            with trace.span("lru"):
+                hit = self.cache.lookup_lru(key)
+            if hit is None and self.store is not None:
+                # Tier 2 is disk I/O (and can wait out a concurrent writer's
+                # lock): run it on the loop's default worker pool, not the
+                # loop.  The span measures the wait as the request saw it,
+                # executor queueing included.
+                scenario = request.scenario
+                if scenario in self._promoted_scenarios:
+                    scenario = None
+                elif scenario is not None:
+                    self._promoted_scenarios.add(scenario)
+                with trace.span("store"):
+                    hit, degraded = await loop.run_in_executor(
+                        None, self._read_store, key, scenario
+                    )
+            if hit is not None:
+                verdict, source = hit
+                seconds = time.perf_counter() - start
+            else:
+                with trace.span("coalesce"):
+                    result = await self.coalescer.submit(key, resolved.instance, name)
+                # The engine time inside the (shared) batch, attributed to this
+                # request; the batch's own compile/engine spans live in the
+                # compute tier's ``compute-batch`` trace.
+                trace.add_span(
+                    "engine",
+                    result.seconds,
+                    deduped=result.deduped,
+                    batch=result.batch_size,
+                )
+                verdict, seconds = result.verdict, result.seconds
+                source = "coalesced" if result.deduped else "compute"
+        if degraded:
+            self._degraded.inc()
+            trace.annotate(degraded=True)
+        trace.annotate(source=source, key=key)
+        return query_response(
+            request.id,
+            verdict,
+            source=source,
+            key=key,
+            name=name,
+            seconds=seconds,
+            trace=trace.breakdown(),
+            degraded=degraded,
+        )
+
+    #: Scenarios larger than this are not bulk-promoted (the first query
+    #: would pay fingerprinting for every sibling instance).
+    SCENARIO_PROMOTE_LIMIT = 512
+
+    def _read_store(
+        self, key: str, scenario: Optional[str] = None
+    ) -> Tuple[Optional[Tuple[bool, str]], bool]:
+        """Tier 2 for *key*, on a worker thread: ``(hit or None, degraded)``.
+
+        With *scenario* (its first store lookup), one ``get_many``
+        round-trip pulls every stored sibling verdict into the LRU, so a
+        warm-store client sweeping a scenario pays tier-2 latency once
+        instead of once per instance.  A read the breaker shed, or one that
+        failed, degrades the answer instead of failing it: LRU -> compute
+        still yields a correct verdict.
+        """
+        try:
+            if scenario is None:
+                return self.cache.lookup_store(key), False
+            keys = self.resolver.scenario_keys(scenario)
+            if len(keys) > self.SCENARIO_PROMOTE_LIMIT:
+                return self.cache.lookup_store(key), False
+            found = self.cache.lookup_store_many(keys)
+            if key in found:
+                self.cache.note_store_hit()
+                return (found[key], "store"), False
+            self.cache.note_store_miss()
+            return None, False
+        except StoreUnavailable:
+            self.cache.note_store_skipped()
+        except Exception as error:  # noqa: BLE001 -- degrade, not die
+            self.cache.note_store_error("get", error)
+            self.events.append("store-get-failure", error=repr(error))
+        return None, True
+
+    def _query_session(
+        self, session: _DynamicSession, trace: RequestTrace
+    ) -> Tuple[bool, str, str, str, float, bool]:
+        """Worker-thread body of a session query: tiers first, then repair.
+
+        Returns ``(verdict, source, key, name, seconds, degraded)``.  The
+        session key is content-addressed over the *current* graph state,
+        so the LRU/store tiers can never serve a pre-mutation verdict -- a
+        mutated game has a fresh key, and a reverted game legitimately
+        re-hits its old entry.
+        """
+        start = time.perf_counter()
+        with session.lock:
+            session.queries += 1
+            mutable = session.mutable
+            trace.name = mutable.name
+            with trace.span("key"):
+                key = mutable.key()
+            with trace.span("lru"):
+                hit = self.cache.lookup_lru(key)
+            degraded = False
+            if hit is None and self.store is not None:
+                with trace.span("store"):
+                    hit, degraded = self._read_store(key)
+            if hit is not None:
+                verdict, source = hit
+                mutable.note_verdict(verdict)
+                return verdict, source, key, mutable.name, time.perf_counter() - start, False
+            with trace.span("repair"):
+                verdict = mutable.verdict()
+            seconds = time.perf_counter() - start
+            stored = self._write(
+                partial(self.cache.insert, key, verdict, name=mutable.name, seconds=seconds),
+                self._store_writes_skipped,
+            )
+            canonical = mutable.compiled.canonical
+            if canonical is not None:
+                self._write(canonical.flush)
+            return verdict, "dynamic", key, mutable.name, seconds, degraded or not stored
+
+    # ------------------------------------------------------------------
+    # Dynamic sessions
+    # ------------------------------------------------------------------
+    async def _mutate(self, request: MutateRequest) -> Dict[str, Any]:
+        """The body of one mutate: find or open the session, apply off the loop."""
+        session, opened = self._session_for_mutate(request)
+        loop = asyncio.get_running_loop()
+        applied, dirty, seconds, deduped, journaled = await loop.run_in_executor(
+            None, self._mutate_session, session, request
+        )
+        return mutate_response(
+            request.id,
+            session=request.session,
+            applied=applied,
+            dirty=dirty,
+            generation=session.mutable.compiled.generation,
+            seconds=seconds,
+            opened=opened,
+            deduped=deduped,
+            journaled=journaled,
+        )
 
     def _session_for_mutate(
         self, request: MutateRequest
@@ -745,62 +748,45 @@ class VerdictService:
                 f"(max_sessions={self.config.max_sessions})",
                 request.id,
             )
+        address = {
+            field: value
+            for field, value in request.payload().items()
+            if field in _ADDRESS_FIELDS
+        }
+        session = self.sessions[request.session] = self._open_session(
+            request.session, address
+        )
+        self.sessions_opened += 1
+        return session, True
+
+    def _open_session(self, name: str, address: Dict[str, Any]) -> _DynamicSession:
+        """A new session *name* on the game its wire-form *address* names
+        (the caller registers it in :attr:`sessions` once it may serve)."""
         resolved = self.resolver.resolve(
-            QueryRequest(
-                id=request.id,
-                scenario=request.scenario,
-                instance=request.instance,
-                index=request.index,
-                spec=request.spec,
-            )
+            QueryRequest(**{field: address.get(field) for field in _ADDRESS_FIELDS})
         )
         mutable = MutableInstance.from_game_instance(
             resolved.instance,
             canonical=CanonicalVerdictCache(store=self.store, max_entries=65536),
         )
-        opening: Dict[str, Any] = {}
-        if request.scenario is not None:
-            opening["scenario"] = request.scenario
-            if request.instance is not None:
-                opening["instance"] = request.instance
-            if request.index is not None:
-                opening["index"] = request.index
-        if request.spec is not None:
-            opening["spec"] = dict(request.spec)
-        session = _DynamicSession(request.session, mutable, opening=opening)
-        self.sessions[request.session] = session
-        self.sessions_opened += 1
-        return session, True
+        return _DynamicSession(name, mutable, opening=address)
 
     def _mutate_session(
         self, session: _DynamicSession, request: MutateRequest
     ) -> Tuple[int, int, float, bool, bool]:
-        """Worker-thread body of a mutate: dedup, decode, apply, journal."""
+        """Worker-thread body of a mutate: dedup, apply, journal."""
         start = time.perf_counter()
         with session.lock:
-            mutable = session.mutable
-            token = request.token
-            if token is not None:
-                cached = session.token_results.get(token)
-                if cached is not None:
-                    # A retry of a batch that already applied (the first
-                    # reply was lost): report the remembered outcome, do
-                    # not apply it twice.
-                    applied, dirty = cached
-                    return applied, dirty, time.perf_counter() - start, True, True
+            # A retry of a batch that already applied (the first reply was
+            # lost): report the remembered outcome, do not apply it twice.
+            cached = session.token_results.get(request.token)
+            if cached is not None:
+                applied, dirty = cached
+                return applied, dirty, time.perf_counter() - start, True, True
             try:
-                deltas = [
-                    delta_from_wire(body, mutable.nodes) for body in request.deltas
-                ]
-                reports = mutable.apply_batch(deltas)
+                applied, dirty = session.apply(request.deltas, request.token)
             except DeltaError as error:
                 raise ProtocolError("bad-delta", str(error), request.id) from error
-            session.mutate_batches += 1
-            session.deltas_applied += len(reports)
-            dirty = sum(len(report.dirty) for report in reports)
-            applied = len(reports)
-            if token is not None:
-                session.remember_token(token, applied, dirty)
             journaled = self._journal_mutation(session, request, applied, dirty)
             return applied, dirty, time.perf_counter() - start, False, journaled
 
@@ -814,23 +800,17 @@ class VerdictService:
         """Append one applied batch to the session's write-ahead journal.
 
         Sequence 0 records the opening address; sequence n the n-th
-        applied batch in wire form (plus its outcome, so recovery rebuilds
-        the idempotency-token memory).  Runs on the worker thread under the
-        session lock, after the batch applied: every acknowledged mutation
-        is either journaled or honestly reported ``journaled: false``.
-        Once an append fails the journal is a divergent prefix -- later
-        batches are not appended either, so recovery never silently skips
-        a batch in the middle.
+        applied batch in wire form with its token and outcome (recovery
+        re-applies it and rebuilds the idempotency-token memory).  Runs on
+        the worker thread under the session lock, after the batch applied:
+        every acknowledged mutation is either journaled or honestly
+        reported ``journaled: false``.  Once an append is shed or fails the
+        journal is a divergent prefix -- later batches are not appended
+        either, so recovery never silently skips a batch in the middle.
         """
         if self.store is None or session.journal_broken:
             if session.journal_broken:
                 self._journal_skipped.inc()
-            return False
-        if not self.breaker.allow():
-            # This batch applied but will not be journaled: any journal
-            # written later would replay a divergent prefix, so stop.
-            self._journal_skipped.inc()
-            session.journal_broken = True
             return False
         entries: List[Tuple[int, Dict[str, Any]]] = []
         if not session.journaled_open:
@@ -844,21 +824,21 @@ class VerdictService:
         if request.token is not None:
             batch_entry["token"] = request.token
         entries.append((session.journal_seq, batch_entry))
-        try:
+
+        def append() -> None:
             for seq, entry in entries:
                 self.store.journal_append(session.name, seq, entry)
                 if entry["kind"] == "open":
                     session.journaled_open = True
                 else:
                     session.journal_seq = seq + 1
-            self.breaker.record_success()
+
+        if self._write(append, self._journal_skipped):
             self._journal_appends.inc(len(entries))
             return True
-        except Exception as error:  # noqa: BLE001 -- journaling is best-effort
-            session.journal_broken = True
-            self._count_store_put_failure(error)
-            _log.error("journal-broken", session=session.name, error=repr(error))
-            return False
+        session.journal_broken = True
+        _log.error("journal-broken", session=session.name)
+        return False
 
     def recover_sessions(self) -> int:
         """Replay journaled dynamic sessions from the store (post-crash).
@@ -888,14 +868,19 @@ class VerdictService:
                 continue
             try:
                 entries = self.store.journal_entries(name)
-                session = self._replay_journal(name, entries)
+                if not entries or entries[0][1].get("kind") != "open":
+                    continue
+                session = self._open_session(name, entries[0][1].get("address") or {})
+                session.recovered = session.journaled_open = True
+                for seq, entry in entries[1:]:
+                    if entry.get("kind") == "deltas":
+                        session.apply(entry.get("deltas", ()), entry.get("token"))
+                        session.journal_seq = max(session.journal_seq, seq + 1)
             except Exception as error:  # noqa: BLE001 -- skip the bad journal
                 self.events.append(
                     "session-recover-failed", session=name, error=repr(error)
                 )
                 _log.error("session-recover-failed", session=name, error=repr(error))
-                continue
-            if session is None:
                 continue
             self.sessions[name] = session
             self.sessions_opened += 1
@@ -960,164 +945,15 @@ class VerdictService:
         )
         return summary
 
-    def _replay_journal(
-        self, name: str, entries: List[Tuple[int, Dict[str, Any]]]
-    ) -> Optional[_DynamicSession]:
-        """One session rebuilt from its journal (None if it has no open)."""
-        if not entries or entries[0][1].get("kind") != "open":
-            return None
-        address = entries[0][1].get("address") or {}
-        resolved = self.resolver.resolve(
-            QueryRequest(
-                scenario=address.get("scenario"),
-                instance=address.get("instance"),
-                index=address.get("index"),
-                spec=address.get("spec"),
-            )
-        )
-        mutable = MutableInstance.from_game_instance(
-            resolved.instance,
-            canonical=CanonicalVerdictCache(store=self.store, max_entries=65536),
-        )
-        session = _DynamicSession(name, mutable, opening=dict(address), recovered=True)
-        session.journaled_open = True
-        last_seq = 0
-        for seq, entry in entries[1:]:
-            if entry.get("kind") != "deltas":
-                continue
-            deltas = [
-                delta_from_wire(body, mutable.nodes)
-                for body in entry.get("deltas", ())
-            ]
-            reports = mutable.apply_batch(deltas)
-            session.mutate_batches += 1
-            session.deltas_applied += len(reports)
-            token = entry.get("token")
-            if token:
-                session.remember_token(
-                    token,
-                    int(entry.get("applied", len(reports))),
-                    int(entry.get("dirty", 0)),
-                )
-            last_seq = max(last_seq, seq)
-        session.journal_seq = last_seq + 1
-        return session
-
-    async def _answer_session(
-        self, request: QueryRequest, trace: RequestTrace
-    ) -> Dict[str, Any]:
-        session = self.sessions.get(request.session)
-        if session is None:
-            raise ProtocolError(
-                "unknown-session",
-                f"unknown session {request.session!r}; open it with a mutate "
-                "carrying 'scenario' or 'spec' addressing",
-                request.id,
-            )
-        trace.annotate(session=request.session)
-        loop = asyncio.get_running_loop()
-        # contextvars do not cross run_in_executor: hand the trace object
-        # to the worker explicitly so its spans land on this request.
-        return await loop.run_in_executor(
-            None, self._query_session, session, request, trace
-        )
-
-    def _query_session(
-        self, session: _DynamicSession, request: QueryRequest, trace: RequestTrace
-    ) -> Dict[str, Any]:
-        """Worker-thread body of a session query: tiers first, then repair.
-
-        The session key is content-addressed over the *current* graph
-        state, so the LRU/store tiers can never serve a pre-mutation
-        verdict -- a mutated game has a fresh key, and a reverted game
-        legitimately re-hits its old entry.
-        """
-        start = time.perf_counter()
-        degraded = False
-        with session.lock:
-            session.queries += 1
-            mutable = session.mutable
-            trace.name = mutable.name
-            with trace.span("key"):
-                key = mutable.key()
-            with trace.span("lru"):
-                hit = self.cache.lookup_lru(key)
-            if hit is None and self.store is not None:
-                with trace.span("store"):
-                    if not self.breaker.allow():
-                        degraded = True
-                        self.cache.note_store_skipped()
-                    else:
-                        try:
-                            hit = self.cache.lookup_store(key)
-                        except Exception as error:  # noqa: BLE001 -- degrade
-                            degraded = True
-                            self.cache.note_store_error("get", error)
-                            self.breaker.record_failure()
-                        else:
-                            self.breaker.record_success()
-            if hit is not None:
-                verdict, tier = hit
-                mutable.note_verdict(verdict)
-                trace.annotate(source=tier, key=key)
-                return query_response(
-                    request.id,
-                    verdict,
-                    source=tier,
-                    key=key,
-                    name=mutable.name,
-                    seconds=time.perf_counter() - start,
-                    trace=trace.breakdown(),
-                )
-            with trace.span("repair"):
-                verdict = mutable.verdict()
-            seconds = time.perf_counter() - start
-            try:
-                if self.store is None or self.breaker.allow():
-                    self.cache.insert(key, verdict, name=mutable.name, seconds=seconds)
-                    if self.store is not None:
-                        self.breaker.record_success()
-                else:
-                    degraded = True
-                    self._store_writes_skipped.inc()
-                    self.cache.insert(
-                        key, verdict, name=mutable.name, seconds=seconds, persist=False
-                    )
-            except Exception as error:  # noqa: BLE001 -- the LRU already has it
-                degraded = True
-                self._count_store_put_failure(error)
-            canonical = mutable.compiled.canonical
-            if canonical is not None:
-                try:
-                    if self.store is None or self.breaker.allow():
-                        canonical.flush()
-                    else:
-                        canonical.drain_records()
-                except Exception as error:  # noqa: BLE001 -- best-effort
-                    self._count_store_put_failure(error)
-            if degraded:
-                self._degraded.inc()
-                trace.annotate(degraded=True)
-            trace.annotate(source="dynamic", key=key)
-            return query_response(
-                request.id,
-                verdict,
-                source="dynamic",
-                key=key,
-                name=mutable.name,
-                seconds=seconds,
-                trace=trace.breakdown(),
-                degraded=degraded,
-            )
-
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """Everything the ``stats`` request reports."""
         tiers = self.cache.stats()
-        tiers["store"]["async_put_failures"] = self.store_put_failures
+        tiers["store"]["async_put_failures"] = self._store_put_failures.value
         tiers["store"]["put_failures_by_error"] = dict(self._put_failures_by_error)
         tiers["store"]["writes_skipped"] = int(self._store_writes_skipped.value)
         tiers["compute"] = self.compute.engine_stats()
+        requests = {op: counter.value for op, counter in self._request_counters.items()}
         now_monotonic = time.perf_counter()
         # Every stats poll leaves a compact sample in the registry's ring:
         # the time series behind /stats/history and the top sparklines.
@@ -1125,9 +961,9 @@ class VerdictService:
             {
                 "since_monotonic": now_monotonic,
                 "uptime_seconds": round(now_monotonic - self._monotonic_start, 3),
-                "queries": self.request_counts.get("query", 0),
-                "mutates": self.request_counts.get("mutate", 0),
-                "errors": self.error_count,
+                "queries": requests["query"],
+                "mutates": requests["mutate"],
+                "errors": self._errors.value,
                 "pending": self.pending,
                 "lru_hits": tiers["lru"].get("hits", 0),
                 "lru_misses": tiers["lru"].get("misses", 0),
@@ -1147,8 +983,8 @@ class VerdictService:
             # these to get the exact interval between them (``repro top``
             # derives true rates from it instead of trusting wall clocks).
             "since_monotonic": time.perf_counter(),
-            "requests": dict(self.request_counts),
-            "errors": self.error_count,
+            "requests": requests,
+            "errors": self._errors.value,
             "overloaded": self.overloaded_count,
             "pending": self.pending,
             "peak_pending": self.peak_pending,
@@ -1250,17 +1086,87 @@ class VerdictService:
         await self.coalescer.close()
         for session in self.sessions.values():
             canonical = session.mutable.compiled.canonical
-            if canonical is not None and self.store is not None:
-                try:
-                    canonical.flush()
-                except Exception as error:  # noqa: BLE001 -- best-effort
-                    self._count_store_put_failure(error)
+            if canonical is not None:
+                self._write(canonical.flush)
         if self._persist_futures:
             # Verdicts already answered to clients must reach the store
             # before it is closed (daemon restarts start warm).
             await asyncio.gather(*list(self._persist_futures), return_exceptions=True)
         if self._owns_store and self.store is not None:
             self.store.close()
+
+
+async def listen(
+    answer: Callable[[bytes], Awaitable[Optional[bytes]]],
+    connections: set,
+    host: str,
+    port: int,
+    socket_path: Optional[str],
+) -> Tuple[asyncio.AbstractServer, Address]:
+    """Serve request lines on a UNIX socket at *socket_path*, else TCP.
+
+    Each connection's lines are answered in order by :func:`serve_lines`;
+    its task joins *connections* so a shutdown can cancel it.
+    """
+    handler = partial(serve_lines, answer=answer, connections=connections)
+    if socket_path is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(socket_path)), exist_ok=True)
+        if os.path.exists(socket_path):
+            os.unlink(socket_path)
+        server = await asyncio.start_unix_server(
+            handler, path=socket_path, limit=MAX_LINE_BYTES
+        )
+        return server, ("unix", socket_path)
+    server = await asyncio.start_server(handler, host, port, limit=MAX_LINE_BYTES)
+    return server, ("tcp", host, server.sockets[0].getsockname()[1])
+
+
+async def serve_lines(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    answer: Callable[[bytes], Awaitable[Optional[bytes]]],
+    connections: set,
+) -> None:
+    """One connection: each non-blank request line in, *answer*'s line out.
+
+    *answer* returning ``None`` hangs up without replying.  An oversized
+    line is answered with a ``bad-request`` error and ends the connection.
+    """
+    task = asyncio.current_task()
+    if task is not None:
+        connections.add(task)
+        task.add_done_callback(connections.discard)
+    try:
+        while True:
+            try:
+                line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
+                response = error_response(
+                    None, "bad-request", f"request line exceeds {MAX_LINE_BYTES} bytes"
+                )
+                writer.write(encode_response(response).encode("utf-8") + b"\n")
+                await writer.drain()
+                break
+            if not line:
+                break
+            if not line.strip():
+                continue
+            reply = await answer(line)
+            if reply is None:
+                transport = writer.transport
+                if transport is not None:
+                    transport.abort()
+                break
+            writer.write(reply + b"\n")
+            await writer.drain()
+    except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+        pass  # the peer hung up, or shutdown cancelled the connection
+    finally:
+        try:
+            writer.close()
+            await writer.wait_closed()
+        except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError, OSError):
+            pass
 
 
 class VerdictServer:
@@ -1289,21 +1195,9 @@ class VerdictServer:
         self.service.recover_sessions()
         if self.service.config.catch_up_from is not None:
             self.service.catch_up_from_log(self.service.config.catch_up_from)
-        if self.socket_path is not None:
-            parent = os.path.dirname(os.path.abspath(self.socket_path))
-            os.makedirs(parent, exist_ok=True)
-            if os.path.exists(self.socket_path):
-                os.unlink(self.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.socket_path, limit=MAX_LINE_BYTES
-            )
-            self.address = ("unix", self.socket_path)
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
-            )
-            port = self._server.sockets[0].getsockname()[1]
-            self.address = ("tcp", self.host, port)
+        self._server, self.address = await listen(
+            self._answer_line, self._connections, self.host, self.port, self.socket_path
+        )
         return self.address
 
     async def serve_forever(self) -> None:
@@ -1335,68 +1229,26 @@ class VerdictServer:
             os.unlink(self.socket_path)
 
     # ------------------------------------------------------------------
-    def _should_drop(self, text: str) -> bool:
-        """Does the ``conn-drop`` failpoint eat this request's reply?
+    async def _answer_line(self, line: bytes) -> Optional[bytes]:
+        """One request line's reply, or ``None`` when ``conn-drop`` eats it.
 
-        Only data-plane requests (query/mutate) are dropped: the control
-        plane -- ``admin`` (to clear the faults!), ``stats``, ``ping`` --
-        stays reachable, so a chaos run can always observe and disarm.
+        The chaos failpoint hangs up without answering, as a crashed peer
+        or cut network would (the request itself completed).  Only
+        data-plane requests (query/mutate) are dropped: the control plane
+        -- ``admin`` (to clear the faults!), ``stats``, ``ping`` -- stays
+        reachable, so a chaos run can always observe and disarm.
         """
+        text = line.decode("utf-8", "replace").strip()
+        response = await self.service.handle_line(text)
         faults = self.service.faults
-        if "conn-drop" not in faults.active():
-            return False
-        try:
-            op = json.loads(text).get("op")
-        except (ValueError, AttributeError):
-            op = None
-        if op in ("admin", "stats", "ping"):
-            return False
-        return faults.should_fire("conn-drop")
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    response = error_response(
-                        None, "bad-request", f"request line exceeds {MAX_LINE_BYTES} bytes"
-                    )
-                    writer.write(encode_response(response).encode("utf-8") + b"\n")
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                text = line.decode("utf-8", "replace").strip()
-                if not text:
-                    continue
-                response_line = await self.service.handle_line(text)
-                if self._should_drop(text):
-                    # Chaos: hang up without answering, as a crashed peer
-                    # or cut network would.  The request itself completed.
-                    transport = writer.transport
-                    if transport is not None:
-                        transport.abort()
-                    break
-                writer.write(response_line.encode("utf-8") + b"\n")
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels live connections; close quietly.
-            pass
-        finally:
+        if "conn-drop" in faults.active():
             try:
-                writer.close()
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionResetError, BrokenPipeError, OSError):
-                pass
+                op = json.loads(text).get("op")
+            except (ValueError, AttributeError):
+                op = None
+            if op not in ("admin", "stats", "ping") and faults.should_fire("conn-drop"):
+                return None
+        return response.encode("utf-8")
 
 
 class ServerThread:

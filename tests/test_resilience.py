@@ -135,7 +135,7 @@ class TestFaultingStore:
         inner = SQLiteVerdictStore(":memory:")
         inner.put("k", True, name="x")
         faults = FaultInjector()
-        store = FaultingStore(inner, faults)
+        store = FaultingStore(inner, faults, CircuitBreaker())
         assert store.get("k") is True
         faults.configure("store-get-error", times=1)
         with pytest.raises(InjectedFault):
@@ -153,7 +153,7 @@ class TestFaultingStore:
         inner.journal_append("s", 0, {"kind": "open", "address": {}})
         faults = FaultInjector()
         faults.configure("store-get-error")  # armed, but reads pass
-        store = FaultingStore(inner, faults)
+        store = FaultingStore(inner, faults, CircuitBreaker())
         assert store.journal_sessions() == ["s"]
         assert store.journal_entries("s")[0][0] == 0
         faults.configure("store-put-error")
@@ -161,7 +161,9 @@ class TestFaultingStore:
             store.journal_append("s", 1, {"kind": "deltas", "deltas": []})
 
     def test_latency_failpoint_sleeps(self):
-        store = FaultingStore(SQLiteVerdictStore(":memory:"), FaultInjector())
+        store = FaultingStore(
+            SQLiteVerdictStore(":memory:"), FaultInjector(), CircuitBreaker()
+        )
         store.faults.configure("store-get-latency", latency=0.05, times=1)
         started = time.perf_counter()
         store.get("missing")
@@ -456,6 +458,29 @@ class TestBreakerEndToEnd:
                 # The read was skipped, not attempted-and-failed.
                 assert after["skipped"] > before["skipped"]
                 assert after["errors"] == before["errors"]
+
+    def test_cancelled_probe_does_not_wedge_the_breaker(self):
+        """A half-open probe whose query hits its deadline still reports."""
+        config = ServiceConfig(
+            window_seconds=0.0, breaker_threshold=1, breaker_reset_seconds=0.2
+        )
+        with ServerThread(store=SQLiteVerdictStore(":memory:"), config=config) as server:
+            with ServiceClient(server.address) as client:
+                client.set_faults("store-get-error=1.0:times=1")
+                _query(client, n=4)  # trips the breaker
+                time.sleep(0.3)  # past the reset: the next store read probes
+                client.set_faults("store-get-latency=1.0:latency=0.5:times=1")
+                spec = {"arbiter": "3-colorable", "family": "cycle", "n": 5,
+                        "scheme": "sequential"}
+                response = client.request(
+                    {"v": 1, "op": "query", "spec": spec, "deadline_ms": 50}
+                )
+                assert response["error"]["code"] == "deadline-exceeded"
+                client.clear_faults()
+                time.sleep(1.0)  # the abandoned probe's read finishes
+                after = _query(client, n=6)
+                assert after["ok"] is True and after["degraded"] is False
+                assert client.stats()["resilience"]["breaker"]["state"] == "closed"
 
 
 # ----------------------------------------------------------------------

@@ -238,3 +238,51 @@ class TestCanonicalTier:
         assert store.node_count() > 0
         stats = tier.engine_stats()["canonical"]
         assert stats["entries"] > 0
+
+    def test_open_breaker_sheds_canonical_node_reads(self):
+        import asyncio
+
+        from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
+        from repro.hierarchy.arbiters import two_colorability_spec
+        from repro.service.server import ServiceConfig, VerdictService
+
+        class _Sim(NeighborhoodGatherAlgorithm):
+            """Simulation-forced clone: the canonical-eligible path."""
+
+        class _CountingStore(SQLiteVerdictStore):
+            node_reads = 0
+
+            def get_node(self, key):
+                self.node_reads += 1
+                return super().get_node(key)
+
+            def get_node_many(self, keys):
+                self.node_reads += 1
+                return super().get_node_many(keys)
+
+        spec = two_colorability_spec()
+        machine = _Sim(spec.machine.radius, spec.machine.compute, name="two-col-sim")
+        graph = generators.cycle_graph(8)
+        instance = GameInstance(
+            machine=machine,
+            graph=graph,
+            ids=sequential_identifier_assignment(graph),
+            spaces=list(spec.spaces),
+            prefix=spec.prefix(),
+            name="sim|cycle8",
+        )
+        store = _CountingStore(":memory:")
+        config = ServiceConfig(breaker_threshold=1, breaker_reset_seconds=60.0)
+        service = VerdictService(store=store, config=config)
+        try:
+            service.breaker.record_failure()
+            assert service.breaker.state == "open"
+            verdicts, _ = service.compute.evaluate([instance])
+            assert verdicts == [spec.decide(graph, instance.ids)]
+            assert store.node_reads == 0
+            stats = service.compute.engine_stats()
+            assert stats["canonical"]["store_errors"] > 0  # the shed reads
+            assert stats["flush_failures"] == 0  # a shed flush is no failure
+        finally:
+            asyncio.run(service.close())
+            store.close()
