@@ -29,8 +29,8 @@ integers emitted by the rules themselves, so the innermost search prunes
 whole code-blocks with a few ``&`` operations, and a quantifier *collapse*
 skips subtrees that cannot change the verdict.
 :class:`~repro.engine.compiled.CompiledGameEngine` is the only fast path;
-machines without a rule fall back to direct local views
-(:mod:`repro.engine.views`) or ball simulation under the same memo.
+machines without a rule fall back to local views rebuilt from the
+instance's own balls or to ball-subgraph simulation, under the same memo.
 :mod:`repro.engine.canonical` complements it on those rule-less paths:
 verdicts are shared under a canonical ball signature across nodes,
 instances and (through the verdict store's node table) sessions.
@@ -49,12 +49,10 @@ Every path is checked against the oracle by randomized tests
 from repro.engine.bitset import BitsetKernel
 from repro.engine.caching import EvaluatorStats, LRUCache
 from repro.engine.canonical import CanonicalVerdictCache, node_ball_signature
-from repro.engine.views import BallIndex
 from repro.engine.compiled import (
     CodedState,
     CompiledGameEngine,
     CompiledInstance,
-    InstanceCompiler,
     compile_instance,
 )
 from repro.engine.dynamic import (
@@ -74,7 +72,6 @@ from repro.engine.dynamic import (
 from repro.engine.batch import GameInstance, IdentityKey, engine_sharing_key
 
 __all__ = [
-    "BallIndex",
     "BitsetKernel",
     "CanonicalVerdictCache",
     "node_ball_signature",
@@ -83,7 +80,6 @@ __all__ = [
     "CodedState",
     "CompiledGameEngine",
     "CompiledInstance",
-    "InstanceCompiler",
     "compile_instance",
     "Delta",
     "DeltaError",

@@ -24,8 +24,9 @@ integer form once and the whole game runs on it:
   plus a shared ``(label, code, label, code)`` pair table; star rules are
   evaluated on a thin :class:`~repro.machines.rules.StarView` without any
   LocalView reconstruction.  Machines without a rule keep the generic
-  direct-view path, and arbitrary machines fall back to ball-subgraph
-  simulation -- both memoized under the same packed keys, and all of them
+  direct-view path (the view rebuilt from the ball's index arrays), and
+  arbitrary machines fall back to simulation on the induced ball
+  subgraph -- both memoized under the same packed keys, and all of them
   cross-checked against the exhaustive solver by the equivalence suite.
 
 :class:`CompiledGameEngine` runs the full quantifier game on this substrate:
@@ -47,21 +48,20 @@ cause a stale or aliased cache hit.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.registry import WeakSharedRegistry
 from repro.hierarchy.certificate_spaces import CertificateSpace, materialize_space
 from repro.hierarchy.game import Quantifier, pi_prefix, sigma_prefix
 from repro.machines.interface import NodeMachine, verdict_of
-from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
+from repro.machines.local_algorithm import LocalView, NeighborhoodGatherAlgorithm
 from repro.machines.rules import PairwiseRule, rule_of
 from repro.machines.simulator import execute
 
 from repro.engine.bitset import BitsetKernel, mask_of_codes
 from repro.engine.caching import EvaluatorStats, LRUCache, MISSING
 from repro.engine.canonical import node_ball_signature, verdict_key
-from repro.engine.views import BallIndex
 
 #: Default bound on the shared per-node verdict memo of a compiled instance.
 DEFAULT_LEAF_MEMO_CAP = 1 << 20
@@ -81,21 +81,25 @@ class CompiledInstance:
     precomputed packed-key shift amounts), the direct/simulation decision,
     and kernel selection from the machine's declarative rule, if any.
 
-    The direct path (a gather machine's ``compute`` applied to a rebuilt
-    local view) is taken only for plain
-    :class:`~repro.machines.local_algorithm.NeighborhoodGatherAlgorithm`
+    The direct path (a gather machine's ``compute`` applied to the local
+    view rebuilt from the node's ball and the CSR arrays) is taken only for
+    plain :class:`~repro.machines.local_algorithm.NeighborhoodGatherAlgorithm`
     machines whose identifiers are pairwise distinct inside every
     radius-``(r + 1)`` ball -- the *gather horizon*: the simulated gather
     runs ``r + 1`` communication rounds, so its identifier-keyed knowledge
     tables span one hop beyond the view radius, and a collision anywhere in
     that horizon can plant phantom entries.  Every other machine is
-    simulated on its ball subgraph, which reproduces such collisions
-    exactly (e.g. on the periodic-identifier cycles of Proposition 26).
+    simulated on its induced ball subgraph, which reproduces such
+    collisions exactly (e.g. on the periodic-identifier cycles of
+    Proposition 26).  Both paths cache their certificate-free part per node
+    (the static view fields, the ball subgraph).
 
     The instance owns the shared per-node verdict memo (LRU-bounded, keyed
     by ``(node, levels, packed restriction key)``) and the certificate
-    alphabet; every engine and dict-facing leaf query on the same instance
-    therefore shares every cached verdict.
+    alphabet.  Every leaf verdict -- engine searches and one-off
+    :meth:`accepts_dicts` runs alike -- goes through
+    :meth:`node_verdict_state` on a :class:`CodedState`, so all of them
+    share every cached verdict.
     """
 
     def __init__(
@@ -106,46 +110,14 @@ class CompiledInstance:
         memo_cap: Optional[int] = DEFAULT_LEAF_MEMO_CAP,
     ) -> None:
         self.machine = machine
-        self.graph = graph
-        self.ids: Dict[Node, str] = dict(ids)
         nodes = graph.nodes
         self.nodes: Tuple[Node, ...] = nodes
         self.index: Dict[Node, int] = {u: i for i, u in enumerate(nodes)}
         n = self.n = len(nodes)
-        self.ids_list: List[str] = [self.ids[u] for u in nodes]
-        self.labels: List[str] = [graph.label(u) for u in nodes]
-
-        indptr = [0]
-        indices: List[int] = []
-        for u in nodes:
-            indices.extend(sorted(self.index[v] for v in graph.neighbors(u)))
-            indptr.append(len(indices))
-        self.adj_indptr: List[int] = indptr
-        self.adj_indices: List[int] = indices
-        self.degrees: List[int] = [indptr[i + 1] - indptr[i] for i in range(n)]
-
-        direct = type(machine) is NeighborhoodGatherAlgorithm
-        if direct and not self._ids_unique_in_horizon(machine.radius + 1):
-            direct = False
-        self.direct = direct
-        self.radius = machine.radius if direct else max(1, machine.max_rounds())
-
-        self.balls: List[Tuple[int, ...]] = [self._ball_indices(i) for i in range(n)]
-        self.ball_sizes: List[int] = [len(ball) for ball in self.balls]
-        dependents: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for u in range(n):
-            for position, v in enumerate(self.balls[u]):
-                dependents[v].append((u, position))
-        self.dependents: List[Tuple[Tuple[int, int], ...]] = [tuple(d) for d in dependents]
-
-        rule = rule_of(machine)
-        self.rule = (
-            rule
-            if direct and rule is not None and rule.radius == machine.radius
-            else None
-        )
-        self._rule_is_pairwise = isinstance(self.rule, PairwiseRule)
-        self._uniform_labels = len(set(self.labels)) <= 1
+        self.balls: List[Tuple[int, ...]] = [()] * n
+        self.ball_sizes: List[int] = [0] * n
+        self.direct: Optional[bool] = None
+        self._lower(graph, ids, None)
 
         # Certificate interning.  Code 0 is the empty certificate -- the value
         # every node implicitly carries in a freshly zeroed state.
@@ -153,7 +125,6 @@ class CompiledInstance:
         self.code_of: Dict[str, int] = {"": 0}
         self.shift = 4
         self.generation = 0
-        self._dep_shifts: List[List[Tuple[Tuple[int, int], ...]]] = []
         #: Pre-compaction alphabet snapshots, keyed by the generation the
         #: compaction produced: a :class:`CodedState` older than a shrink
         #: decodes its stale codes through the snapshot and re-interns the
@@ -179,8 +150,7 @@ class CompiledInstance:
         #: Coded per-node candidate lists, cached per materialized space
         #: (id-keyed; the entry pins the space so ids cannot alias).
         self._candidate_cache: Dict[int, tuple] = {}
-        # Lazy fallback helpers (only the non-kernel paths touch these).
-        self._lazy_ball_index: Optional[BallIndex] = None
+        # Lazy kernel helpers.
         self._own_tables: List[Dict[int, bool]] = [{} for _ in range(n)]
         self._pair_table: Dict[Tuple[str, int, str, int], bool] = {}
         self._star_statics: Optional[List[tuple]] = None
@@ -192,10 +162,72 @@ class CompiledInstance:
         self.canonical = None
         self._machine_token: Optional[str] = None
         self._canonical_statics: List[Optional[bytes]] = [None] * n
+        #: Per node, the certificate-free part of a rule-less evaluation:
+        #: the static view fields (direct path) or the induced ball
+        #: subgraph (simulation path).  Built on first use.
+        self._static_views: List[Optional[tuple]] = [None] * n
+        self._ball_subgraphs: List[Optional[LabeledGraph]] = [None] * n
 
     # ------------------------------------------------------------------
-    # Construction helpers
+    # Lowering (construction and rewire)
     # ------------------------------------------------------------------
+    def _lower(
+        self, graph: LabeledGraph, ids: Mapping[Node, str], dirty: Optional[Iterable[int]]
+    ) -> Set[int]:
+        """Lower ``(graph, ids)`` onto this instance's node indexing.
+
+        Builds the labels, identifiers and CSR adjacency, takes the
+        direct/simulation decision and the rule, recomputes the balls of
+        the *dirty* node indices (every node when *dirty* is ``None`` or
+        the decision flips, since it sets the dependency radius) and
+        rebuilds the dependents table.  Returns the recomputed indices.
+        """
+        self.graph = graph
+        self.ids: Dict[Node, str] = dict(ids)
+        nodes, index, n = self.nodes, self.index, self.n
+        self.ids_list: List[str] = [self.ids[u] for u in nodes]
+        self.labels: List[str] = [graph.label(u) for u in nodes]
+        indptr = [0]
+        indices: List[int] = []
+        for u in nodes:
+            indices.extend(sorted(index[v] for v in graph.neighbors(u)))
+            indptr.append(len(indices))
+        self.adj_indptr: List[int] = indptr
+        self.adj_indices: List[int] = indices
+        self.degrees: List[int] = [indptr[i + 1] - indptr[i] for i in range(n)]
+
+        machine = self.machine
+        old_direct = self.direct
+        direct = type(machine) is NeighborhoodGatherAlgorithm and self._ids_unique_in_horizon(
+            machine.radius + 1
+        )
+        self.direct = direct
+        self.radius = machine.radius if direct else max(1, machine.max_rounds())
+        rule = rule_of(machine)
+        self.rule = (
+            rule
+            if direct and rule is not None and rule.radius == machine.radius
+            else None
+        )
+        self._rule_is_pairwise = isinstance(self.rule, PairwiseRule)
+        self._uniform_labels = len(set(self.labels)) <= 1
+
+        if dirty is None or direct != old_direct:
+            dirty_set = set(range(n))
+        else:
+            dirty_set = {u for u in dirty if 0 <= u < n}
+        for u in dirty_set:
+            ball = self._ball_indices(u)
+            self.balls[u] = ball
+            self.ball_sizes[u] = len(ball)
+        dependents: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        for u in range(n):
+            for position, v in enumerate(self.balls[u]):
+                dependents[v].append((u, position))
+        self.dependents: List[Tuple[Tuple[int, int], ...]] = [tuple(d) for d in dependents]
+        self._dep_shifts: List[List[Tuple[Tuple[int, int], ...]]] = []
+        return dirty_set
+
     def _ids_unique_in_horizon(self, horizon: int) -> bool:
         # Globally unique identifiers (the common schemes) are trivially
         # unique in every ball; only locally-unique schemes need the BFS.
@@ -209,24 +241,28 @@ class CompiledInstance:
         return True
 
     def _ball_indices(self, source: int) -> Tuple[int, ...]:
-        indptr, indices = self.adj_indptr, self.adj_indices
-        if self.radius == 0:
-            return (source,)
-        if self.radius == 1:
+        """*source*'s dependency ball as sorted node indices."""
+        if self.radius == 1:  # the common case: the closed neighborhood
+            indptr, indices = self.adj_indptr, self.adj_indices
             return tuple(sorted([source, *indices[indptr[source] : indptr[source + 1]]]))
+        return tuple(sorted(self._ball_distances(source)))
+
+    def _ball_distances(self, source: int) -> Dict[int, int]:
+        """Hop distance from *source* to each node of its dependency ball."""
+        indptr, indices = self.adj_indptr, self.adj_indices
         distance = {source: 0}
         frontier = [source]
         depth = 0
         while frontier and depth < self.radius:
+            depth += 1
             next_frontier = []
             for u in frontier:
                 for w in indices[indptr[u] : indptr[u + 1]]:
                     if w not in distance:
-                        distance[w] = depth + 1
+                        distance[w] = depth
                         next_frontier.append(w)
             frontier = next_frontier
-            depth += 1
-        return tuple(sorted(distance))
+        return distance
 
     # ------------------------------------------------------------------
     # Certificate interning and packed-key plumbing
@@ -245,9 +281,6 @@ class CompiledInstance:
             if code >= (1 << self.shift):
                 self._rebase()
         return code
-
-    def intern_all(self, certificates: Sequence[str]) -> List[int]:
-        return [self.intern(certificate) for certificate in certificates]
 
     def candidate_codes(self, materialized) -> List[List[int]]:
         """Per-node candidate code lists for a materialized space (cached).
@@ -348,13 +381,13 @@ class CompiledInstance:
         *dirty* is an over-approximation of the node indices whose dependency
         balls (membership, labels, identifiers or internal edges) may differ
         from the previous graph; ``None`` means every node.  Dirty nodes lose
-        their memoized verdicts, canonical signatures and own-code tables;
-        clean nodes keep them: their balls and everything inside them are
-        unchanged, so their packed restriction keys and canonical signatures
-        still name the identical computation.  If the direct/simulation
-        decision flips (identifier churn breaking horizon-uniqueness changes
-        the dependency radius with it), everything is invalidated regardless
-        of *dirty*.
+        their memoized verdicts, canonical signatures, own-code tables,
+        static views and ball subgraphs; clean nodes keep them: their balls
+        and everything inside them are unchanged, so their packed
+        restriction keys and canonical signatures still name the identical
+        computation.  If the direct/simulation decision flips (identifier
+        churn breaking horizon-uniqueness changes the dependency radius with
+        it), everything is invalidated regardless of *dirty*.
 
         The generation is bumped, so live :class:`CodedState` objects
         resynchronize, transposition entries (which embed the generation)
@@ -364,52 +397,9 @@ class CompiledInstance:
         """
         if tuple(graph.nodes) != self.nodes:
             raise ValueError("rewire requires the same node set in the same order")
-        old_direct = self.direct
         old_uniform = self._uniform_labels
         old_label0 = self.labels[0] if self.labels else ""
-        self.graph = graph
-        self.ids = dict(ids)
-        nodes = self.nodes
-        n = self.n
-        self.ids_list = [self.ids[u] for u in nodes]
-        self.labels = [graph.label(u) for u in nodes]
-        indptr = [0]
-        indices: List[int] = []
-        for u in nodes:
-            indices.extend(sorted(self.index[v] for v in graph.neighbors(u)))
-            indptr.append(len(indices))
-        self.adj_indptr = indptr
-        self.adj_indices = indices
-        self.degrees = [indptr[i + 1] - indptr[i] for i in range(n)]
-
-        machine = self.machine
-        direct = type(machine) is NeighborhoodGatherAlgorithm
-        if direct and not self._ids_unique_in_horizon(machine.radius + 1):
-            direct = False
-        self.direct = direct
-        self.radius = machine.radius if direct else max(1, machine.max_rounds())
-        rule = rule_of(machine)
-        self.rule = (
-            rule
-            if direct and rule is not None and rule.radius == machine.radius
-            else None
-        )
-        self._rule_is_pairwise = isinstance(self.rule, PairwiseRule)
-        self._uniform_labels = len(set(self.labels)) <= 1
-
-        if direct != old_direct or dirty is None:
-            dirty_set = set(range(n))
-        else:
-            dirty_set = {u for u in dirty if 0 <= u < n}
-        for u in dirty_set:
-            self.balls[u] = self._ball_indices(u)
-            self.ball_sizes[u] = len(self.balls[u])
-        dependents: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for u in range(n):
-            for position, v in enumerate(self.balls[u]):
-                dependents[v].append((u, position))
-        self.dependents = [tuple(d) for d in dependents]
-        self._dep_shifts = []
+        dirty_set = self._lower(graph, ids, dirty)
         self.generation += 1
 
         label0 = self.labels[0] if self.labels else ""
@@ -428,8 +418,9 @@ class CompiledInstance:
                 self.memo_invalidations += dropped
             self._own_tables[u] = {}
             self._canonical_statics[u] = None
+            self._static_views[u] = None
+            self._ball_subgraphs[u] = None
         self._star_statics = None
-        self._lazy_ball_index = None
         self._bitset_kernel = None
         self._candidate_cache.clear()
         return tuple(sorted(dirty_set))
@@ -512,18 +503,6 @@ class CompiledInstance:
         )
         return verdict_key(self._canonical_static(u), state.levels, certificates)
 
-    def canonical_key_dicts(
-        self, u: int, assignments: Sequence[Mapping[Node, str]]
-    ) -> str:
-        """The canonical ball-verdict key of node *u* under dict assignments."""
-        nodes = self.nodes
-        ball = self.balls[u]
-        certificates = tuple(
-            tuple(assignment.get(nodes[v], "") for v in ball)
-            for assignment in assignments
-        )
-        return verdict_key(self._canonical_static(u), len(assignments), certificates)
-
     # ------------------------------------------------------------------
     # Leaf evaluation on coded state (the engine's hot path)
     # ------------------------------------------------------------------
@@ -562,17 +541,9 @@ class CompiledInstance:
                 verdict = found
             else:
                 if self.direct:
-                    verdict = verdict_of(
-                        self.machine.compute(
-                            self.ball_index.view(
-                                self.nodes[u], self._decode(state, self.balls[u])
-                            )
-                        )
-                    )
+                    verdict = verdict_of(self.machine.compute(self._local_view(u, state)))
                 else:
-                    verdict = self._simulate(
-                        u, levels, self._decode(state, self.balls[u]), stats
-                    )
+                    verdict = self._simulate(u, state, stats)
                 if canonical is not None:
                     canonical.put(canonical_key, verdict)
         cap = self.memo_cap
@@ -607,136 +578,18 @@ class CompiledInstance:
                 return False
         return True
 
-    def _decode(
-        self, state: "CodedState", only: Optional[Tuple[int, ...]] = None
-    ) -> List[Dict[Node, str]]:
-        """The state as plain per-level certificate dicts (fallback paths only).
-
-        *only* restricts the dicts to the given node indices (a ball): the
-        view and ball-subgraph consumers never read beyond the ball, so
-        per-miss decoding stays proportional to the ball, not the graph.
-        """
-        alphabet = self.alphabet
-        nodes = self.nodes
-        indices = range(self.n) if only is None else only
-        return [
-            {nodes[v]: alphabet[codes[v]] for v in indices}
-            for codes in state.codes
-        ]
-
-    # ------------------------------------------------------------------
-    # Leaf evaluation from certificate dicts (one-off verifier runs)
-    # ------------------------------------------------------------------
-    def key_from_dicts(self, u: int, assignments: Sequence[Mapping[Node, str]]) -> int:
-        """The packed restriction key of node *u* under dict assignments.
-
-        Interning an unseen certificate may rebase the packing; the key is
-        then recomputed under the new width (the loop converges because a
-        rebase at least doubles the capacity).
-        """
-        while True:
-            generation = self.generation
-            shift = self.shift
-            ball = self.balls[u]
-            ball_size = len(ball)
-            nodes = self.nodes
-            code_of = self.code_of
-            key = 0
-            stable = True
-            for level, assignment in enumerate(assignments):
-                base = level * ball_size
-                for position, v in enumerate(ball):
-                    certificate = assignment.get(nodes[v], "")
-                    code = code_of.get(certificate)
-                    if code is None:
-                        code = self.intern(certificate)
-                        if self.generation != generation:
-                            stable = False
-                            break
-                    key |= code << ((base + position) * shift)
-                if not stable:
-                    break
-            if stable:
-                return key
-
-    def node_verdict_dicts(
-        self, u: int, assignments: Sequence[Mapping[Node, str]], stats: EvaluatorStats
-    ) -> bool:
-        generation = self.generation
-        levels = len(assignments)
-        if levels > 31:
-            raise ValueError("at most 31 quantifier levels are supported")
-        memo_key = (self.key_from_dicts(u, assignments) << 5) | levels
-        verdict = self.memo_nodes[u].get(memo_key, MISSING)
-        if verdict is not MISSING:
-            stats.node_hits += 1
-            self.memo_hits += 1
-            return verdict
-        stats.node_misses += 1
-        self.memo_misses += 1
-        rule = self._usable_rule(levels)
-        if rule is not None:
-            codes = (
-                self._level_codes_from_dict(assignments[rule.level])
-                if rule.level < levels
-                else None
-            )
-            if self._rule_is_pairwise:
-                verdict = self._pairwise_codes(u, codes)
-            else:
-                verdict = rule.predicate(self._star_view(rule, u, codes))
-        else:
-            canonical = self.canonical
-            canonical_key = None
-            found = None
-            if canonical is not None:
-                canonical_key = self.canonical_key_dicts(u, assignments)
-                found = canonical.get(canonical_key)
-            if found is not None:
-                verdict = found
-            else:
-                if self.direct:
-                    verdict = verdict_of(
-                        self.machine.compute(
-                            self.ball_index.view(self.nodes[u], assignments)
-                        )
-                    )
-                else:
-                    verdict = self._simulate(u, levels, list(assignments), stats)
-                if canonical is not None:
-                    canonical.put(canonical_key, verdict)
-        if self.generation != generation:
-            # Evaluation interned an unseen certificate and rebased the
-            # packing: the key computed above is in the old encoding.
-            memo_key = (self.key_from_dicts(u, assignments) << 5) | levels
-        self._memo_put(u, memo_key, verdict)
-        return verdict
-
-    def _level_codes_from_dict(self, assignment: Mapping[Node, str]) -> List[int]:
-        intern = self.intern
-        get = assignment.get
-        return [intern(get(u, "")) for u in self.nodes]
-
     def accepts_dicts(
         self, assignments: Sequence[Mapping[Node, str]], stats: EvaluatorStats
     ) -> bool:
-        stats.leaves += 1
-        order = self.order
-        for position, u in enumerate(order):
-            if not self.node_verdict_dicts(u, assignments, stats):
-                if position:
-                    order.insert(0, order.pop(position))
-                return False
-        return True
+        """Unanimity under per-level certificate dicts (one-off verifier runs).
 
-    def verdicts_dicts(
-        self, assignments: Sequence[Mapping[Node, str]], stats: EvaluatorStats
-    ) -> Dict[Node, bool]:
-        """All per-node verdicts (no short-circuiting; diagnostics and tests)."""
-        return {
-            self.nodes[u]: self.node_verdict_dicts(u, assignments, stats)
-            for u in range(self.n)
-        }
+        A thin loader: the certificates are interned into a fresh
+        :class:`CodedState` and the verdict is :meth:`accepts_state`'s.
+        """
+        state = self.new_state(len(assignments))
+        for level, assignment in enumerate(assignments):
+            state.load_level(level, assignment)
+        return self.accepts_state(state, stats)
 
     # ------------------------------------------------------------------
     # Kernels
@@ -748,7 +601,6 @@ class CompiledInstance:
         if levels > rule.level or not rule.needs_certificate:
             return rule
         return None
-
 
     def _pairwise_codes(self, u: int, codes: Optional[List[int]]) -> bool:
         """Table-driven pairwise evaluation over a level's code array.
@@ -855,38 +707,76 @@ class CompiledInstance:
     # ------------------------------------------------------------------
     # Fallback paths (generic machines)
     # ------------------------------------------------------------------
-    @property
-    def ball_index(self) -> BallIndex:
-        """Lazy :class:`BallIndex` for the generic view/simulation fallbacks."""
-        if self._lazy_ball_index is None:
-            self._lazy_ball_index = BallIndex(self.graph, self.ids, self.radius)
-        return self._lazy_ball_index
+    def _local_view(self, u: int, state: "CodedState") -> LocalView:
+        """The :class:`LocalView` a gather machine computes on at node *u*.
 
-    def _simulate(
-        self,
-        u: int,
-        levels: int,
-        assignments: List[Dict[Node, str]],
-        stats: EvaluatorStats,
-    ) -> bool:
+        Exactly the view the simulated gather hands to ``compute`` (see
+        :func:`~repro.machines.local_algorithm.gather_view`, the central
+        oracle), rebuilt without the simulator: the certificate-free fields
+        come from the node's ball and the CSR arrays once per node, and
+        only the certificates are read off *state*'s codes per call.
+        """
+        static = self._static_views[u]
+        ids_list = self.ids_list
+        ball = self.balls[u]
+        if static is None:
+            indptr, indices = self.adj_indptr, self.adj_indices
+            inside = set(ball)
+            static = self._static_views[u] = (
+                frozenset(ids_list[v] for v in ball),
+                frozenset(
+                    frozenset((ids_list[v], ids_list[w]))
+                    for v in ball
+                    for w in indices[indptr[v] : indptr[v + 1]]
+                    if w > v and w in inside
+                ),
+                tuple(sorted((ids_list[v], self.labels[v]) for v in ball)),
+                tuple(sorted((ids_list[v], d) for v, d in self._ball_distances(u).items())),
+            )
+        nodes, edges, labels, distances = static
+        alphabet = self.alphabet
+        return LocalView(
+            center=ids_list[u],
+            radius=self.radius,
+            nodes=nodes,
+            edges=edges,
+            labels=labels,
+            certificates=tuple(
+                sorted(
+                    (ids_list[v], tuple(alphabet[codes[v]] for codes in state.codes))
+                    for v in ball
+                )
+            ),
+            distances=distances,
+        )
+
+    def _simulate(self, u: int, state: "CodedState", stats: EvaluatorStats) -> bool:
+        """Node *u*'s verdict from a simulator run on its induced ball subgraph.
+
+        Nothing beyond the ball can reach *u* within the machine's round
+        bound, so the run on the ball subgraph decides *u*.  When the ball
+        is the whole graph, the one run decides every node: all verdicts
+        are harvested into the memo (and the canonical cache).
+        """
         stats.simulator_runs += 1
-        node = self.nodes[u]
-        subgraph = self.ball_index.ball_subgraph(node)
-        result = execute(self.machine, subgraph, self.ids, assignments)
-        outputs = result.outputs
-        if subgraph is self.graph:
-            # One whole-graph execution decides every node: harvest them all.
-            canonical = self.canonical
-            for other, output in outputs.items():
-                other_index = self.index[other]
-                other_key = (self.key_from_dicts(other_index, assignments) << 5) | levels
-                self._memo_put(other_index, other_key, verdict_of(output))
+        ball = self.balls[u]
+        nodes = self.nodes
+        whole = len(ball) == self.n
+        subgraph = self.graph if whole else self._ball_subgraphs[u]
+        if subgraph is None:
+            subgraph = self.graph.induced_subgraph([nodes[v] for v in ball])
+            self._ball_subgraphs[u] = subgraph
+        alphabet = self.alphabet
+        assignments = [{nodes[v]: alphabet[codes[v]] for v in ball} for codes in state.codes]
+        outputs = execute(self.machine, subgraph, self.ids, assignments).outputs
+        if whole:
+            keys, levels, canonical = state.keys, state.levels, self.canonical
+            for v, node in enumerate(nodes):
+                verdict = verdict_of(outputs[node])
+                self._memo_put(v, (keys[v] << 5) | levels, verdict)
                 if canonical is not None:
-                    canonical.put(
-                        self.canonical_key_dicts(other_index, assignments),
-                        verdict_of(output),
-                    )
-        return verdict_of(outputs[node])
+                    canonical.put(self.canonical_key_state(v, state), verdict)
+        return verdict_of(outputs[nodes[u]])
 
     def memo_info(self) -> Dict[str, Optional[int]]:
         """Hit/miss/eviction counters and occupancy of the shared verdict memo."""
@@ -898,20 +788,6 @@ class CompiledInstance:
             "evictions": self.memo_evictions,
             "invalidations": self.memo_invalidations,
         }
-
-    def publish_metrics(self, registry, labels: Optional[Dict[str, str]] = None) -> None:
-        """Mirror the verdict-memo counters into *registry* gauges.
-
-        The memo counters stay plain ints on the hot path (a per-leaf
-        lock would be measurable); callers that hold an engine for a
-        while -- the service's compute tier -- republish them as
-        ``repro_engine_memo_*`` gauges after each batch instead.
-        """
-        info = self.memo_info()
-        for field in ("size", "hits", "misses", "evictions", "invalidations"):
-            registry.gauge(f"repro_engine_memo_{field}", labels=labels).set(
-                info[field] or 0
-            )
 
     def __repr__(self) -> str:
         kernel = (
@@ -1026,6 +902,14 @@ class CodedState:
                 sum(codes[v] << (v * shift) for v in range(n)) for codes in self.codes
             ]
 
+    def load_level(self, level: int, assignment: Mapping[Node, str]) -> None:
+        """Assign a whole level from a certificate dict (absent nodes carry "")."""
+        instance = self.instance
+        codes = [instance.intern(assignment.get(u, "")) for u in instance.nodes]
+        self.sync()  # interning may have rebased
+        for v, code in enumerate(codes):
+            self.set_code(level, v, code)
+
     def set_code(self, level: int, v: int, code: int) -> None:
         """Assign ``kappa[level][v] = code``, updating dependent packed keys."""
         codes = self.codes[level]
@@ -1134,7 +1018,7 @@ class CompiledGameEngine:
         self._state.sync()
         fixed = list(fixed or [])
         for level, assignment in enumerate(fixed):
-            self._load_level(level, assignment)
+            self._state.load_level(level, assignment)
         return self._value(prefix, len(fixed))
 
     def sigma_value(self) -> bool:
@@ -1170,14 +1054,6 @@ class CompiledGameEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _load_level(self, level: int, assignment: Mapping[Node, str]) -> None:
-        compiled = self.compiled
-        codes = [compiled.intern(assignment.get(u, "")) for u in self.nodes]
-        state = self._state
-        state.sync()  # interning may have rebased
-        for v, code in enumerate(codes):
-            state.set_code(level, v, code)
-
     def _enumerate_level(self, level: int) -> Iterator[None]:
         """Odometer enumeration of one level, in ``itertools.product`` order.
 
@@ -1491,40 +1367,14 @@ class CompiledGameEngine:
         keys = state.keys
         levels = state.levels
         set_code = state.set_code
-        # When the instance has a usable pairwise rule, the whole
-        # memo-miss path is inlined here: kernel call plus memo insert,
-        # skipping two dispatch frames on the engine's innermost loop.
-        rule = compiled._usable_rule(levels) if compiled._rule_is_pairwise else None
-        rule_codes = (
-            state.codes[rule.level] if rule is not None and rule.level < levels else None
-        )
-        inline_pairwise = rule is not None
-        pairwise = compiled._pairwise_codes
         for code in self._candidate_codes[level][position]:
             set_code(level, position, code)
             accepted = True
             for u in checkable:
                 # Inlined memo fast path (node_verdict_state, minus a call).
-                memo = memo_nodes[u]
-                memo_key = (keys[u] << 5) | levels
-                verdict = memo.get(memo_key, MISSING)
+                verdict = memo_nodes[u].get((keys[u] << 5) | levels, MISSING)
                 if verdict is MISSING:
-                    stats.node_misses += 1
-                    compiled.memo_misses += 1
-                    if inline_pairwise:
-                        verdict = pairwise(u, rule_codes)
-                        cap = compiled.memo_cap
-                        if cap is None or compiled.memo_entries < cap:
-                            if memo_key not in memo:
-                                compiled.memo_entries += 1
-                            memo[memo_key] = verdict
-                        else:
-                            compiled._memo_put(u, memo_key, verdict)
-                    else:
-                        # Undo the double count; the full path recounts.
-                        stats.node_misses -= 1
-                        compiled.memo_misses -= 1
-                        verdict = compiled.node_verdict_state(u, state, stats)
+                    verdict = compiled.node_verdict_state(u, state, stats)
                 else:
                     stats.node_hits += 1
                     compiled.memo_hits += 1
@@ -1574,16 +1424,6 @@ class CompiledGameEngine:
         """Hit/miss/eviction counters of the transposition cache."""
         return self._transposition.info()
 
-    def publish_metrics(self, registry, labels: Optional[Dict[str, str]] = None) -> None:
-        """Mirror the transposition-cache counters into *registry* gauges
-        (``repro_engine_transposition_*``); see
-        :meth:`CompiledInstance.publish_metrics`."""
-        info = self.transposition_info()
-        for field in ("size", "hits", "misses", "evictions"):
-            registry.gauge(f"repro_engine_transposition_{field}", labels=labels).set(
-                info[field] or 0
-            )
-
     def __repr__(self) -> str:
         return (
             f"CompiledGameEngine(levels={len(self.spaces)}, nodes={len(self.nodes)}, "
@@ -1594,32 +1434,19 @@ class CompiledGameEngine:
 # ----------------------------------------------------------------------
 # Instance sharing
 # ----------------------------------------------------------------------
-class InstanceCompiler:
-    """Compiles instances and shares them per ``(machine, graph, ids)``.
-
-    The registry is weak in the machine and holds at most *limit* instances
-    per machine (FIFO eviction), so long sweeps over many graphs do not
-    grow memory without limit.  Machines that do not support weak
-    references get a fresh instance each time.
-    """
-
-    def __init__(self, limit: int = 64) -> None:
-        self._registry = WeakSharedRegistry(limit=limit)
-
-    def compile(
-        self, machine: NodeMachine, graph: LabeledGraph, ids: Mapping[Node, str]
-    ) -> CompiledInstance:
-        key = (graph, tuple(ids[u] for u in graph.nodes))
-        return self._registry.get_or_build(
-            machine, key, lambda: CompiledInstance(machine, graph, ids)
-        )
-
-
-_DEFAULT_COMPILER = InstanceCompiler()
+#: machine -> {(graph, identifier tuple): CompiledInstance}, weak in the
+#: machine and bounded per machine (FIFO eviction), so long sweeps over
+#: many graphs do not grow memory without limit.
+_INSTANCES = WeakSharedRegistry(limit=64)
 
 
 def compile_instance(
     machine: NodeMachine, graph: LabeledGraph, ids: Mapping[Node, str]
 ) -> CompiledInstance:
-    """A :class:`CompiledInstance` shared process-wide per ``(machine, graph, ids)``."""
-    return _DEFAULT_COMPILER.compile(machine, graph, ids)
+    """A :class:`CompiledInstance` shared process-wide per ``(machine, graph, ids)``.
+
+    Machines that do not support weak references get a fresh instance
+    each time.
+    """
+    key = (graph, tuple(ids[u] for u in graph.nodes))
+    return _INSTANCES.get_or_build(machine, key, lambda: CompiledInstance(machine, graph, ids))

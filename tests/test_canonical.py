@@ -110,8 +110,15 @@ class TestSignatures:
         instance = _instance(machine, graph)
         empty = [{u: "" for u in graph.nodes}]
         ones = [{u: "1" for u in graph.nodes}]
-        assert instance.canonical_key_dicts(0, empty) != instance.canonical_key_dicts(0, ones)
-        assert instance.canonical_key_dicts(0, empty) != instance.canonical_key_dicts(0, [])
+
+        def key(assignments):
+            state = instance.new_state(len(assignments))
+            for level, assignment in enumerate(assignments):
+                state.load_level(level, assignment)
+            return instance.canonical_key_state(0, state)
+
+        assert key(empty) != key(ones)
+        assert key(empty) != key([])
 
 
 class TestCacheBehavior:

@@ -64,6 +64,34 @@ def _parity_machine():
     return NeighborhoodGatherAlgorithm(1, compute, name="cert-parity")
 
 
+def _loaded_state(instance, assignments):
+    """A coded state holding per-level certificate dicts."""
+    state = instance.new_state(len(assignments))
+    for level, assignment in enumerate(assignments):
+        state.load_level(level, assignment)
+    return state
+
+
+def _node_verdicts(instance, assignments, stats):
+    """Every node's verdict under certificate dicts (no short-circuit)."""
+    state = _loaded_state(instance, assignments)
+    return {
+        node: instance.node_verdict_state(u, state, stats)
+        for u, node in enumerate(instance.nodes)
+    }
+
+
+def _packed_key(instance, u, assignments):
+    """Node *u*'s packed restriction key, packed from scratch (no set_code)."""
+    ball = instance.balls[u]
+    key = 0
+    for level, assignment in enumerate(assignments):
+        for position, v in enumerate(ball):
+            code = instance.code_of[assignment.get(instance.nodes[v], "")]
+            key |= code << ((level * len(ball) + position) * instance.shift)
+    return key
+
+
 def _graph_pool():
     return [
         generators.cycle_graph(3),
@@ -244,7 +272,7 @@ class TestProofLabelingKernels:
             corrupted[victim] = "10101010"
             instance = CompiledInstance(scheme.verifier, graph, ids)
             stats = EvaluatorStats()
-            got = instance.verdicts_dicts([corrupted], stats)
+            got = _node_verdicts(instance, [corrupted], stats)
             expected = execute(scheme.verifier, graph, ids, [corrupted]).verdicts()
             assert got == expected, scheme.property_name
 
@@ -311,7 +339,7 @@ class TestIncrementalKeys:
             for level in range(levels)
         ]
         for u in range(n):
-            assert state.keys[u] == instance.key_from_dicts(u, assignments), (u, deltas)
+            assert state.keys[u] == _packed_key(instance, u, assignments), (u, deltas)
 
     def test_rebase_preserves_verdicts_and_keys(self):
         machine = builtin.three_colorability_verifier()
@@ -328,11 +356,45 @@ class TestIncrementalKeys:
         state.sync()
         assignments = [{instance.nodes[v]: instance.alphabet[state.codes[0][v]] for v in range(instance.n)}]
         for u in range(instance.n):
-            assert state.keys[u] == instance.key_from_dicts(u, assignments)
+            assert state.keys[u] == _packed_key(instance, u, assignments)
         # Verdicts after the rebase still match the simulator.
         stats = EvaluatorStats()
         expected = execute(machine, graph, ids, [dict(assignments[0])]).accepts()
         assert instance.accepts_dicts(assignments, stats) == expected
+
+    @pytest.mark.parametrize("kind", ["pairwise", "direct", "simulate"])
+    def test_accepts_dicts_rebasing_while_loading_matches_simulator(self, kind):
+        # accepts_dicts interns every certificate before it evaluates: with
+        # at least 2**shift unseen strings the instance rebases in the middle
+        # of loading, and the verdict must still be the simulator's.
+        machine = {
+            "pairwise": builtin.three_colorability_verifier(),
+            "direct": _parity_machine(),
+            "simulate": _SubclassedGather(1, _parity_machine().compute, name="sub"),
+        }[kind]
+        graph = generators.cycle_graph(20)
+        ids = sequential_identifier_assignment(graph)
+        nodes = list(graph.nodes)
+        coloring = {u: ("00", "01")[i % 2] for i, u in enumerate(nodes)}
+        zeros = {u: "0" * (i + 1) for i, u in enumerate(nodes)}
+        binary = {u: format(i, "b").zfill(8) for i, u in enumerate(nodes)}
+        verdicts = set()
+        for assignments in ([zeros], [binary], [coloring, zeros], [coloring, binary], [zeros, coloring]):
+            instance = CompiledInstance(machine, graph, ids)
+            assert len(nodes) >= 2 ** instance.shift
+            generation = instance.generation
+            got = instance.accepts_dicts(assignments, EvaluatorStats())
+            assert instance.generation > generation  # rebased while loading
+            assert got == execute(machine, graph, ids, assignments).accepts(), assignments
+            verdicts.add(got)
+            # The loaded keys are in the post-rebase packing, every level.
+            instance = CompiledInstance(machine, graph, ids)
+            state = _loaded_state(instance, assignments)
+            assert instance.generation > generation
+            assert state.keys == [
+                _packed_key(instance, u, assignments) for u in range(instance.n)
+            ]
+        assert verdicts == {True, False}
 
     def test_transposition_keys_span_generations(self):
         # An engine queried across a rebase must not serve a stale value.
@@ -398,25 +460,31 @@ class TestBoundsAndCounters:
         machine = _SubclassedGather(1, _parity_machine().compute, name="sub")
         graph = generators.cycle_graph(5)
         ids = sequential_identifier_assignment(graph)
-        instance = CompiledInstance(machine, graph, ids, memo_cap=6)
-        assert not instance.direct  # simulation path, whole-graph balls
-        state = instance.new_state(1)
-        stats = EvaluatorStats()
-        zero, one = instance.intern(""), instance.intern("1")
-        for bits in it.product((zero, one), repeat=instance.n):
-            for v, code in enumerate(bits):
-                state.set_code(0, v, code)
-            assignment = {
-                instance.nodes[v]: instance.alphabet[bits[v]] for v in range(instance.n)
-            }
-            expected = execute(machine, graph, ids, [assignment]).verdicts()
-            for u in range(instance.n):
-                got = instance.node_verdict_state(u, state, stats)
-                assert got == expected[instance.nodes[u]], (bits, u)
-        info = instance.memo_info()
-        live_entries = sum(len(memo) for memo in instance.memo_nodes)
-        assert info["size"] == live_entries, (info, live_entries)
-        assert info["evictions"] > 0
+        for memo_cap in (6, None):
+            instance = CompiledInstance(machine, graph, ids, memo_cap=memo_cap)
+            assert not instance.direct  # simulation path, whole-graph balls
+            state = instance.new_state(1)
+            stats = EvaluatorStats()
+            zero, one = instance.intern(""), instance.intern("1")
+            for bits in it.product((zero, one), repeat=instance.n):
+                for v, code in enumerate(bits):
+                    state.set_code(0, v, code)
+                assignment = {
+                    instance.nodes[v]: instance.alphabet[bits[v]] for v in range(instance.n)
+                }
+                expected = execute(machine, graph, ids, [assignment]).verdicts()
+                for u in range(instance.n):
+                    got = instance.node_verdict_state(u, state, stats)
+                    assert got == expected[instance.nodes[u]], (bits, u)
+            info = instance.memo_info()
+            live_entries = sum(len(memo) for memo in instance.memo_nodes)
+            assert info["size"] == live_entries, (info, live_entries)
+            if memo_cap is None:
+                # Unbounded memo: one whole-graph run per assignment answers
+                # all five nodes, not one run per node.
+                assert stats.simulator_runs == 2 ** instance.n
+            else:
+                assert info["evictions"] > 0
 
     def test_engine_transposition_cap_and_counters(self):
         machine = builtin.three_colorability_verifier()

@@ -75,6 +75,17 @@ def _graph_pool():
     ]
 
 
+def _node_verdicts(instance, assignments, stats):
+    """Every node's verdict under per-level certificate dicts (no short-circuit)."""
+    state = instance.new_state(len(assignments))
+    for level, assignment in enumerate(assignments):
+        state.load_level(level, assignment)
+    return {
+        node: instance.node_verdict_state(u, state, stats)
+        for u, node in enumerate(instance.nodes)
+    }
+
+
 def _certificate_parity_machine():
     """Accept at a node iff the parity of 1-bits in view certificates is even."""
 
@@ -183,7 +194,7 @@ class TestLeafEquivalence:
         instance = CompiledInstance(machine, graph, ids)
         assert not instance.direct
         expected = execute(machine, graph, ids).verdicts()
-        assert instance.verdicts_dicts([], EvaluatorStats()) == expected
+        assert _node_verdicts(instance, [], EvaluatorStats()) == expected
         for prefix in (sigma_prefix(1), pi_prefix(1)):
             oracle = eve_wins(machine, graph, ids, [bit_space()], prefix)
             assert _engine(machine, graph, ids, [bit_space()]).eve_wins(prefix) == oracle
@@ -223,7 +234,7 @@ class TestLeafEquivalence:
             ids = sequential_identifier_assignment(graph)
             instance = CompiledInstance(machine, graph, ids)
             expected = execute(machine, graph, ids).verdicts()
-            assert instance.verdicts_dicts([], EvaluatorStats()) == expected
+            assert _node_verdicts(instance, [], EvaluatorStats()) == expected
 
     def test_restriction_localizes_certificate_changes(self):
         # Changing one node's certificate must not invalidate nodes whose
@@ -234,11 +245,11 @@ class TestLeafEquivalence:
         stats = EvaluatorStats()
         nodes = list(graph.nodes)
         first = {u: "0" for u in nodes}
-        instance.verdicts_dicts([first], stats)
+        _node_verdicts(instance, [first], stats)
         misses = stats.node_misses
         changed = dict(first)
         changed[nodes[-1]] = "1"  # outside the balls of nodes[0] and nodes[1]
-        instance.verdicts_dicts([changed], stats)
+        _node_verdicts(instance, [changed], stats)
         assert stats.node_misses - misses <= 2
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import CompiledInstance, EvaluatorStats
 from repro.graphs import generators
 from repro.graphs.identifiers import sequential_identifier_assignment, small_identifier_assignment
 from repro.machines import builtin, execute
@@ -132,6 +133,34 @@ class TestNeighborhoodGathering:
             assert actual.edges == expected.edges
             assert actual.labels == expected.labels
             assert actual.distances == expected.distances
+
+        # The compiled engine's direct path rebuilds the view from its own
+        # balls and index arrays instead of simulating the gather; compute
+        # must receive the same view, certificates included.
+        for graph in (
+            generators.path_graph(6),
+            generators.cycle_graph(7),
+            generators.random_tree(8, seed=5),
+        ):
+            ids = sequential_identifier_assignment(graph)
+            # Every third node carries no certificate (the view shows "").
+            certificates = {
+                u: format(i, "b") for i, u in enumerate(graph.nodes) if i % 3
+            }
+            for radius in (0, 1, 2):
+                observed = {}
+                instance = CompiledInstance(
+                    NeighborhoodGatherAlgorithm(radius, record), graph, ids
+                )
+                assert instance.direct
+                assert instance.accepts_dicts([certificates], EvaluatorStats())
+                for node in graph.nodes:
+                    expected = gather_view(graph, ids, node, radius, [certificates])
+                    actual = observed[ids[node]]
+                    for field in ("nodes", "edges", "labels", "distances", "certificates"):
+                        assert getattr(actual, field) == getattr(expected, field), (
+                            field, radius, node,
+                        )
 
     def test_radius_zero_view_contains_only_center(self, five_cycle):
         ids = sequential_identifier_assignment(five_cycle)
