@@ -10,9 +10,9 @@ latency from a long-lived process:
 * :mod:`repro.service.cache` -- the tiered read path: per-process LRU ->
   shared persistent verdict store -> compiled engine, with per-tier
   counters;
-* :mod:`repro.service.coalescer` -- in-flight request dedup and a
-  micro-batching window grouping compatible misses onto one compiled
-  instance;
+* :mod:`repro.service.coalescer` -- in-flight request dedup and one
+  compute batch in flight, the misses queued behind it leaving together
+  as the next;
 * :mod:`repro.service.server` -- the asyncio TCP/UNIX daemon with bounded
   admission and explicit ``overloaded`` backpressure;
 * :mod:`repro.service.client` -- a small synchronous client with typed

@@ -48,8 +48,6 @@ def add_service_commands(commands: argparse._SubParsersAction) -> None:
     serve.add_argument("--worker-id", type=int, default=None, help=argparse.SUPPRESS)
     serve.add_argument("--catch-up-from", type=int, default=None, help=argparse.SUPPRESS)
     serve.add_argument("--lru-size", type=int, default=4096, help="tier-1 in-process LRU capacity")
-    serve.add_argument("--window-ms", type=float, default=2.0, help="micro-batching window in milliseconds")
-    serve.add_argument("--max-batch", type=int, default=32, help="flush a batch early at this many pending queries")
     serve.add_argument("--max-pending", type=int, default=64, help="admission bound: queries past it get 'overloaded'")
     serve.add_argument("--http", type=int, default=None, metavar="PORT", help="also serve the HTTP operations console on this port (0: ephemeral)")
     serve.add_argument("--http-host", default="127.0.0.1", help="HTTP console bind host")
@@ -165,8 +163,6 @@ async def _serve(args: argparse.Namespace) -> int:
     log = get_logger("repro.serve")
     config = ServiceConfig(
         lru_size=args.lru_size,
-        window_seconds=args.window_ms / 1000.0,
-        max_batch=args.max_batch,
         max_pending=args.max_pending,
         breaker_threshold=args.breaker_threshold,
         breaker_reset_seconds=args.breaker_reset,
@@ -205,8 +201,6 @@ def _worker_passthrough_args(args: argparse.Namespace) -> list:
     """The serve flags each pool worker inherits from the supervisor line."""
     passthrough = [
         "--lru-size", str(args.lru_size),
-        "--window-ms", str(args.window_ms),
-        "--max-batch", str(args.max_batch),
         "--max-pending", str(args.max_pending),
         "--breaker-threshold", str(args.breaker_threshold),
         "--breaker-reset", str(args.breaker_reset),

@@ -1,4 +1,4 @@
-"""Request coalescing: in-flight dedup plus a micro-batching window.
+"""Request coalescing: in-flight dedup plus one batch in flight.
 
 Two mechanisms keep a thundering herd of concurrent cache misses from
 multiplying compute:
@@ -7,15 +7,19 @@ multiplying compute:
   later query for the same key -- arriving any time before the compute
   finishes -- awaits that same future.  N concurrent clients asking the
   same question cost one evaluation.
-* **Micro-batching.**  Distinct pending keys are held for a short window
-  (a few milliseconds) and then grouped by
-  :func:`~repro.sweep.executor.evaluator_sharing_key`; each group is
-  dispatched as *one* batch through the sweep executor's evaluation path,
-  so concurrent queries on the same ``(machine, graph, ids)`` instance
-  share a single :class:`~repro.engine.compiled.CompiledInstance` (and its
-  verdict memo) instead of compiling it once per request.
+* **Batching by compute availability.**  At most one batch computes at a
+  time.  A miss that finds the compute thread idle is dispatched at once;
+  misses that arrive while a batch computes queue up, and when that batch
+  lands -- answered or failed -- everything queued leaves together as the
+  next batch.  No timer guesses how long to wait: a batch grows exactly
+  as long as the previous one kept the compute thread busy, and the
+  daemon's ``max_pending`` admission bound caps it.  Within a batch,
+  :func:`~repro.sweep.executor.evaluate_timed` and the compute tier's
+  persistent caches share one
+  :class:`~repro.engine.compiled.CompiledInstance` (and its verdict memo)
+  per ``(machine, graph, ids)`` instance.
 
-Batches run on a worker thread pool (machines close over plain functions
+Batches run on one worker thread (machines close over plain functions
 and are not picklable, so the process-pool path the sweep uses for named
 scenarios is not available for arbitrary online queries); the event loop
 stays free to admit, answer and reject traffic while a batch computes.
@@ -26,13 +30,12 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine.batch import GameInstance
 from repro.obs.metrics import MetricsRegistry
-from repro.sweep.executor import evaluator_sharing_key
 
-#: Evaluates one compatible batch: instances -> (verdicts, per-instance seconds).
+#: Evaluates one batch: instances -> (verdicts, per-instance seconds).
 BatchEvaluator = Callable[[Sequence[GameInstance]], Tuple[List[bool], List[float]]]
 
 #: Called on the event loop after a batch computes, with the batch's
@@ -58,50 +61,37 @@ class CoalescedResult:
     batch_size: int
 
 
-class _Pending:
-    __slots__ = ("key", "instance", "name", "future")
-
-    def __init__(
-        self, key: str, instance: GameInstance, name: str, future: "asyncio.Future"
-    ) -> None:
-        self.key = key
-        self.instance = instance
-        self.name = name
-        self.future = future
+class _Pending(NamedTuple):
+    key: str
+    instance: GameInstance
+    name: str
+    future: "asyncio.Future"
 
 
 class RequestCoalescer:
-    """Deduplicates and micro-batches compute-tier dispatch (event-loop only).
+    """Deduplicates and batches compute-tier dispatch (event-loop only).
 
     All public coroutines/methods must be called from the owning event
     loop; the only thing that leaves the loop is the batch evaluation
-    itself, shipped to *executor* (a thread pool owned by the coalescer
-    unless one is injected).
+    itself, shipped to the coalescer's single compute thread.
     """
 
     def __init__(
         self,
         evaluate: BatchEvaluator,
-        window_seconds: float = 0.002,
-        max_batch: int = 32,
-        executor: Optional[concurrent.futures.Executor] = None,
         on_computed: Optional[ComputedCallback] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be positive")
         self._evaluate = evaluate
-        self.window_seconds = max(0.0, window_seconds)
-        self.max_batch = max_batch
-        self._executor = executor or concurrent.futures.ThreadPoolExecutor(
+        self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="verdict-compute"
         )
-        self._owns_executor = executor is None
         self._on_computed = on_computed
         self._inflight: Dict[str, asyncio.Future] = {}
+        #: Misses waiting for the running batch to land.
         self._pending: List[_Pending] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._tasks: Set[asyncio.Task] = set()
+        #: The one batch in flight (None while the compute thread is idle).
+        self._running: Optional[asyncio.Task] = None
         self._closed = False
         # Telemetry: registry-backed instruments (a private registry when
         # the owner -- normally the daemon -- does not hand one in).
@@ -113,7 +103,7 @@ class RequestCoalescer:
             "repro_coalescer_deduped_total", help="queries answered by an in-flight future"
         )
         self._batches = self.registry.counter(
-            "repro_coalescer_batches_total", help="compatible batches dispatched"
+            "repro_coalescer_batches_total", help="batches dispatched"
         )
         self._batched = self.registry.counter(
             "repro_coalescer_batched_total", help="queries dispatched inside batches"
@@ -133,34 +123,22 @@ class RequestCoalescer:
         """The verdict for *key*, computed at most once across waiters."""
         if self._closed:
             raise CoalescerClosed("coalescer is shut down")
-        loop = asyncio.get_running_loop()
         existing = self._inflight.get(key)
         if existing is not None:
             self._deduped.inc()
             result: CoalescedResult = await asyncio.shield(existing)
             return replace(result, deduped=True)
 
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         self._pending.append(_Pending(key, instance, name, future))
         self._submitted.inc()
-        if len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._timer is None:
-            if self.window_seconds <= 0.0:
-                self._timer = loop.call_soon(self._flush)
-            else:
-                self._timer = loop.call_later(self.window_seconds, self._flush)
+        if self._running is None:
+            self._dispatch()
         return await asyncio.shield(future)
-
-    def pending_count(self) -> int:
-        """Queries admitted but not yet answered (pending + dispatched)."""
-        return len(self._inflight)
 
     def stats(self) -> Dict[str, object]:
         return {
-            "window_seconds": self.window_seconds,
-            "max_batch": self.max_batch,
             "submitted": self._submitted.value,
             "deduped": self._deduped.value,
             "batches": self._batches.value,
@@ -173,73 +151,60 @@ class RequestCoalescer:
     async def drain(self) -> None:
         """Finish all admitted work without failing anyone (graceful stop).
 
-        Where :meth:`close` *fails* queries still pending, drain flushes
-        the batching window immediately and awaits every in-flight batch:
+        Where :meth:`close` *fails* queries still pending, drain awaits
+        the running batch and every batch the queue behind it becomes:
         the graceful-drain path stops admitting upstream, then calls this
         so already-accepted queries still get real answers.
         """
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self._flush()
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+        while self._running is not None:
+            await asyncio.shield(self._running)
 
     async def close(self) -> None:
-        """Fail pending work and release the worker pool (idempotent)."""
+        """Fail undispatched work, finish the running batch (idempotent)."""
         self._closed = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         pending, self._pending = self._pending, []
         for entry in pending:
             self._inflight.pop(entry.key, None)
-            if not entry.future.done():
-                entry.future.set_exception(CoalescerClosed("coalescer is shut down"))
-        # Consume the exception for waiters that already gave up, so the
-        # loop does not log "exception was never retrieved".
-        for entry in pending:
-            if entry.future.done() and not entry.future.cancelled():
-                entry.future.exception()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
+            entry.future.set_exception(CoalescerClosed("coalescer is shut down"))
+            # Mark it retrieved: a waiter that already gave up never reads
+            # it, and the loop would log "exception was never retrieved".
+            entry.future.exception()
+        if self._running is not None:
+            await asyncio.shield(self._running)
+        self._executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        pending, self._pending = self._pending, []
-        if not pending:
-            return
-        groups: Dict[object, List[_Pending]] = {}
-        for entry in pending:
-            groups.setdefault(evaluator_sharing_key(entry.instance), []).append(entry)
-        loop = asyncio.get_running_loop()
-        for entries in groups.values():
-            self._batches.inc()
-            self._batched.inc(len(entries))
-            if len(entries) > self._largest_batch.value:
-                self._largest_batch.set(len(entries))
-            task = loop.create_task(self._run_group(entries))
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
+    def _dispatch(self) -> None:
+        """Send everything pending to the compute thread as one batch."""
+        entries, self._pending = self._pending, []
+        self._batches.inc()
+        self._batched.inc(len(entries))
+        if len(entries) > self._largest_batch.value:
+            self._largest_batch.set(len(entries))
+        self._running = asyncio.get_running_loop().create_task(self._run(entries))
 
-    async def _run_group(self, entries: List[_Pending]) -> None:
+    async def _run(self, entries: List[_Pending]) -> None:
+        """Compute one batch, answer its waiters, then start the next."""
         loop = asyncio.get_running_loop()
-        instances = [entry.instance for entry in entries]
         try:
             verdicts, seconds = await loop.run_in_executor(
-                self._executor, self._evaluate, instances
+                self._executor, self._evaluate, [entry.instance for entry in entries]
             )
         except Exception as error:  # noqa: BLE001 -- forwarded to every waiter
             for entry in entries:
                 self._inflight.pop(entry.key, None)
                 if not entry.future.done():
                     entry.future.set_exception(error)
-            return
+        else:
+            self._answer(entries, verdicts, seconds)
+        finally:
+            self._running = None
+            if self._pending:
+                self._dispatch()
+
+    def _answer(
+        self, entries: List[_Pending], verdicts: List[bool], seconds: List[float]
+    ) -> None:
         if self._on_computed is not None:
             # The verdicts are valid whether or not recording them succeeds
             # (a full disk, a locked store): never let a callback failure

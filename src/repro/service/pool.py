@@ -74,6 +74,18 @@ from repro.sweep.store import VerdictStore, open_store
 _log = get_logger("repro.pool")
 
 
+#: Per-probe timeout (ping or stats answer).
+PROBE_TIMEOUT_SECONDS = 2.0
+#: A worker whose last successful probe is older than this is dead.
+STALE_SECONDS = 5.0
+#: Cap of the exponential restart backoff.
+RESTART_BACKOFF_CAP_SECONDS = 5.0
+#: Seconds a restarting worker gets to become ready (catch-up included).
+READY_TIMEOUT_SECONDS = 30.0
+#: Extra sibling attempts for an idempotent query whose forward failed.
+FAILOVER_ATTEMPTS = 2
+
+
 @dataclass
 class PoolConfig:
     """Tuning knobs of the supervisor."""
@@ -81,21 +93,13 @@ class PoolConfig:
     workers: int = 2
     #: Seconds between health probes of each worker.
     probe_interval: float = 0.5
-    #: Per-probe timeout (ping or stats answer).
-    probe_timeout: float = 2.0
-    #: A worker whose last successful probe is older than this is dead.
-    stale_seconds: float = 5.0
-    #: First restart backoff; doubles per consecutive crash, capped below.
+    #: First restart backoff; doubles per consecutive crash, capped at
+    #: :data:`RESTART_BACKOFF_CAP_SECONDS`.
     restart_backoff: float = 0.25
-    restart_backoff_cap: float = 5.0
-    #: Seconds a restarting worker gets to become ready (catch-up included).
-    ready_timeout: float = 30.0
     #: Per-forward timeout (worker answer).
     forward_timeout: float = 30.0
     #: Per-worker graceful-drain budget during the rolling shutdown.
     drain_seconds: float = 5.0
-    #: Extra sibling attempts for an idempotent query whose forward failed.
-    failover_attempts: int = 2
 
 
 def routing_key(body: Dict[str, Any]) -> str:
@@ -173,12 +177,25 @@ class WorkerHandle:
         self.idle.clear()
 
 
+#: Stats keys holding a per-worker setting or high-water mark, which the
+#: pool reports as the largest worker value rather than the sum.
+_MAX_MERGED = frozenset({"failure_threshold", "reset_seconds", "largest_batch"})
+
+
 def _merge_values(a: Any, b: Any) -> Any:
-    """Merge two stats values: dicts recurse, numbers add, bools OR."""
+    """Merge two stats values: dicts recurse, numbers add, bools OR.
+
+    Keys in :data:`_MAX_MERGED` take the larger of the two values.
+    """
     if isinstance(a, dict) and isinstance(b, dict):
         merged = dict(a)
         for key, value in b.items():
-            merged[key] = _merge_values(merged[key], value) if key in merged else value
+            if key not in merged:
+                merged[key] = value
+            elif key in _MAX_MERGED:
+                merged[key] = max(merged[key], value)
+            else:
+                merged[key] = _merge_values(merged[key], value)
         return merged
     if isinstance(a, bool) or isinstance(b, bool):
         return bool(a) or bool(b)
@@ -451,7 +468,7 @@ class WorkerPool:
         if os.path.exists(worker.socket_path):
             os.unlink(worker.socket_path)
         self._spawn(worker, catch_up_from)
-        deadline = time.monotonic() + self.config.ready_timeout
+        deadline = time.monotonic() + READY_TIMEOUT_SECONDS
         while time.monotonic() < deadline:
             process = worker.process
             if process is not None and process.poll() is not None:
@@ -482,14 +499,14 @@ class WorkerPool:
                     )
                     return
             await asyncio.sleep(0.05)
-        raise RuntimeError(f"worker {worker.id} not ready in {self.config.ready_timeout}s")
+        raise RuntimeError(f"worker {worker.id} not ready in {READY_TIMEOUT_SECONDS}s")
 
     async def _probe_worker(self, worker: WorkerHandle) -> None:
         """One health probe: fetch stats over a fresh line, record log_seq."""
         request = json.dumps({"v": PROTOCOL_VERSION, "op": "stats", "id": "probe"})
         raw = await asyncio.wait_for(
             self._forward(worker, request.encode("utf-8") + b"\n", count=False),
-            timeout=self.config.probe_timeout,
+            timeout=PROBE_TIMEOUT_SECONDS,
         )
         body = json.loads(raw)
         if not body.get("ok"):
@@ -517,7 +534,7 @@ class WorkerPool:
                 except Exception as error:  # noqa: BLE001 -- probe judged below
                     last_ok = worker.last_ok_monotonic or 0.0
                     stale = time.monotonic() - last_ok
-                    if stale >= self.config.stale_seconds:
+                    if stale >= STALE_SECONDS:
                         self._declare_dead(
                             worker, f"stats stale for {stale:.1f}s ({error!r})"
                         )
@@ -552,7 +569,7 @@ class WorkerPool:
         """Exponential-backoff restart until the worker is serving again."""
         while not self.draining:
             backoff = min(
-                self.config.restart_backoff_cap,
+                RESTART_BACKOFF_CAP_SECONDS,
                 self.config.restart_backoff * (2 ** worker.crash_streak),
             )
             worker.crash_streak += 1
@@ -640,7 +657,7 @@ class WorkerPool:
             owner = ring[0]
             return [owner] if owner.state == "serving" else []
         live = [w for w in ring if w.state == "serving"]
-        return live[: 1 + max(0, self.config.failover_attempts)]
+        return live[: 1 + FAILOVER_ATTEMPTS]
 
     async def _route(self, body: Dict[str, Any], line: bytes) -> bytes:
         key = routing_key(body)

@@ -95,6 +95,9 @@ _SPEC_KEYS = frozenset(
 #: protocol boundary instead of wedging a compute worker.
 MAX_INLINE_NODES = 64
 
+#: Most resolved inline specs kept in the resolver's LRU.
+MAX_INLINE_SPECS = 512
+
 
 @dataclass
 class ResolvedQuery:
@@ -108,13 +111,13 @@ class ResolvedQuery:
 class Resolver:
     """Shared, thread-compatible query resolution with identity-stable caches."""
 
-    def __init__(self, max_inline: int = 512) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._arbiters: Dict[str, object] = {}
         self._scenario_instances: Dict[str, List[GameInstance]] = {}
         self._scenario_index: Dict[str, Dict[str, int]] = {}
         self._scenario_keys: Dict[Tuple[str, int], str] = {}
-        self._inline: LRUCache = LRUCache(max_inline)
+        self._inline: LRUCache = LRUCache(MAX_INLINE_SPECS)
 
     # ------------------------------------------------------------------
     def resolve(self, request: QueryRequest) -> ResolvedQuery:

@@ -8,8 +8,8 @@ request order per connection.  :class:`ServerThread` runs the whole thing
 on a background thread for tests, benchmarks and the load generator.
 
 Backpressure is explicit and bounded: at most ``max_pending`` queries may
-be past admission at once (pending in the coalescer window, dispatched to
-the compute pool, or reading a tier).  The next query is answered
+be past admission at once (queued behind the coalescer's running batch,
+computing in it, or reading a tier).  The next query is answered
 immediately with an ``overloaded`` error instead of being queued, so
 memory stays bounded and clients learn to back off; cheap ``ping`` /
 ``stats`` requests are always admitted.  ``peak_pending`` in the stats
@@ -144,11 +144,14 @@ class _DynamicSession:
 
 @dataclass
 class ServiceConfig:
-    """Tuning knobs of one daemon."""
+    """Tuning knobs of one daemon.
+
+    Compute batching has no knob: the coalescer keeps one batch in flight
+    and the misses queued behind it leave together as the next, so
+    ``max_pending`` is the only bound on a batch's size.
+    """
 
     lru_size: int = 4096
-    window_seconds: float = 0.002
-    max_batch: int = 32
     max_pending: int = 64
     max_sessions: int = 32
     #: Consecutive store failures before the store tier's breaker opens.
@@ -237,8 +240,6 @@ class VerdictService:
         self._promoted_scenarios: set = set()
         self.coalescer = RequestCoalescer(
             self.compute.evaluate,
-            window_seconds=self.config.window_seconds,
-            max_batch=self.config.max_batch,
             on_computed=self._record_computed,
             registry=self.registry,
         )
@@ -1065,7 +1066,7 @@ class VerdictService:
         """Graceful drain: reject new work, finish everything in flight.
 
         Already-admitted requests complete normally (the coalescer's
-        pending batches are flushed and awaited, not failed); once
+        running and queued batches are awaited, not failed); once
         *timeout* passes, whatever is still pending is left to
         :meth:`close`'s fail-fast path.
         """

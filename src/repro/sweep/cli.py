@@ -85,12 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="differentially check every repaired verdict against a full recompute",
     )
     dynamic.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker threads for the --verify recomputes (<= 1: inline)",
-    )
-    dynamic.add_argument(
         "--json",
         default=None,
         metavar="OUT",
@@ -499,12 +493,11 @@ def _command_dynamic(args: argparse.Namespace) -> int:
     :class:`~repro.engine.dynamic.MutableInstance`, printing per-step dirty
     sets and verdicts.  With ``--verify``, every repaired verdict is
     differentially checked against a from-scratch recompute of the mutated
-    state (recomputes run on ``--jobs`` worker threads); any mismatch is a
-    hard failure, mirroring the test harness's repair == recompute claim.
+    state; the first mismatch is a hard failure, mirroring the test
+    harness's repair == recompute claim.
     """
     import json as json_module
     import time
-    from concurrent.futures import ThreadPoolExecutor
 
     from repro.engine.dynamic import MutableInstance, recompute_verdict
     from repro.sweep.scenarios import dynamic_scenario_names, get_dynamic_scenario
@@ -524,59 +517,31 @@ def _command_dynamic(args: argparse.Namespace) -> int:
     trace = scenario.trace()
     mutable = MutableInstance.from_game_instance(trace.base)
     steps = []
-    verify_futures = []
-    pool = (
-        ThreadPoolExecutor(max_workers=args.jobs)
-        if args.verify and args.jobs > 1
-        else None
-    )
-    try:
-        start = time.perf_counter()
-        for index, delta in enumerate(trace.deltas):
-            report = mutable.apply(delta)
-            step_start = time.perf_counter()
-            verdict = mutable.verdict()
-            repair_seconds = report.seconds + (time.perf_counter() - step_start)
-            steps.append(
-                {
-                    "step": index,
-                    "delta": delta.kind,
-                    "dirty": len(report.dirty),
-                    "verdict": verdict,
-                    "repair_seconds": round(repair_seconds, 6),
-                }
-            )
-            if args.verify:
-                snapshot = mutable.as_game_instance()
-                if pool is not None:
-                    verify_futures.append(
-                        (index, verdict, pool.submit(recompute_verdict, snapshot))
-                    )
-                else:
-                    recomputed = recompute_verdict(snapshot)
-                    if recomputed != verdict:
-                        print(
-                            f"MISMATCH at step {index}: repair={verdict} "
-                            f"recompute={recomputed}",
-                            file=sys.stderr,
-                        )
-                        return 1
-        mismatches = 0
-        for index, verdict, future in verify_futures:
-            recomputed = future.result()
+    start = time.perf_counter()
+    for index, delta in enumerate(trace.deltas):
+        report = mutable.apply(delta)
+        step_start = time.perf_counter()
+        verdict = mutable.verdict()
+        repair_seconds = report.seconds + (time.perf_counter() - step_start)
+        steps.append(
+            {
+                "step": index,
+                "delta": delta.kind,
+                "dirty": len(report.dirty),
+                "verdict": verdict,
+                "repair_seconds": round(repair_seconds, 6),
+            }
+        )
+        if args.verify:
+            recomputed = recompute_verdict(mutable.as_game_instance())
             if recomputed != verdict:
-                mismatches += 1
                 print(
                     f"MISMATCH at step {index}: repair={verdict} "
                     f"recompute={recomputed}",
                     file=sys.stderr,
                 )
-        if mismatches:
-            return 1
-        total_seconds = time.perf_counter() - start
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+                return 1
+    total_seconds = time.perf_counter() - start
 
     payload = {
         "scenario": scenario.name,

@@ -336,7 +336,7 @@ class TestJournalBackends:
 class TestFailpointsEndToEnd:
     def test_store_error_degrades_instead_of_failing(self):
         store = SQLiteVerdictStore(":memory:")
-        with ServerThread(store=store, config=ServiceConfig(window_seconds=0.0)) as server:
+        with ServerThread(store=store) as server:
             with ServiceClient(server.address) as client:
                 healthy = _query(client, n=5)
                 assert healthy["ok"] and healthy["degraded"] is False
@@ -417,9 +417,7 @@ class TestFailpointsEndToEnd:
 # ----------------------------------------------------------------------
 class TestBreakerEndToEnd:
     def test_breaker_opens_sheds_and_recloses(self):
-        config = ServiceConfig(
-            window_seconds=0.0, breaker_threshold=2, breaker_reset_seconds=0.2
-        )
+        config = ServiceConfig(breaker_threshold=2, breaker_reset_seconds=0.2)
         with ServerThread(store=SQLiteVerdictStore(":memory:"), config=config) as server:
             with ServiceClient(server.address) as client:
                 client.set_faults("store-get-error,store-put-error")
@@ -443,9 +441,7 @@ class TestBreakerEndToEnd:
                 assert client.stats()["resilience"]["breaker"]["state"] == "closed"
 
     def test_open_breaker_skips_store_reads(self):
-        config = ServiceConfig(
-            window_seconds=0.0, breaker_threshold=1, breaker_reset_seconds=60.0
-        )
+        config = ServiceConfig(breaker_threshold=1, breaker_reset_seconds=60.0)
         with ServerThread(store=SQLiteVerdictStore(":memory:"), config=config) as server:
             with ServiceClient(server.address) as client:
                 client.set_faults("store-get-error=1.0:times=1,store-put-error")
@@ -461,9 +457,7 @@ class TestBreakerEndToEnd:
 
     def test_cancelled_probe_does_not_wedge_the_breaker(self):
         """A half-open probe whose query hits its deadline still reports."""
-        config = ServiceConfig(
-            window_seconds=0.0, breaker_threshold=1, breaker_reset_seconds=0.2
-        )
+        config = ServiceConfig(breaker_threshold=1, breaker_reset_seconds=0.2)
         with ServerThread(store=SQLiteVerdictStore(":memory:"), config=config) as server:
             with ServiceClient(server.address) as client:
                 client.set_faults("store-get-error=1.0:times=1")
@@ -684,9 +678,7 @@ class TestDrainAndChaos:
         """ISSUE acceptance: 100% store faults under load -- every request
         is answered (degraded or typed), the daemon never dies, and the
         breaker opens and re-closes."""
-        config = ServiceConfig(
-            window_seconds=0.0, breaker_threshold=3, breaker_reset_seconds=0.2
-        )
+        config = ServiceConfig(breaker_threshold=3, breaker_reset_seconds=0.2)
         with ServerThread(store=SQLiteVerdictStore(":memory:"), config=config) as server:
             report = run_load(
                 server.address,

@@ -1,4 +1,4 @@
-"""Request coalescing: in-flight dedup, the batching window, error paths."""
+"""Request coalescing: in-flight dedup, one batch in flight, error paths."""
 
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ class TestDedup:
         evaluator = _FakeEvaluator(delay=0.05)
 
         async def scenario():
-            coalescer = RequestCoalescer(evaluator, window_seconds=0.0)
+            coalescer = RequestCoalescer(evaluator)
             instance = _instance()
             results = await asyncio.gather(
                 coalescer.submit("k1", instance),
@@ -73,7 +73,7 @@ class TestDedup:
         evaluator = _FakeEvaluator(delay=0.1)
 
         async def scenario():
-            coalescer = RequestCoalescer(evaluator, window_seconds=0.0)
+            coalescer = RequestCoalescer(evaluator)
             instance = _instance()
             first = asyncio.ensure_future(coalescer.submit("k1", instance))
             # Let the first submit flush and start computing, then arrive late.
@@ -90,65 +90,128 @@ class TestDedup:
         assert stats["deduped"] == 1
 
 
-class TestBatchingWindow:
-    def test_same_group_submits_share_one_batch(self):
-        evaluator = _FakeEvaluator()
-        instance = _instance()
+class _GatedEvaluator(_FakeEvaluator):
+    """Holds its first batch on a :class:`threading.Event` until released."""
+
+    def __init__(self, fail_first: bool = False) -> None:
+        super().__init__()
+        self.release = threading.Event()
+        self.fail_first = fail_first
+
+    def __call__(self, instances: Sequence[GameInstance]):
+        with self._lock:
+            self.calls.append(len(instances))
+            first = len(self.calls) == 1
+        if first:
+            assert self.release.wait(timeout=30), "gate never released"
+            if self.fail_first:
+                raise RuntimeError("compute exploded")
+        return [True] * len(instances), [0.001] * len(instances)
+
+
+async def _queue_behind_running_batch(coalescer, instances):
+    """Start one batch on the gate, then queue *instances* behind it."""
+    running = asyncio.ensure_future(coalescer.submit("running", _instance()))
+    await asyncio.sleep(0)
+    queued = [
+        asyncio.ensure_future(coalescer.submit(f"q{index}", instance))
+        for index, instance in enumerate(instances)
+    ]
+    await asyncio.sleep(0.02)
+    return running, queued
+
+
+class TestOneBatchInFlight:
+    def test_lone_miss_on_idle_coalescer_dispatches_at_once(self):
+        evaluator = _GatedEvaluator()
 
         async def scenario():
-            coalescer = RequestCoalescer(evaluator, window_seconds=0.05)
-            # Same (machine, graph, ids) group, distinct keys: one batch.
-            results = await asyncio.gather(
-                coalescer.submit("a", instance),
-                coalescer.submit("b", instance),
-                coalescer.submit("c", instance),
+            coalescer = RequestCoalescer(evaluator)
+            pending = asyncio.ensure_future(coalescer.submit("a", _instance()))
+            await asyncio.sleep(0)
+            stats = coalescer.stats()
+            evaluator.release.set()
+            result = await pending
+            await coalescer.close()
+            return stats, result
+
+        stats, result = asyncio.run(scenario())
+        assert stats["batches"] == 1 and stats["batched"] == 1
+        assert result.batch_size == 1
+
+    @pytest.mark.parametrize(
+        "sizes", [(5, 5, 5), (5, 6, 7)], ids=["one-group", "three-groups"]
+    )
+    def test_misses_queued_behind_running_batch_leave_together(self, sizes):
+        evaluator = _GatedEvaluator()
+
+        async def scenario():
+            coalescer = RequestCoalescer(evaluator)
+            running, queued = await _queue_behind_running_batch(
+                coalescer, [_instance(n) for n in sizes]
             )
+            # Still one batch in flight: the queued misses wait for it.
+            assert coalescer.stats()["batches"] == 1
+            evaluator.release.set()
+            first = await running
+            results = await asyncio.gather(*queued)
             stats = coalescer.stats()
             await coalescer.close()
-            return results, stats
+            return first, results, stats
+
+        first, results, stats = asyncio.run(scenario())
+        assert evaluator.calls == [1, 3]
+        assert first.batch_size == 1
+        assert all(r.batch_size == 3 and r.verdict is True for r in results)
+        assert stats["batches"] == 2
+        assert stats["largest_batch"] == 3
+        assert stats["inflight"] == 0
+
+    def test_failed_batch_does_not_strand_the_queue(self):
+        evaluator = _GatedEvaluator(fail_first=True)
+
+        async def scenario():
+            coalescer = RequestCoalescer(evaluator)
+            running, queued = await _queue_behind_running_batch(
+                coalescer, [_instance(5), _instance(6)]
+            )
+            evaluator.release.set()
+            with pytest.raises(RuntimeError):
+                await running
+            results = await asyncio.wait_for(asyncio.gather(*queued), timeout=30)
+            await coalescer.close()
+            return results
+
+        results = asyncio.run(scenario())
+        assert evaluator.calls == [1, 2]
+        assert all(r.verdict is True and r.batch_size == 2 for r in results)
+
+    def test_drain_answers_queued_misses(self):
+        evaluator = _GatedEvaluator()
+
+        async def scenario():
+            coalescer = RequestCoalescer(evaluator)
+            running, queued = await _queue_behind_running_batch(
+                coalescer, [_instance(5), _instance(6)]
+            )
+            drain = asyncio.ensure_future(coalescer.drain())
+            await asyncio.sleep(0.02)
+            assert not drain.done()
+            evaluator.release.set()
+            await asyncio.wait_for(drain, timeout=30)
+            # drain returned: every admitted miss already has its answer.
+            assert running.done() and all(task.done() for task in queued)
+            stats = coalescer.stats()
+            await coalescer.close()
+            return [running.result()] + [task.result() for task in queued], stats
 
         results, stats = asyncio.run(scenario())
-        assert evaluator.calls == [3]
-        assert all(r.batch_size == 3 for r in results)
-        assert stats["batches"] == 1
-        assert stats["largest_batch"] == 3
+        assert evaluator.calls == [1, 2]
+        assert all(r.verdict is True for r in results)
+        assert stats["inflight"] == 0
 
-    def test_incompatible_groups_split_into_batches(self):
-        evaluator = _FakeEvaluator()
 
-        async def scenario():
-            coalescer = RequestCoalescer(evaluator, window_seconds=0.05)
-            await asyncio.gather(
-                coalescer.submit("a", _instance(5)),
-                coalescer.submit("b", _instance(6)),
-            )
-            stats = coalescer.stats()
-            await coalescer.close()
-            return stats
-
-        stats = asyncio.run(scenario())
-        assert sorted(evaluator.calls) == [1, 1]
-        assert stats["batches"] == 2
-
-    def test_max_batch_flushes_before_window(self):
-        evaluator = _FakeEvaluator()
-        instance = _instance()
-
-        async def scenario():
-            # A 10-minute window that max_batch must preempt.
-            coalescer = RequestCoalescer(evaluator, window_seconds=600.0, max_batch=2)
-            started = time.perf_counter()
-            await asyncio.gather(
-                coalescer.submit("a", instance),
-                coalescer.submit("b", instance),
-            )
-            elapsed = time.perf_counter() - started
-            await coalescer.close()
-            return elapsed
-
-        assert asyncio.run(scenario()) < 5.0
-        assert evaluator.calls == [2]
-
+class TestRecording:
     def test_on_computed_failure_still_answers_waiters(self):
         # A store that cannot record (disk full, locked database) must not
         # hang the waiters or poison the in-flight map.
@@ -158,9 +221,7 @@ class TestBatchingWindow:
             raise OSError("disk full")
 
         async def scenario():
-            coalescer = RequestCoalescer(
-                evaluator, window_seconds=0.0, on_computed=broken_recorder
-            )
+            coalescer = RequestCoalescer(evaluator, on_computed=broken_recorder)
             result = await coalescer.submit("a", _instance())
             stats = coalescer.stats()
             # The key is released: a retry computes again instead of hanging.
@@ -180,7 +241,6 @@ class TestBatchingWindow:
         async def scenario():
             coalescer = RequestCoalescer(
                 evaluator,
-                window_seconds=0.0,
                 on_computed=lambda entries, verdicts, seconds: recorded.extend(
                     (key, verdict) for (key, _, _), verdict in zip(entries, verdicts)
                 ),
@@ -201,7 +261,7 @@ class TestFailureAndShutdown:
         evaluator = _FakeEvaluator(delay=0.02, fail=True)
 
         async def scenario():
-            coalescer = RequestCoalescer(evaluator, window_seconds=0.0)
+            coalescer = RequestCoalescer(evaluator)
             instance = _instance()
             results = await asyncio.gather(
                 coalescer.submit("a", instance),
@@ -219,7 +279,7 @@ class TestFailureAndShutdown:
         evaluator = _FakeEvaluator(fail=True)
 
         async def scenario():
-            coalescer = RequestCoalescer(evaluator, window_seconds=0.0)
+            coalescer = RequestCoalescer(evaluator)
             instance = _instance()
             with pytest.raises(RuntimeError):
                 await coalescer.submit("a", instance)
@@ -231,18 +291,25 @@ class TestFailureAndShutdown:
         assert asyncio.run(scenario()).verdict is True
 
     def test_close_fails_pending_and_rejects_new(self):
-        evaluator = _FakeEvaluator()
+        evaluator = _GatedEvaluator()
 
         async def scenario():
-            # A long window, closed before it expires.
-            coalescer = RequestCoalescer(evaluator, window_seconds=600.0)
-            pending = asyncio.ensure_future(coalescer.submit("a", _instance()))
-            await asyncio.sleep(0.01)
-            await coalescer.close()
+            coalescer = RequestCoalescer(evaluator)
+            running, (pending,) = await _queue_behind_running_batch(
+                coalescer, [_instance(6)]
+            )
+            closing = asyncio.ensure_future(coalescer.close())
+            # The undispatched entry fails at once; close still waits for
+            # the running batch.
             with pytest.raises(CoalescerClosed):
                 await pending
+            assert not closing.done()
             with pytest.raises(CoalescerClosed):
                 await coalescer.submit("b", _instance())
+            evaluator.release.set()
+            await asyncio.wait_for(closing, timeout=30)
+            return await running
 
-        asyncio.run(scenario())
-        assert evaluator.calls == []
+        result = asyncio.run(scenario())
+        assert result.verdict is True and result.batch_size == 1
+        assert evaluator.calls == [1]

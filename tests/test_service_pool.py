@@ -212,6 +212,24 @@ class TestStatsMerging:
         assert merged["tiers"]["lru"]["hits"] == 5
         assert merged["draining"] is True
 
+    def test_merge_values_takes_the_max_of_settings_and_high_water_marks(self):
+        body = {
+            "resilience": {
+                "breaker": {"failure_threshold": 5, "reset_seconds": 5.0, "opened": 1}
+            },
+            "coalescer": {"largest_batch": 2, "batches": 4},
+        }
+        merged = {}
+        for _ in range(3):
+            merged = _merge_values(merged, body)
+        breaker = merged["resilience"]["breaker"]
+        assert breaker["failure_threshold"] == 5
+        assert breaker["reset_seconds"] == 5.0
+        assert merged["coalescer"]["largest_batch"] == 2
+        # Counters beside them still add.
+        assert breaker["opened"] == 3
+        assert merged["coalescer"]["batches"] == 12
+
     def test_merge_latency_adds_counts_and_takes_worst_percentile(self):
         snap = lambda p99, count: {  # noqa: E731 -- local table builder
             "query": {

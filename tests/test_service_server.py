@@ -240,8 +240,7 @@ def _register_slow_scenario(name: str, count: int, delay: float) -> None:
 class TestCoalescingOverSockets:
     def test_concurrent_same_query_computes_once(self):
         _register_slow_scenario("service-test-dedup", 1, delay=0.05)
-        config = ServiceConfig(window_seconds=0.005)
-        with ServerThread(store=None, config=config) as server:
+        with ServerThread(store=None) as server:
             sources = []
             lock = threading.Lock()
 
@@ -264,44 +263,50 @@ class TestCoalescingOverSockets:
             assert sources.count("compute") == 1
             assert all(source in ("compute", "coalesced", "lru") for source in sources)
 
-    def test_batching_window_groups_compatible_queries(self):
-        # Sigma and Pi games on ONE (machine, graph, ids) instance are
-        # compatible: they share an evaluator group, so a single batch must
-        # carry both when they land inside one window.
-        config = ServiceConfig(window_seconds=0.05)
-        with ServerThread(store=None, config=config) as server:
-            results = []
-            lock = threading.Lock()
+    def test_queries_queued_behind_a_batch_share_the_next(self):
+        # Sigma and Pi games on ONE (machine, graph, ids) instance that
+        # arrive while a slow scenario query computes queue behind it and
+        # leave together as the next batch.
+        _register_slow_scenario("service-test-busy", 1, delay=0.2)
+        with ServerThread(store=None) as server:
+            service = server.service
+            results = {}
 
-            def worker(prefix):
+            def worker(label):
                 with ServiceClient(server.address) as client:
-                    response = client.query_spec(
-                        arbiter="2-colorable",
-                        family="cycle",
-                        n=6,
-                        scheme="sequential",
-                        prefix=prefix,
-                    )
-                    with lock:
-                        results.append(response)
+                    if label == "slow":
+                        results[label] = client.query_scenario("service-test-busy", index=0)
+                    else:
+                        results[label] = client.query_spec(
+                            arbiter="2-colorable",
+                            family="cycle",
+                            n=6,
+                            scheme="sequential",
+                            prefix=label,
+                        )
 
+            slow = threading.Thread(target=worker, args=("slow",))
+            slow.start()
+            deadline = time.monotonic() + 30
+            while service.coalescer.stats()["batches"] < 1:
+                assert time.monotonic() < deadline, "slow query never dispatched"
+                time.sleep(0.005)
             threads = [threading.Thread(target=worker, args=(p,)) for p in ("E", "A")]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            for thread in [slow] + threads:
                 thread.join(timeout=60)
-            assert len(results) == 2
-            service = server.service
+                assert not thread.is_alive()
+            assert sorted(results) == ["A", "E", "slow"]
             assert service.coalescer.stats()["largest_batch"] == 2
-            assert service.compute.batches == 1
-        by_prefix = {r["name"]: r["verdict"] for r in results}
-        assert len(by_prefix) == 2
+            assert service.compute.batches == 2
+        assert results["E"]["name"] != results["A"]["name"]
 
 
 class TestBackpressure:
     def test_overload_is_explicit_and_bounded(self):
         _register_slow_scenario("service-test-slow", 12, delay=0.1)
-        config = ServiceConfig(max_pending=2, window_seconds=0.0)
+        config = ServiceConfig(max_pending=2)
         with ServerThread(store=None, config=config) as server:
             outcomes = []
             lock = threading.Lock()
