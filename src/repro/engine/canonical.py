@@ -3,16 +3,20 @@
 The compiled core memoizes node verdicts *per instance*: two nodes of the
 same graph -- or of two different graphs in one sweep -- whose dependency
 balls look exactly alike still pay for two evaluations.  On the expensive
-evaluation paths (the generic direct-view path and the ball-subgraph
-simulation fallback, i.e. machines without a compilable rule) that is the
-dominant cold-path cost: a sweep over a graph family solves the same local
-neighborhood over and over.
+evaluation paths -- the machines without a usable compiled rule: gather
+machines on the direct path (identifiers unique in the gather horizon) or
+the fixpoint path (identifiers colliding there), and every other machine
+on the ball-subgraph simulation path -- that is the dominant cold-path
+cost: a sweep over a graph family solves the same local neighborhood over
+and over.
 
 This module shares those verdicts under a **canonical ball signature**.
 The engine computes a node's verdict from nothing but
 
 * the machine (structurally fingerprinted, so equal code shares),
-* the evaluation mode (``direct`` flag) and dependency radius,
+* the evaluation mode (``direct`` flag: the fixpoint and simulation paths
+  share ``simulate``, since both reproduce the simulator's verdicts on the
+  same radius-``max_rounds`` ball) and dependency radius,
 * the induced ball: labels, identifiers and internal edges, all expressed
   in *ball-local* positions, plus the center's position,
 * the certificate restriction to the ball at every quantifier level,

@@ -23,11 +23,14 @@ integer form once and the whole game runs on it:
   straight off the code arrays: pairwise rules become per-node own-tables
   plus a shared ``(label, code, label, code)`` pair table; star rules are
   evaluated on a thin :class:`~repro.machines.rules.StarView` without any
-  LocalView reconstruction.  Machines without a rule keep the generic
-  direct-view path (the view rebuilt from the ball's index arrays), and
-  arbitrary machines fall back to simulation on the induced ball
-  subgraph -- both memoized under the same packed keys, and all of them
-  cross-checked against the exhaustive solver by the equivalence suite.
+  LocalView reconstruction.  Gather machines without a usable rule run
+  their ``compute`` on a view rebuilt off the CSR arrays: straight from
+  the ball when identifiers are unique in the gather horizon (the direct
+  path), else from a per-node replay of the gather's identifier-keyed
+  knowledge tables (the fixpoint path).  Only other machines fall back to
+  simulation on the induced ball subgraph.  All paths are memoized under
+  the same packed keys and cross-checked against the exhaustive solver
+  (and the fixpoint against the simulator) by the equivalence suite.
 
 :class:`CompiledGameEngine` runs the full quantifier game on this substrate:
 level enumeration is an odometer over code arrays (one ``set_code`` delta
@@ -50,8 +53,9 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.graphs.identifiers import identifier_key
 from repro.graphs.labeled_graph import LabeledGraph, Node
-from repro.registry import WeakSharedRegistry
+from repro.registry import SharedRegistry
 from repro.hierarchy.certificate_spaces import CertificateSpace, materialize_space
 from repro.hierarchy.game import Quantifier, pi_prefix, sigma_prefix
 from repro.machines.interface import NodeMachine, verdict_of
@@ -78,21 +82,23 @@ class CompiledInstance:
 
     Construction performs the whole lowering: node indexing, CSR adjacency,
     dependency balls and their inverse (the *dependents* of each node, with
-    precomputed packed-key shift amounts), the direct/simulation decision,
+    precomputed packed-key shift amounts), the direct/fixpoint decision,
     and kernel selection from the machine's declarative rule, if any.
 
-    The direct path (a gather machine's ``compute`` applied to the local
-    view rebuilt from the node's ball and the CSR arrays) is taken only for
-    plain :class:`~repro.machines.local_algorithm.NeighborhoodGatherAlgorithm`
-    machines whose identifiers are pairwise distinct inside every
-    radius-``(r + 1)`` ball -- the *gather horizon*: the simulated gather
+    Plain :class:`~repro.machines.local_algorithm.NeighborhoodGatherAlgorithm`
+    machines never run the simulator: memo misses apply ``compute`` to the
+    local view rebuilt off the CSR arrays.  The *direct* path, the only one
+    that trusts a declared rule, is taken when identifiers are pairwise
+    distinct inside every radius-``(r + 1)`` ball -- the *gather horizon*: the simulated gather
     runs ``r + 1`` communication rounds, so its identifier-keyed knowledge
     tables span one hop beyond the view radius, and a collision anywhere in
-    that horizon can plant phantom entries.  Every other machine is
-    simulated on its induced ball subgraph, which reproduces such
+    that horizon can plant phantom entries.  Otherwise the *fixpoint* path
+    replays those tables' merge sweeps once per node, which reproduces such
     collisions exactly (e.g. on the periodic-identifier cycles of
-    Proposition 26).  Both paths cache their certificate-free part per node
-    (the static view fields, the ball subgraph).
+    Proposition 26).  Every other machine is simulated on its induced ball
+    subgraph.  :attr:`path` names the path.  Each path caches its
+    certificate-free part per node (the static view fields, the ball
+    subgraph).
 
     The instance owns the shared per-node verdict memo (LRU-bounded, keyed
     by ``(node, levels, packed restriction key)``) and the certificate
@@ -116,6 +122,9 @@ class CompiledInstance:
         n = self.n = len(nodes)
         self.balls: List[Tuple[int, ...]] = [()] * n
         self.ball_sizes: List[int] = [0] * n
+        #: Plain gather machines are evaluated by ``compute`` on a rebuilt
+        #: view (direct or fixpoint path); every other machine is simulated.
+        self._gather = type(machine) is NeighborhoodGatherAlgorithm
         self.direct: Optional[bool] = None
         self._lower(graph, ids, None)
 
@@ -163,8 +172,9 @@ class CompiledInstance:
         self._machine_token: Optional[str] = None
         self._canonical_statics: List[Optional[bytes]] = [None] * n
         #: Per node, the certificate-free part of a rule-less evaluation:
-        #: the static view fields (direct path) or the induced ball
-        #: subgraph (simulation path).  Built on first use.
+        #: the static view fields and certificate sources (direct and
+        #: fixpoint paths) or the induced ball subgraph (simulation path).
+        #: Built on first use.
         self._static_views: List[Optional[tuple]] = [None] * n
         self._ball_subgraphs: List[Optional[LabeledGraph]] = [None] * n
 
@@ -177,7 +187,7 @@ class CompiledInstance:
         """Lower ``(graph, ids)`` onto this instance's node indexing.
 
         Builds the labels, identifiers and CSR adjacency, takes the
-        direct/simulation decision and the rule, recomputes the balls of
+        direct/fixpoint decision and the rule, recomputes the balls of
         the *dirty* node indices (every node when *dirty* is ``None`` or
         the decision flips, since it sets the dependency radius) and
         rebuilds the dependents table.  Returns the recomputed indices.
@@ -198,9 +208,7 @@ class CompiledInstance:
 
         machine = self.machine
         old_direct = self.direct
-        direct = type(machine) is NeighborhoodGatherAlgorithm and self._ids_unique_in_horizon(
-            machine.radius + 1
-        )
+        direct = self._gather and self._ids_unique_in_horizon(machine.radius + 1)
         self.direct = direct
         self.radius = machine.radius if direct else max(1, machine.max_rounds())
         rule = rule_of(machine)
@@ -385,7 +393,7 @@ class CompiledInstance:
         static views and ball subgraphs; clean nodes keep them: their balls
         and everything inside them are unchanged, so their packed
         restriction keys and canonical signatures still name the identical
-        computation.  If the direct/simulation decision flips (identifier
+        computation.  If the direct/fixpoint decision flips (identifier
         churn breaking horizon-uniqueness changes the dependency radius with
         it), everything is invalidated regardless of *dirty*.
 
@@ -540,7 +548,7 @@ class CompiledInstance:
             if found is not None:
                 verdict = found
             else:
-                if self.direct:
+                if self._gather:
                     verdict = verdict_of(self.machine.compute(self._local_view(u, state)))
                 else:
                     verdict = self._simulate(u, state, stats)
@@ -710,44 +718,115 @@ class CompiledInstance:
     def _local_view(self, u: int, state: "CodedState") -> LocalView:
         """The :class:`LocalView` a gather machine computes on at node *u*.
 
-        Exactly the view the simulated gather hands to ``compute`` (see
-        :func:`~repro.machines.local_algorithm.gather_view`, the central
-        oracle), rebuilt without the simulator: the certificate-free fields
-        come from the node's ball and the CSR arrays once per node, and
-        only the certificates are read off *state*'s codes per call.
+        Exactly the view the simulated gather hands to ``compute``, rebuilt
+        without the simulator.  The certificate-free fields, and per view
+        identifier the *source* node whose certificates it carries, are
+        built once per node (:meth:`_direct_static` or
+        :meth:`_fixpoint_static`); per call only the sources' certificates
+        are read off *state*'s codes.
         """
         static = self._static_views[u]
-        ids_list = self.ids_list
-        ball = self.balls[u]
         if static is None:
-            indptr, indices = self.adj_indptr, self.adj_indices
-            inside = set(ball)
             static = self._static_views[u] = (
-                frozenset(ids_list[v] for v in ball),
-                frozenset(
-                    frozenset((ids_list[v], ids_list[w]))
-                    for v in ball
-                    for w in indices[indptr[v] : indptr[v + 1]]
-                    if w > v and w in inside
-                ),
-                tuple(sorted((ids_list[v], self.labels[v]) for v in ball)),
-                tuple(sorted((ids_list[v], d) for v, d in self._ball_distances(u).items())),
+                self._direct_static(u) if self.direct else self._fixpoint_static(u)
             )
-        nodes, edges, labels, distances = static
+        nodes, edges, labels, distances, sources = static
         alphabet = self.alphabet
+        levels = state.codes
         return LocalView(
-            center=ids_list[u],
-            radius=self.radius,
+            center=self.ids_list[u],
+            radius=self.machine.radius,
             nodes=nodes,
             edges=edges,
             labels=labels,
             certificates=tuple(
-                sorted(
-                    (ids_list[v], tuple(alphabet[codes[v]] for codes in state.codes))
-                    for v in ball
-                )
+                (identifier, tuple(alphabet[codes[v]] for codes in levels))
+                for identifier, v in sources
             ),
             distances=distances,
+        )
+
+    def _direct_static(self, u: int) -> tuple:
+        """The static view of *u* when identifiers are unique in its horizon.
+
+        The view is the induced radius-``r`` ball (see
+        :func:`~repro.machines.local_algorithm.gather_view`, the central
+        oracle), and each identifier's source is the ball node carrying it.
+        """
+        ids_list = self.ids_list
+        ball = self.balls[u]
+        indptr, indices = self.adj_indptr, self.adj_indices
+        inside = set(ball)
+        return (
+            frozenset(ids_list[v] for v in ball),
+            frozenset(
+                frozenset((ids_list[v], ids_list[w]))
+                for v in ball
+                for w in indices[indptr[v] : indptr[v + 1]]
+                if w > v and w in inside
+            ),
+            tuple(sorted((ids_list[v], self.labels[v]) for v in ball)),
+            tuple(sorted((ids_list[v], d) for v, d in self._ball_distances(u).items())),
+            tuple(sorted((ids_list[v], v) for v in ball)),
+        )
+
+    def _fixpoint_static(self, u: int) -> tuple:
+        """The static view of *u* from the gather's identifier-keyed knowledge.
+
+        With identifiers colliding inside the horizon, the simulated
+        gather's tables can hold phantom entries, so they are replayed here:
+        ``r + 1`` synchronous merge sweeps over *u*'s radius-``(r + 1)``
+        ball, in which a node merges its neighbors' previous tables in the
+        simulator's order (ascending identifier, ties by node index).  A
+        table keeps, per identifier, the hop distance (the minimum over
+        neighbors, plus one) and the source node whose label and
+        certificates won (its own entry first, then the first neighbor
+        holding the identifier), plus the identifier edges it learned.
+        Which source wins depends on merge order only, never on
+        certificate values, so the tables are certificate-free.
+        """
+        horizon = self.machine.radius + 1
+        ids_list = self.ids_list
+        indptr, indices = self.adj_indptr, self.adj_indices
+        reach = [(x, d) for x, d in self._ball_distances(u).items() if d <= horizon]
+        # Per node: (distance by identifier, source by identifier, edges).
+        tables = {x: ({ids_list[x]: 0}, {ids_list[x]: x}, frozenset()) for x, _ in reach}
+        for sweep in range(1, horizon + 1):
+            # Only tables within horizon - sweep of u are read after this sweep.
+            reach = [(x, d) for x, d in reach if d <= horizon - sweep]
+            merged = {}
+            for x, _ in reach:
+                distance, source, edges = tables[x]
+                distance, source, edges = dict(distance), dict(source), set(edges)
+                own = ids_list[x]
+                order = sorted(
+                    indices[indptr[x] : indptr[x + 1]],
+                    key=lambda w: identifier_key(ids_list[w]),
+                )
+                for v in order:
+                    v_distance, v_source, v_edges = tables[v]
+                    edges.add(frozenset((own, ids_list[v])))
+                    edges |= v_edges
+                    for identifier, hops in v_distance.items():
+                        hops += 1
+                        known = distance.get(identifier)
+                        if known is None:
+                            distance[identifier] = hops
+                            source[identifier] = v_source[identifier]
+                        elif hops < known:
+                            distance[identifier] = hops
+                merged[x] = (distance, source, edges)
+            tables = merged
+        distance, source, edges = tables[u]
+        radius = self.machine.radius
+        in_range = {identifier for identifier, hops in distance.items() if hops <= radius}
+        labels = self.labels
+        return (
+            frozenset(in_range),
+            frozenset(edge for edge in edges if edge <= in_range),
+            tuple(sorted((identifier, labels[source[identifier]]) for identifier in in_range)),
+            tuple(sorted((identifier, distance[identifier]) for identifier in in_range)),
+            tuple(sorted((identifier, source[identifier]) for identifier in in_range)),
         )
 
     def _simulate(self, u: int, state: "CodedState", stats: EvaluatorStats) -> bool:
@@ -789,14 +868,20 @@ class CompiledInstance:
             "invalidations": self.memo_invalidations,
         }
 
+    @property
+    def path(self) -> str:
+        """How memo misses are filled: ``kernel`` (a compiled rule),
+        ``direct`` or ``fixpoint`` (a gather's ``compute`` on a rebuilt
+        view) or ``simulate`` (a simulator run on the ball subgraph)."""
+        if self.rule is not None:
+            return "kernel"
+        if self.direct:
+            return "direct"
+        return "fixpoint" if self._gather else "simulate"
+
     def __repr__(self) -> str:
-        kernel = (
-            type(self.rule).__name__
-            if self.rule is not None
-            else ("direct" if self.direct else "simulate")
-        )
         return (
-            f"CompiledInstance(nodes={self.n}, radius={self.radius}, kernel={kernel}, "
+            f"CompiledInstance(nodes={self.n}, radius={self.radius}, path={self.path}, "
             f"alphabet={len(self.alphabet)}, shift={self.shift}, memo={self.memo_entries})"
         )
 
@@ -1434,10 +1519,10 @@ class CompiledGameEngine:
 # ----------------------------------------------------------------------
 # Instance sharing
 # ----------------------------------------------------------------------
-#: machine -> {(graph, identifier tuple): CompiledInstance}, weak in the
-#: machine and bounded per machine (FIFO eviction), so long sweeps over
-#: many graphs do not grow memory without limit.
-_INSTANCES = WeakSharedRegistry(limit=64)
+#: (machine, (graph, (node, identifier) pairs)) -> CompiledInstance, bounded
+#: as a whole (FIFO eviction), so long sweeps over many machines and graphs
+#: do not grow memory without limit.
+_INSTANCES = SharedRegistry(limit=64)
 
 
 def compile_instance(
@@ -1445,8 +1530,9 @@ def compile_instance(
 ) -> CompiledInstance:
     """A :class:`CompiledInstance` shared process-wide per ``(machine, graph, ids)``.
 
-    Machines that do not support weak references get a fresh instance
-    each time.
+    Unhashable machines get a fresh instance each time.  The key lists the
+    nodes with their identifiers: graphs compare equal whatever their node
+    order, but an instance is positional in ``graph.nodes``.
     """
-    key = (graph, tuple(ids[u] for u in graph.nodes))
+    key = (graph, tuple((u, ids[u]) for u in graph.nodes))
     return _INSTANCES.get_or_build(machine, key, lambda: CompiledInstance(machine, graph, ids))

@@ -467,7 +467,7 @@ class MutableInstance:
         balls in the old *and* the new adjacency: any changed shortest path
         crosses the toggled edge, so every node whose ball membership or
         ball-internal edges change lies within ``r`` of an endpoint before
-        or after.  If the mutation flips the direct/simulation decision,
+        or after.  If the mutation flips the direct/fixpoint decision,
         :meth:`CompiledInstance.rewire` widens to a full rebuild on its own.
         """
         radius = self.compiled.radius

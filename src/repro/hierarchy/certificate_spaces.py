@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, 
 from repro.graphs.certificates import Polynomial, is_rp_bounded, neighborhood_information
 from repro.graphs.identifiers import IdentifierAssignment
 from repro.graphs.labeled_graph import LabeledGraph, Node
-from repro.registry import WeakSharedRegistry
+from repro.registry import SharedRegistry
 
 CandidateFunction = Callable[[LabeledGraph, Mapping[Node, str], Node], Sequence[str]]
 
@@ -105,9 +105,9 @@ class MaterializedSpace:
         return count
 
 
-#: space -> {(graph, identifier tuple): MaterializedSpace}, weak in the space
-#: and bounded per space (FIFO eviction).
-_MATERIALIZED = WeakSharedRegistry(limit=128)
+#: (space, (graph, (node, identifier) pairs)) -> MaterializedSpace, bounded
+#: as a whole (FIFO eviction).
+_MATERIALIZED = SharedRegistry(limit=128)
 
 
 def materialize_space(
@@ -116,8 +116,8 @@ def materialize_space(
     """The (cached) :class:`MaterializedSpace` of *space* on ``(graph, ids)``.
 
     Candidate functions are deterministic by contract, so the result is
-    cached per ``(space, graph, ids)``; spaces that do not support weak
-    references are materialized afresh each call.
+    cached per ``(space, graph, ids)``; unhashable spaces are materialized
+    afresh each call.
     """
 
     def build() -> MaterializedSpace:
@@ -127,7 +127,9 @@ def materialize_space(
         alphabet = tuple(sorted({c for candidates in per_node for c in candidates}))
         return MaterializedSpace(space_name=space.name, per_node=per_node, alphabet=alphabet)
 
-    key = (graph, tuple(ids[u] for u in graph.nodes))
+    # Node order is part of the key: equal graphs may list their nodes in
+    # different orders, and ``per_node`` is positional in ``graph.nodes``.
+    key = (graph, tuple((u, ids[u]) for u in graph.nodes))
     return _MATERIALIZED.get_or_build(space, key, build)
 
 

@@ -52,9 +52,18 @@ class ExecutionResult:
         return self.graph.relabel(cleaned)
 
 
-def _neighbor_order(graph: LabeledGraph, ids: Mapping[Node, str], node: Node) -> List[Node]:
-    """The node's neighbors sorted by ascending identifier order."""
-    return sorted(graph.neighbors(node), key=lambda v: identifier_key(ids[v]))
+def _neighbor_order(
+    graph: LabeledGraph, ids: Mapping[Node, str], position: Mapping[Node, int], node: Node
+) -> List[Node]:
+    """The node's neighbors sorted by ascending identifier order.
+
+    Neighbors sharing an identifier (possible only outside the paper's
+    1-locally unique schemes) are ordered by their *position* in
+    ``graph.nodes``, so the order never depends on set iteration.
+    """
+    return sorted(
+        graph.neighbors(node), key=lambda v: (identifier_key(ids[v]), position[v])
+    )
 
 
 def execute(
@@ -101,6 +110,7 @@ def execute(
     states: Dict[Node, object] = {}
     stopped: Dict[Node, bool] = {}
     neighbor_order: Dict[Node, List[Node]] = {}
+    position = {u: i for i, u in enumerate(graph.nodes)}
     for u in graph.nodes:
         node_input = NodeInput(
             node=u,
@@ -113,7 +123,7 @@ def execute(
         )
         states[u] = machine.initial_state(node_input)
         stopped[u] = False
-        neighbor_order[u] = _neighbor_order(graph, ids, u)
+        neighbor_order[u] = _neighbor_order(graph, ids, position, u)
 
     # outbox[u][v] = message from u to v computed in the previous round.
     outbox: Dict[Node, Dict[Node, str]] = {u: {v: "" for v in graph.neighbors(u)} for u in graph.nodes}

@@ -77,7 +77,10 @@ class MetricSpec:
 
 #: Every metric the gate watches.  Floors/ceilings mirror the invariants
 #: CI previously enforced with inline snippets; ratio metrics also get
-#: drift checking against the history window.
+#: drift checking against the history window.  Ratios over the engine's
+#: cold path (``*_vs_cold``, ``repair_vs_recompute``) have no floor: they
+#: fall whenever that path gets faster, and the benchmarks' own asserts
+#: gate the mechanism behind them.
 TRACKED_METRICS: List[MetricSpec] = [
     MetricSpec("fig02.engine_vs_naive", "fig02",
                ("engine_vs_naive", "speedup_median"), "higher", floor=5.0),
@@ -86,9 +89,9 @@ TRACKED_METRICS: List[MetricSpec] = [
     MetricSpec("fig07.sweep_locality_seconds", "fig07",
                ("sweep_locality_median_seconds",), "lower"),
     MetricSpec("service.hot_vs_cold", "service",
-               ("speedup_hot_vs_cold",), "higher", floor=10.0),
+               ("speedup_hot_vs_cold",), "higher"),
     MetricSpec("service.warm_vs_cold", "service",
-               ("speedup_warm_vs_cold",), "higher", floor=10.0),
+               ("speedup_warm_vs_cold",), "higher"),
     MetricSpec("service.hot_qps", "service",
                ("hot_cache", "requests_per_second"), "higher"),
     MetricSpec("service.hot_p99_ms", "service",
@@ -96,7 +99,7 @@ TRACKED_METRICS: List[MetricSpec] = [
     MetricSpec("service.hot_hit_rate", "service",
                ("hot_cache", "cache_hit_rate"), "higher", floor=0.5),
     MetricSpec("dynamic.repair_vs_recompute", "dynamic",
-               ("repair_vs_recompute", "speedup_median"), "higher", floor=3.0),
+               ("repair_vs_recompute", "speedup_median"), "higher"),
     MetricSpec("dynamic.repair_seconds", "dynamic",
                ("repair_vs_recompute", "repair_median_seconds"), "lower"),
     MetricSpec("dynamic.full_rebuilds", "dynamic",

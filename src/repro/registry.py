@@ -1,12 +1,16 @@
-"""A weak-keyed, bounded sharing registry (one pattern, one home).
+"""A bounded sharing registry (one pattern, one home).
 
 Several layers share expensive derived objects per *owner*: compiled
 instances per machine, materialized certificate spaces per space.  They
-all need the same shape of registry -- weak in the owner (so a dead
-machine or space releases everything derived from it), bounded per
-owner with FIFO eviction (so long sweeps over many graphs cannot grow
-memory without limit), and degrading gracefully to "build a fresh one"
-when the owner does not support weak references.
+all need the same shape of registry -- keyed by ``(owner, key)``, bounded
+as a whole with FIFO eviction (so long sweeps over many machines and
+graphs cannot grow memory without limit), and degrading gracefully to
+"build a fresh one" when the owner cannot be hashed.
+
+An entry pins its owner: a value typically references its owner (a
+compiled instance keeps its machine), so a registry weak in the owner
+would never release anything.  The bound alone releases dead owners'
+entries, oldest first.
 
 This module is dependency-free on purpose: it sits below both the engine
 and the hierarchy layers, so either can import it without cycles.
@@ -14,51 +18,49 @@ and the hierarchy layers, so either can import it without cycles.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, TypeVar
-from weakref import WeakKeyDictionary
+from typing import Callable, Dict, Hashable, Tuple, TypeVar
 
 Value = TypeVar("Value")
 
 
-class WeakSharedRegistry:
-    """``owner -> {key: value}`` with weak owners and a per-owner FIFO bound.
+class SharedRegistry:
+    """``(owner, key) -> value`` with a FIFO bound on the total entry count.
 
     Parameters
     ----------
     limit:
-        Maximum number of entries kept per owner; inserting beyond it
-        evicts the oldest entry (insertion order).
+        Maximum number of entries kept over all owners; inserting beyond
+        it evicts the oldest entry (insertion order).
     """
 
-    __slots__ = ("limit", "_registry")
+    __slots__ = ("limit", "_entries")
 
     def __init__(self, limit: int) -> None:
         if limit < 1:
             raise ValueError("limit must be positive")
         self.limit = limit
-        self._registry: "WeakKeyDictionary[object, Dict[Hashable, object]]" = (
-            WeakKeyDictionary()
-        )
+        self._entries: Dict[Tuple[object, Hashable], object] = {}
 
     def get_or_build(
         self, owner: object, key: Hashable, build: Callable[[], Value]
     ) -> Value:
         """The cached value for ``(owner, key)``, building and caching on miss.
 
-        Owners that cannot be weakly referenced are not cached: *build* is
-        simply called, so callers never need a separate fallback path.
+        Owners that cannot be hashed are not cached: *build* is simply
+        called, so callers never need a separate fallback path.
         """
+        entry = (owner, key)
         try:
-            per_owner = self._registry.setdefault(owner, {})
+            value = self._entries.get(entry)
         except TypeError:
             return build()
-        value = per_owner.get(key)
         if value is None:
             value = build()
-            while len(per_owner) >= self.limit:
-                per_owner.pop(next(iter(per_owner)))
-            per_owner[key] = value
+            entries = self._entries
+            while len(entries) >= self.limit:
+                del entries[next(iter(entries))]
+            entries[entry] = value
         return value
 
     def __repr__(self) -> str:
-        return f"WeakSharedRegistry(owners={len(self._registry)}, limit={self.limit})"
+        return f"SharedRegistry(entries={len(self._entries)}, limit={self.limit})"

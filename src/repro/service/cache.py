@@ -365,12 +365,19 @@ class ComputeTier:
             self.registry.gauge(f"repro_engine_transposition_{field}").set(
                 transposition[field]
             )
+        paths = dict.fromkeys(("kernel", "direct", "fixpoint", "simulate"), 0)
+        for instance in compiled:
+            paths[instance.path] += 1
         return {
             "batches": self.batches,
             "computed": self.computed,
             "seconds": round(self._batch_seconds.sum, 6),
             "flush_failures": self._flush_failures.value,
             "compiled_instances": len(compiled),
+            # How the cached instances fill memo misses, and how often a
+            # cached engine ran the simulator to do it.
+            "paths": paths,
+            "simulator_runs": sum(engine.stats.simulator_runs for engine in engines),
             "engines": len(engines),
             "memo": memo,
             "transposition": transposition,

@@ -363,9 +363,9 @@ def _coloring_cycles_scenario() -> List[GameInstance]:
     three_col = three_colorability_spec()
     two_col = two_colorability_spec()
     # ``small`` identifiers collide inside the gather horizon, pushing the
-    # engine onto its (much slower) simulation path -- one such instance is
-    # kept as a deliberately heavy slice, the larger cycles use globally
-    # unique schemes and stay on the direct path.
+    # engine off its rule kernel onto the (slower) fixpoint path -- one
+    # such instance is kept as a deliberately heavy slice, the larger
+    # cycles use globally unique schemes and stay on the kernel.
     instances = instances_for_spec(
         three_col, family_cycles((9,)), id_schemes=("small",)
     )
@@ -381,7 +381,7 @@ def _coloring_cycles_scenario() -> List[GameInstance]:
     )
     # Periodic identifiers (Proposition 26 style): locally unique for the
     # game, but colliding inside the gather horizon, which forces the
-    # engine's full simulation path -- a deliberately heavy slice.
+    # engine's fixpoint path -- a deliberately heavy slice.
     for length in (12, 16):
         graph = generators.cycle_graph(length)
         ids = cyclic_identifier_assignment(graph, period=4)
@@ -407,8 +407,8 @@ def _random_regular_scenario() -> List[GameInstance]:
     from repro.hierarchy.arbiters import three_colorability_spec
 
     spec = three_colorability_spec()
-    # One small-identifier instance exercises the simulation path; the rest
-    # run with globally unique identifiers on the engine's direct path.
+    # One small-identifier instance exercises the fixpoint path; the rest
+    # run with globally unique identifiers on the engine's rule kernel.
     instances = instances_for_spec(
         spec, family_random_regular(3, (8,), seeds=(0,)), id_schemes=("small",)
     )
@@ -553,7 +553,7 @@ def _dynamic_cycles() -> DynamicTrace:
     spec = two_colorability_spec()
     graph = generators.cycle_graph(32)
     # Periodic identifiers collide inside the gather horizon, forcing the
-    # memo-heavy simulation path -- exactly where repair beats recompute.
+    # memo-heavy fixpoint path -- exactly where repair beats recompute.
     ids = cyclic_identifier_assignment(graph, period=4)
     base = GameInstance(
         machine=spec.machine,

@@ -3,16 +3,21 @@
 The compiled instance core (``repro.engine.compiled``) must be bit-identical
 to the exhaustive reference solver ``repro.hierarchy.game.eve_wins`` on
 every machine kind (table-driven pairwise rules, star rules, the generic
-direct path, ball simulation), every identifier scheme (globally unique,
-locally unique, colliding), every quantifier prefix and every certificate
-space -- both on a fresh instance and on the process-wide shared one that
-``CompiledGameEngine.for_game`` reuses across games.  These tests assert
-that three-way equivalence on randomized instances, plus the
+direct path, the knowledge fixpoint, ball simulation), every identifier
+scheme (globally unique, locally unique, colliding), every quantifier
+prefix and every certificate space -- both on a fresh instance and on the
+process-wide shared one that ``CompiledGameEngine.for_game`` reuses across
+games.  These tests assert that three-way equivalence on randomized
+instances, the fixpoint's node verdicts against the simulator's, plus the
 compiled-specific machinery: incremental packed restriction keys, alphabet
-rebase, memo bounds and counters, and kernel selection.
+rebase, memo bounds and counters, kernel selection and the bounded
+instance registry.
 """
 
+import gc
+import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +67,31 @@ def _parity_machine():
         return "1" if ones % 2 == 0 else "0"
 
     return NeighborhoodGatherAlgorithm(1, compute, name="cert-parity")
+
+
+def _view_hash_machine(radius):
+    """A gather whose verdict is one bit of a hash of its whole view.
+
+    Any difference in the view's nodes, edges, labels, certificates or
+    distances flips the verdict with probability 1/2, so per-node verdict
+    equality over many draws checks the views themselves.
+    """
+
+    def compute(view):
+        payload = repr(
+            (
+                view.center,
+                view.radius,
+                sorted(view.nodes),
+                sorted(sorted(edge) for edge in view.edges),
+                view.labels,
+                view.certificates,
+                view.distances,
+            )
+        )
+        return "1" if hashlib.sha256(payload.encode()).digest()[0] & 1 else "0"
+
+    return NeighborhoodGatherAlgorithm(radius, compute, name=f"view-hash[{radius}]")
 
 
 def _loaded_state(instance, assignments):
@@ -188,18 +218,21 @@ class TestThreeWayEquivalence:
 
     def test_colliding_identifiers_force_simulation_and_agree(self):
         # Cyclic identifiers collide at the gather horizon (Proposition 26):
-        # kernels must be refused and the simulator's behavior reproduced.
+        # kernels must be refused and the simulator's behavior reproduced,
+        # here by the knowledge fixpoint without running the simulator.
         machine = builtin.two_colorability_verifier()
         graph = generators.cycle_graph(6)
         ids = cyclic_identifier_assignment(graph, 3)
         instance = CompiledInstance(machine, graph, ids)
         assert not instance.direct
         assert instance.rule is None
+        assert instance.path == "fixpoint"
         spaces = [bit_space()]
         for prefix in (sigma_prefix(1), pi_prefix(1)):
             expected = eve_wins(machine, graph, ids, spaces, prefix)
-            got = CompiledGameEngine(machine, graph, ids, spaces, instance=instance).eve_wins(prefix)
-            assert expected == got
+            engine = CompiledGameEngine(machine, graph, ids, spaces, instance=instance)
+            assert engine.eve_wins(prefix) == expected
+            assert engine.stats.simulator_runs == 0
 
     def test_fixed_prefix_equivalence(self):
         machine = builtin.three_colorability_verifier()
@@ -290,6 +323,13 @@ class TestProofLabelingKernels:
             _SubclassedGather(1, _parity_machine().compute, name="sub"), graph, ids
         )
         assert simulated.rule is None and not simulated.direct
+        colliding = CompiledInstance(
+            _parity_machine(), graph, cyclic_identifier_assignment(graph, 3)
+        )
+        assert colliding.rule is None and not colliding.direct
+        paths = [instance.path for instance in (pairwise, star, unruled, colliding, simulated)]
+        assert paths == ["kernel", "kernel", "direct", "fixpoint", "simulate"]
+        assert "path=fixpoint" in repr(colliding)
 
     def test_certificate_free_rules_apply_at_level_zero(self):
         # eulerian's rule reads no certificates, so even the 0-level game
@@ -302,6 +342,89 @@ class TestProofLabelingKernels:
         assert stats.simulator_runs == 0
         expected = execute(builtin.eulerian_decider(), graph, ids).accepts()
         assert expected is True
+
+
+@st.composite
+def _colliding_instances(draw):
+    """A small connected graph whose identifiers come from a 2-3 bit
+    alphabet, so they collide inside the gather horizon and neighbors can
+    tie; a view-hashing gather and 1-2 levels of random certificates."""
+    kind = draw(st.sampled_from(["cycle", "path", "tree", "connected"]))
+    size = draw(st.integers(min_value=3 if kind == "cycle" else 1, max_value=12))
+    labels = draw(st.lists(st.sampled_from(["", "0", "1"]), min_size=size, max_size=size))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    graph = {
+        "cycle": lambda: generators.cycle_graph(size, labels=labels),
+        "path": lambda: generators.path_graph(size, labels=labels),
+        "tree": lambda: generators.random_tree(size, seed=seed, labels=labels),
+        "connected": lambda: generators.random_connected_graph(
+            size, edge_probability=0.3, seed=seed, labels=labels
+        ),
+    }[kind]()
+    bits = draw(st.sampled_from([2, 3]))
+    codes = draw(st.lists(st.integers(0, 2**bits - 1), min_size=size, max_size=size))
+    ids = {u: format(code, "b").zfill(bits) for u, code in zip(graph.nodes, codes)}
+    radius = draw(st.integers(min_value=0, max_value=3))
+    levels = draw(st.integers(min_value=1, max_value=2))
+    certificate = st.sampled_from(["", "0", "1", "01"])
+    draws = draw(
+        st.lists(
+            st.lists(
+                st.lists(certificate, min_size=size, max_size=size),
+                min_size=levels,
+                max_size=levels,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    assignment_sets = [
+        [dict(zip(graph.nodes, level)) for level in assignments] for assignments in draws
+    ]
+    return _view_hash_machine(radius), graph, ids, assignment_sets
+
+
+class TestKnowledgeFixpoint:
+    """Gather machines with colliding identifiers: fixpoint == simulator."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_colliding_instances())
+    def test_fixpoint_verdicts_equal_the_simulator(self, case):
+        machine, graph, ids, assignment_sets = case
+        instance = CompiledInstance(machine, graph, ids)
+        assert instance.path in ("direct", "fixpoint")
+        stats = EvaluatorStats()
+        for assignments in assignment_sets:
+            expected = execute(machine, graph, ids, assignments).verdicts()
+            assert _node_verdicts(instance, assignments, stats) == expected, assignments
+        assert stats.simulator_runs == 0
+
+    def test_registered_colliding_instances_equal_the_simulator(self):
+        from repro.sweep.scenarios import build_instances, scenario_names
+
+        rng = random.Random(26)
+        checked = 0
+        for name in scenario_names():
+            for game in build_instances(name):
+                instance = CompiledInstance(game.machine, game.graph, game.ids)
+                if instance.path != "fixpoint":
+                    continue
+                spaces = [materialize_space(s, game.graph, game.ids) for s in game.spaces]
+                stats = EvaluatorStats()
+                for _ in range(10):
+                    assignments = [
+                        {
+                            u: rng.choice(space.per_node[i]) if space.per_node[i] else ""
+                            for i, u in enumerate(game.graph.nodes)
+                        }
+                        for space in spaces
+                    ]
+                    expected = execute(game.machine, game.graph, game.ids, assignments)
+                    got = _node_verdicts(instance, assignments, stats)
+                    assert got == expected.verdicts(), (name, game.name, assignments)
+                assert stats.simulator_runs == 0
+                checked += 1
+        assert checked >= 8  # the periodic-identifier instances of the scenarios
 
 
 class TestIncrementalKeys:
@@ -533,6 +656,45 @@ class TestSharingAndIntegration:
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
         assert compile_instance(machine, graph, ids) is compile_instance(machine, graph, ids)
+
+    def test_registries_keep_equal_graphs_with_other_node_orders_apart(self):
+        # Graphs compare equal whatever their node order, but compiled
+        # instances and materialized spaces are positional in graph.nodes:
+        # the same identifier tuple in another node order is another input.
+        from repro.graphs.labeled_graph import LabeledGraph
+        from repro.hierarchy.certificate_spaces import CertificateSpace
+
+        machine = builtin.two_colorability_verifier()
+        forward = LabeledGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        backward = LabeledGraph(["c", "b", "a"], [("a", "b"), ("b", "c")])
+        assert forward == backward
+        forward_ids = {"a": "10", "b": "0", "c": "1"}
+        backward_ids = {"a": "1", "b": "0", "c": "10"}
+        compile_instance(machine, forward, forward_ids)
+        instance = compile_instance(machine, backward, backward_ids)
+        assert dict(zip(instance.nodes, instance.ids_list)) == backward_ids
+        named = CertificateSpace(candidates=lambda graph, ids, u: (u,), name="node-name")
+        materialize_space(named, forward, forward_ids)
+        assert materialize_space(named, backward, backward_ids).per_node == (
+            ("c",), ("b",), ("a",),
+        )
+
+    def test_compile_instance_registry_releases_dropped_machines(self):
+        # Each compiled instance references its machine, so only the
+        # registry's bound can release one: compiling past the limit pushes
+        # the oldest entries out, and their machines die with them.
+        from repro.engine.compiled import _INSTANCES
+
+        graph = generators.cycle_graph(4)
+        ids = sequential_identifier_assignment(graph)
+        machines = []
+        for _ in range(_INSTANCES.limit + 10):
+            machine = _parity_machine()
+            compile_instance(machine, graph, ids)
+            machines.append(weakref.ref(machine))
+        del machine
+        gc.collect()
+        assert sum(ref() is None for ref in machines) >= 10
 
     def test_leaf_evaluator_shares_instance_memo_with_engine(self):
         # Dict-facing leaf queries and engines on one instance share the

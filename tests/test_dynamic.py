@@ -50,7 +50,7 @@ from repro.sweep.store import open_store
 
 
 def _parity_machine():
-    """A rule-less gather machine: exercises the generic simulate path."""
+    """A rule-less gather machine: exercises the direct and fixpoint paths."""
 
     def compute(view):
         ones = sum(
@@ -380,7 +380,7 @@ class TestCacheFreshness:
     def test_warm_canonical_cache_survives_verdict_flips(self):
         """A chord flips 2-colorability; warm ball verdicts must not leak."""
         graph = generators.cycle_graph(8)
-        ids = cyclic_identifier_assignment(graph, period=4)  # simulate path
+        ids = cyclic_identifier_assignment(graph, period=4)  # fixpoint path
         cache = CanonicalVerdictCache()
         mutable = MutableInstance(
             builtin.two_colorability_verifier(),

@@ -1,5 +1,10 @@
 """Tests for the distributed Turing machines and the LOCAL simulator (Section 4)."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from repro.engine import CompiledInstance, EvaluatorStats
@@ -105,6 +110,39 @@ class TestSimulator:
         bad_ids = {u: "0" for u in graph.nodes}
         with pytest.raises(ValueError):
             execute(builtin.all_selected_decider(), graph, bad_ids, check_local_uniqueness_radius=1)
+
+    def test_neighbor_order_does_not_depend_on_the_hash_seed(self):
+        # b's neighbors a and c share identifier "1" (outside the paper's
+        # 1-locally unique schemes), so whose certificate b's table keeps
+        # under "1" depends on the merge order.  Ties are broken by position
+        # in graph.nodes, never by set iteration order: a wins in every
+        # interpreter, whatever its string-hash seed.
+        script = textwrap.dedent(
+            """
+            from repro.graphs.labeled_graph import LabeledGraph
+            from repro.machines import execute
+            from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
+
+            graph = LabeledGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+            ids = {"a": "1", "b": "0", "c": "1"}
+            machine = NeighborhoodGatherAlgorithm(
+                1, lambda view: view.certificates_of("1")[0] or "0"
+            )
+            result = execute(machine, graph, ids, [{"a": "0", "b": "", "c": "1"}])
+            print(result.outputs["b"])
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True, timeout=60,
+            )
+            outputs.append(completed.stdout.strip())
+        assert outputs == ["0", "0"]
 
     def test_message_statistics_are_recorded(self, five_cycle):
         ids = sequential_identifier_assignment(five_cycle)

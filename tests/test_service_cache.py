@@ -109,6 +109,44 @@ class TestComputeTier:
         assert stats["memo"]["caches"] == stats["compiled_instances"]
         assert stats["stale"] is False
 
+    def test_engine_stats_count_paths_and_simulator_runs(self):
+        # Kernel (sequential ids), fixpoint (periodic ids collide inside the
+        # gather horizon) and simulate (a gather subclass, which the engine
+        # does not rebuild views for): each cached instance is counted under
+        # its path, and only the simulated one runs the simulator.
+        from repro.graphs.identifiers import cyclic_identifier_assignment
+        from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
+
+        class Subclassed(NeighborhoodGatherAlgorithm):
+            pass
+
+        spec, instances = _instances((6,))
+        graph = instances[0].graph
+        colliding = GameInstance(
+            machine=spec.machine,
+            graph=graph,
+            ids=cyclic_identifier_assignment(graph, 3),
+            spaces=list(spec.spaces),
+            prefix=spec.prefix(),
+            name="2col|cycle6|cyclic3",
+        )
+        simulated = GameInstance(
+            machine=Subclassed(1, spec.machine.compute),
+            graph=graph,
+            ids=instances[0].ids,
+            spaces=list(spec.spaces),
+            prefix=spec.prefix(),
+            name="2col|cycle6|subclassed",
+        )
+        tier = ComputeTier()
+        assert tier.evaluate([instances[0], colliding, simulated])[0] == [True] * 3
+        stats = tier.engine_stats()
+        assert stats["paths"] == {"kernel": 1, "direct": 0, "fixpoint": 1, "simulate": 1}
+        assert stats["simulator_runs"] > 0
+        fixpoint_only = ComputeTier()
+        fixpoint_only.evaluate([colliding])
+        assert fixpoint_only.engine_stats()["simulator_runs"] == 0
+
     def test_engine_stats_never_blocks_on_a_running_batch(self):
         # A stats request during a cold evaluation must return the last
         # snapshot immediately (marked stale) instead of waiting the batch out.
