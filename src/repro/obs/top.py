@@ -247,19 +247,11 @@ def render(
         forwarded = pool.get("forwarded", {}) or {}
         for worker in pool.get("workers", []):
             wid = worker.get("id")
-            catch_up = worker.get("catch_up") or {}
-            replay = (
-                f"  replayed {catch_up.get('replayed', 0)} "
-                f"(seq {catch_up.get('from_seq', 0)}->{catch_up.get('to_seq', 0)})"
-                if catch_up
-                else ""
-            )
             lines.append(
                 f"  w{wid:<3} {worker.get('state', '?'):<10} "
                 f"pid {worker.get('pid') or '-':>7}   "
                 f"restarts {worker.get('restarts', 0):>3}   "
-                f"seq {worker.get('last_seq', 0):>6}   "
-                f"fwd {int(forwarded.get(str(wid), 0)):>7}{replay}"
+                f"fwd {int(forwarded.get(str(wid), 0)):>7}"
             )
     sessions = dynamic.get("sessions", 0)
     if sessions:

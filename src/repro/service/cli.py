@@ -42,11 +42,9 @@ def add_service_commands(commands: argparse._SubParsersAction) -> None:
     serve.add_argument("--port", type=int, default=DEFAULT_PORT, help="TCP bind port (0: ephemeral)")
     serve.add_argument("--socket", default=None, metavar="PATH", help="serve on a UNIX socket instead of TCP")
     serve.add_argument("--store", default=None, metavar="PATH", help="persistent SQLite verdict store (sqlite:// scheme or a bare path)")
-    serve.add_argument("--workers", type=int, default=1, metavar="N", help="run a supervised pool of N worker daemons behind a fingerprint-hash router (requires --store; sqlite:// recommended)")
+    serve.add_argument("--workers", type=int, default=1, metavar="N", help="run a supervised pool of N worker daemons behind a fingerprint-hash router (requires a --store file the workers share)")
     serve.add_argument("--probe-interval", type=float, default=0.5, help="pool supervisor: seconds between worker health probes")
     serve.add_argument("--restart-backoff", type=float, default=0.25, help="pool supervisor: first restart backoff (doubles per crash, capped)")
-    serve.add_argument("--worker-id", type=int, default=None, help=argparse.SUPPRESS)
-    serve.add_argument("--catch-up-from", type=int, default=None, help=argparse.SUPPRESS)
     serve.add_argument("--lru-size", type=int, default=4096, help="tier-1 in-process LRU capacity")
     serve.add_argument("--max-pending", type=int, default=64, help="admission bound: queries past it get 'overloaded'")
     serve.add_argument("--http", type=int, default=None, metavar="PORT", help="also serve the HTTP operations console on this port (0: ephemeral)")
@@ -170,8 +168,6 @@ async def _serve(args: argparse.Namespace) -> int:
             args.deadline_ms / 1000.0 if args.deadline_ms is not None else None
         ),
         profile_hz=args.profile_hz,
-        worker_id=args.worker_id,
-        catch_up_from=args.catch_up_from,
     )
     service = VerdictService(store=args.store, config=config)
     if args.faults:
@@ -237,7 +233,12 @@ async def _serve_pool(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         worker_args=_worker_passthrough_args(args),
     )
-    address = await pool.start()
+    try:
+        address = await pool.start()
+    except ValueError as error:
+        await pool.stop()
+        print(error, file=sys.stderr)
+        return 2
     log.info("pool-listening", address=format_address(address), workers=args.workers)
     # Rolling drain: each worker gets SIGTERM and its drain budget in
     # turn, so in-flight requests finish before the process goes away.

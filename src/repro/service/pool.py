@@ -5,7 +5,8 @@ replicated deployment on one machine:
 
 * The **supervisor** (this module) forks N worker processes, each running
   the existing :class:`~repro.service.server.VerdictServer` unchanged on
-  its own UNIX socket, all sharing one WAL SQLite verdict store.
+  its own UNIX socket, all sharing one WAL SQLite verdict store file (an
+  in-memory store is refused: each worker would get a private one).
 * A **front router** listens on the public address and forwards each
   request line to the worker that owns its *fingerprint routing key* --
   a stable hash of the request's addressing fields (scenario+instance,
@@ -20,9 +21,8 @@ replicated deployment on one machine:
 
 Robustness model (the reason this module exists):
 
-* **Health probes**: the supervisor pings each worker and polls its
-  ``stats`` on an interval, recording the store ``log_seq`` each worker
-  has seen.  A worker that exits, stops answering, or goes stale is
+* **Health probes**: the supervisor polls each worker's ``stats`` on an
+  interval.  A worker that exits, stops answering, or goes stale is
   declared dead.
 * **Crash restart**: dead workers are respawned with exponential backoff
   (capped), and the backoff resets once a worker stays up.
@@ -32,11 +32,12 @@ Robustness model (the reason this module exists):
   mid-flight is retried on a sibling for idempotent queries; everything
   else gets a typed, *retryable* ``unavailable`` error so the retrying
   client rides out the restart without a visible failure.
-* **Catch-up on (re)join**: before accepting traffic a (re)started
-  worker replays the store's append log (``entries_since``) from the
-  sequence the supervisor last saw it at -- the pod-style accountable-log
-  catch-up -- and reports the replay in its stats; the supervisor only
-  routes to it after its readiness probe succeeds, i.e. after catch-up.
+* **Rejoin by read-through**: a restarted worker starts with a cold LRU
+  and recovers its journaled sessions before it listens; the supervisor
+  routes to it once its readiness probe succeeds.  Verdicts its siblings
+  computed during the outage are already in the shared store, so the
+  worker answers them with ``source: store``, the read any daemon does on
+  an LRU miss.
 * **Rolling drain**: SIGTERM and SIGINT both drain the pool one worker
   at a time (SIGTERM per worker, bounded wait, then SIGKILL stragglers),
   after the router has stopped accepting connections.
@@ -69,7 +70,7 @@ from repro.service.protocol import (
     stats_response,
 )
 from repro.service.server import MAX_LINE_BYTES, Address, listen
-from repro.sweep.store import VerdictStore, open_store
+from repro.sweep.store import SQLiteVerdictStore, open_store
 
 _log = get_logger("repro.pool")
 
@@ -80,7 +81,8 @@ PROBE_TIMEOUT_SECONDS = 2.0
 STALE_SECONDS = 5.0
 #: Cap of the exponential restart backoff.
 RESTART_BACKOFF_CAP_SECONDS = 5.0
-#: Seconds a restarting worker gets to become ready (catch-up included).
+#: Seconds a restarting worker gets to become ready (session recovery
+#: included).
 READY_TIMEOUT_SECONDS = 30.0
 #: Extra sibling attempts for an idempotent query whose forward failed.
 FAILOVER_ATTEMPTS = 2
@@ -140,8 +142,6 @@ class WorkerHandle:
         self.restarts = 0
         #: Consecutive crashes since the worker last stayed up (backoff).
         self.crash_streak = 0
-        #: Newest store ``log_seq`` this worker reported (probe-fed).
-        self.last_seq = 0
         #: The worker's last full ``stats`` body (probe-fed).
         self.last_stats: Dict[str, Any] = {}
         self.last_ok_monotonic: Optional[float] = None
@@ -153,18 +153,12 @@ class WorkerHandle:
     def pid(self) -> Optional[int]:
         return self.process.pid if self.process is not None else None
 
-    def catch_up(self) -> Optional[Dict[str, Any]]:
-        worker = self.last_stats.get("worker") or {}
-        return worker.get("catch_up")
-
     def summary(self) -> Dict[str, Any]:
         return {
             "id": self.id,
             "pid": self.pid,
             "state": self.state,
             "restarts": self.restarts,
-            "last_seq": self.last_seq,
-            "catch_up": self.catch_up(),
             "address": self.socket_path,
         }
 
@@ -287,8 +281,8 @@ class WorkerPool:
         self.sessions: Dict[str, Any] = {}
         self._resolver = None
         #: A read-only handle on the shared store for the console's browse
-        #: pages (opened lazily; workers own the write path).
-        self.store: Optional[VerdictStore] = None
+        #: pages (opened by :meth:`start`; workers own the write path).
+        self.store: Optional[SQLiteVerdictStore] = None
         self._up_gauges = {
             w.id: self.registry.gauge(
                 "repro_pool_worker_up",
@@ -338,20 +332,19 @@ class WorkerPool:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> Address:
-        if not self.store_path.startswith("sqlite://"):
-            _log.warning(
-                "pool-store-not-sqlite",
-                store=self.store_path,
-                hint="workers share appends through the store; use sqlite:// for a pool",
+        """Open the shared store, launch every worker, then listen.
+
+        Raises :class:`ValueError`, before any worker is spawned, when the
+        store is in-memory: each worker would open a private database, and
+        a session's journal would die with its worker.
+        """
+        self.store = open_store(self.store_path)
+        if self.store.path == ":memory:":
+            raise ValueError(
+                "a worker pool needs a store file its workers can share; "
+                f"{self.store_path!r} is a private in-memory database"
             )
-        try:
-            self.store = open_store(self.store_path)
-        except Exception as error:  # noqa: BLE001 -- console browse is optional
-            _log.warning("pool-store-open-failed", error=repr(error))
-            self.store = None
-        await asyncio.gather(
-            *(self._launch(worker, catch_up_from=0) for worker in self.workers)
-        )
+        await asyncio.gather(*(self._launch(worker) for worker in self.workers))
         self._probe_task = asyncio.ensure_future(self._probe_loop())
         self._server, self.address = await listen(
             self._dispatch, self._connections, self.host, self.port, self.socket_path
@@ -429,7 +422,7 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
-    def _spawn(self, worker: WorkerHandle, catch_up_from: int) -> None:
+    def _spawn(self, worker: WorkerHandle) -> None:
         cmd = [
             sys.executable,
             "-m",
@@ -439,10 +432,6 @@ class WorkerPool:
             worker.socket_path,
             "--store",
             self.store_path,
-            "--worker-id",
-            str(worker.id),
-            "--catch-up-from",
-            str(max(0, catch_up_from)),
             *self.worker_args,
         ]
         env = dict(os.environ)
@@ -456,18 +445,13 @@ class WorkerPool:
         )
         worker.process = subprocess.Popen(cmd, env=env)
         worker.state = "starting"
-        _log.info(
-            "pool-worker-spawned",
-            worker=worker.id,
-            pid=worker.process.pid,
-            catch_up_from=catch_up_from,
-        )
+        _log.info("pool-worker-spawned", worker=worker.id, pid=worker.process.pid)
 
-    async def _launch(self, worker: WorkerHandle, catch_up_from: int) -> None:
-        """Spawn one worker and wait until it is ready (= caught up)."""
+    async def _launch(self, worker: WorkerHandle) -> None:
+        """Spawn one worker and wait until it is ready (= sessions recovered)."""
         if os.path.exists(worker.socket_path):
             os.unlink(worker.socket_path)
-        self._spawn(worker, catch_up_from)
+        self._spawn(worker)
         deadline = time.monotonic() + READY_TIMEOUT_SECONDS
         while time.monotonic() < deadline:
             process = worker.process
@@ -484,25 +468,14 @@ class WorkerPool:
                     worker.state = "serving"
                     worker.serving_since = time.monotonic()
                     self._up_gauges[worker.id].set(1)
-                    catch_up = worker.catch_up() or {}
-                    self.events.append(
-                        "pool-worker-ready",
-                        worker=worker.id,
-                        replayed=catch_up.get("replayed"),
-                    )
-                    _log.info(
-                        "pool-worker-ready",
-                        worker=worker.id,
-                        pid=worker.pid,
-                        log_seq=worker.last_seq,
-                        replayed=catch_up.get("replayed"),
-                    )
+                    self.events.append("pool-worker-ready", worker=worker.id)
+                    _log.info("pool-worker-ready", worker=worker.id, pid=worker.pid)
                     return
             await asyncio.sleep(0.05)
         raise RuntimeError(f"worker {worker.id} not ready in {READY_TIMEOUT_SECONDS}s")
 
     async def _probe_worker(self, worker: WorkerHandle) -> None:
-        """One health probe: fetch stats over a fresh line, record log_seq."""
+        """One health probe: fetch and keep the worker's stats."""
         request = json.dumps({"v": PROTOCOL_VERSION, "op": "stats", "id": "probe"})
         raw = await asyncio.wait_for(
             self._forward(worker, request.encode("utf-8") + b"\n", count=False),
@@ -511,10 +484,7 @@ class WorkerPool:
         body = json.loads(raw)
         if not body.get("ok"):
             raise RuntimeError(f"stats probe failed: {body!r}")
-        stats = body.get("stats") or {}
-        worker.last_stats = stats
-        worker_block = stats.get("worker") or {}
-        worker.last_seq = int(worker_block.get("log_seq") or 0)
+        worker.last_stats = body.get("stats") or {}
         worker.last_ok_monotonic = time.monotonic()
 
     async def _probe_loop(self) -> None:
@@ -555,7 +525,6 @@ class WorkerPool:
             worker=worker.id,
             pid=worker.pid,
             reason=reason,
-            last_seq=worker.last_seq,
         )
         if self.draining:
             return
@@ -581,10 +550,9 @@ class WorkerPool:
                 process.kill()
                 process.wait()
             try:
-                # The worker's warm state died with it; catch up from its
-                # last-seen sequence, which recovers everything appended
-                # while it was down (siblings kept writing the shared log).
-                await self._launch(worker, catch_up_from=worker.last_seq)
+                # The worker's LRU died with it; what its siblings computed
+                # meanwhile is in the shared store, read through on a miss.
+                await self._launch(worker)
             except asyncio.CancelledError:
                 raise
             except Exception as error:  # noqa: BLE001 -- keep trying
@@ -749,7 +717,6 @@ class WorkerPool:
         merged: Dict[str, Any] = {}
         for body in bodies:
             for field in (
-                "worker",
                 "since_monotonic",
                 "uptime_seconds",
                 "samples",

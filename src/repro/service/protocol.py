@@ -614,10 +614,8 @@ def admin_response(
 def stats_response(request_id: RequestId, stats: Mapping[str, Any]) -> Dict[str, Any]:
     """A successful stats answer (the stats body is additive by design).
 
-    Pool deployments add a ``worker`` block (worker id, last-seen store
-    ``log_seq``, catch-up replay status) on each worker's stats, and the
-    supervisor's aggregated stats add a ``pool`` block with per-worker
-    health, restarts, and routing state.
+    A pool supervisor's aggregated stats add a ``pool`` block with
+    per-worker health, restarts, and routing state.
     """
     return {"v": PROTOCOL_VERSION, "ok": True, "id": request_id, "stats": dict(stats)}
 

@@ -486,10 +486,10 @@ class FaultingStore(VerdictStore):
     *breaker* first and raise :class:`StoreUnavailable` when shed;
     otherwise the failpoints apply, the call is made and its outcome is
     reported on the calling thread, so no caller can leave a probe
-    unreported.  Structural calls (``__len__``, ``items``, ``close``),
-    journal *reads* and append-log reads pass through ungated -- stats
-    must stay observable and startup recovery must be able to read what
-    an earlier, healthy daemon journaled.
+    unreported.  Structural calls (``__len__``, ``items``, ``close``) and
+    journal *reads* pass through ungated -- stats must stay observable
+    and startup recovery must be able to read what an earlier, healthy
+    daemon journaled.
     """
 
     _GET = ("store-get-latency", "store-get-error")
@@ -559,15 +559,6 @@ class FaultingStore(VerdictStore):
 
     def journal_clear(self, session):
         self.inner.journal_clear(session)
-
-    # -- replicated append log -----------------------------------------
-    # Catch-up replay is a recovery path, like journal reads: a rejoining
-    # worker must be able to stream the log even while failpoints rage.
-    def last_seq(self):
-        return self.inner.last_seq()
-
-    def entries_since(self, seq, limit=None):
-        return self.inner.entries_since(seq, limit=limit)
 
     # -- structure -----------------------------------------------------
     def __len__(self):

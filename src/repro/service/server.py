@@ -163,14 +163,6 @@ class ServiceConfig:
     #: Start the continuous sampling profiler at this rate (None = attached
     #: but idle; start it later via the ``profile-start`` admin action).
     profile_hz: Optional[float] = None
-    #: Pool identity: set by the supervisor on each forked worker (None =
-    #: a solo daemon).  Reported in stats so the router can label metrics
-    #: and track each worker's replication progress.
-    worker_id: Optional[int] = None
-    #: Replay the store's append log from this ``log_seq`` before accepting
-    #: traffic (None = no catch-up).  A restarted pool worker is handed the
-    #: last sequence it was seen at, so it rejoins warm instead of cold.
-    catch_up_from: Optional[int] = None
 
 
 class VerdictService:
@@ -305,8 +297,6 @@ class VerdictService:
         #: answered with a typed ``draining`` error, in-flight ones finish.
         self.draining = False
         self.sessions_recovered = 0
-        #: Result of the last append-log catch-up replay (None until one ran).
-        self.catch_up: Optional[Dict[str, Any]] = None
         self._persist_futures: set = set()
         self._closed = False
 
@@ -891,61 +881,6 @@ class VerdictService:
         self.sessions_recovered += recovered
         return recovered
 
-    def catch_up_from_log(self, from_seq: int) -> Dict[str, Any]:
-        """Replay the store's append log from *from_seq* into the warm tiers.
-
-        The pod-style (re)join path: before a pool worker starts accepting
-        traffic, it streams every ``(log_seq, kind, record)`` its siblings
-        appended since it last looked and applies the verdict entries to
-        its LRU (no re-persist -- the entries came *from* the store).
-        Journal entries are not re-applied here; :meth:`recover_sessions`
-        already rebuilt session state from the authoritative per-session
-        journal.  Returns and remembers a summary (``stats()`` reports it
-        under ``worker.catch_up``), so the supervisor can verify a worker
-        replayed the log before routing to it.
-        """
-        summary: Dict[str, Any] = {
-            "from_seq": int(from_seq),
-            "to_seq": int(from_seq),
-            "replayed": 0,
-            "verdicts": 0,
-            "journal": 0,
-        }
-        if self.store is not None:
-            try:
-                for seq, kind, record in self.store.entries_since(int(from_seq)):
-                    summary["to_seq"] = seq
-                    summary["replayed"] += 1
-                    if kind == "verdict":
-                        summary["verdicts"] += 1
-                        self.cache.insert(
-                            record["key"],
-                            bool(record["verdict"]),
-                            name=record.get("name", ""),
-                            seconds=float(record.get("seconds", 0.0)),
-                            persist=False,
-                        )
-                    elif kind == "journal":
-                        summary["journal"] += 1
-            except Exception as error:  # noqa: BLE001 -- catch-up is best-effort
-                summary["error"] = repr(error)
-                self.events.append("catch-up-failed", error=repr(error))
-                _log.error("catch-up-failed", error=repr(error))
-        self.catch_up = summary
-        self.events.append(
-            "catch-up",
-            from_seq=summary["from_seq"],
-            to_seq=summary["to_seq"],
-            replayed=summary["replayed"],
-        )
-        _log.info(
-            "catch-up",
-            from_seq=summary["from_seq"],
-            to_seq=summary["to_seq"],
-            replayed=summary["replayed"],
-        )
-        return summary
-
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """Everything the ``stats`` request reports."""
@@ -1015,27 +950,6 @@ class VerdictService:
                     name: session.info() for name, session in self.sessions.items()
                 },
             },
-            "worker": self.worker_info(),
-        }
-
-    def worker_info(self) -> Dict[str, Any]:
-        """Pool identity and replication progress (``stats.worker``).
-
-        ``log_seq`` is the store's newest append sequence as this worker
-        sees it: the supervisor records it at every health probe and hands
-        it back as ``--catch-up-from`` when the worker is restarted.
-        """
-        log_seq = 0
-        if self.store is not None:
-            try:
-                log_seq = self.store.last_seq()
-            except Exception:  # noqa: BLE001 -- stats must stay observable
-                log_seq = -1
-        return {
-            "id": self.config.worker_id,
-            "pid": os.getpid(),
-            "log_seq": log_seq,
-            "catch_up": self.catch_up,
         }
 
     def healthz(self) -> Tuple[bool, Dict[str, Any]]:
@@ -1190,12 +1104,9 @@ class VerdictServer:
 
     async def start(self) -> Address:
         # Crash recovery first: journaled dynamic sessions must be live
-        # again before the first client connects, and a rejoining pool
-        # worker replays the shared append log before its socket exists --
-        # the supervisor's readiness ping doubles as "caught up".
+        # again before the first client connects, so a restarted pool
+        # worker's readiness probe also means its sessions are back.
         self.service.recover_sessions()
-        if self.service.config.catch_up_from is not None:
-            self.service.catch_up_from_log(self.service.config.catch_up_from)
         self._server, self.address = await listen(
             self._answer_line, self._connections, self.host, self.port, self.socket_path
         )

@@ -8,11 +8,12 @@ unconditionally: a changed machine, graph, identifier assignment,
 certificate space or prefix changes the key and therefore misses.
 
 :class:`SQLiteVerdictStore` is the one implementation: verdicts, canonical
-node verdicts, the dynamic sessions' journal and the replicated append log
-live in one database.  File-backed stores open in WAL mode with a busy
-timeout and an internal lock, so one store object can be shared between
-the threads of a serving daemon and concurrent processes can read while
-one writes.  :class:`VerdictStore` is the interface it implements (and
+node verdicts and the dynamic sessions' journal live in one database.
+File-backed stores open in WAL mode with a busy timeout and an internal
+lock, so one store object can be shared between the threads of a serving
+daemon and concurrent processes can read while one writes.  Pool workers
+share one store file, so a verdict any worker persists is a tier-2 hit
+for all of them.  :class:`VerdictStore` is the interface it implements (and
 that :class:`repro.service.resilience.FaultingStore` wraps).
 
 :func:`open_store` opens a store from a path: ``None`` or ``memory://``
@@ -30,15 +31,10 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 #: A stored verdict: (verdict, instance name, cold solve seconds).
 StoredVerdict = Tuple[bool, str, float]
-
-#: One append-log record: ``(log_seq, kind, record)`` where *kind* is
-#: ``"verdict"`` (record: key/verdict/name/seconds) or ``"journal"``
-#: (record: session/seq/entry).  The sequence is monotonic per store.
-LogEntry = Tuple[int, str, Dict]
 
 
 class VerdictStore:
@@ -109,35 +105,6 @@ class VerdictStore:
         """Drop all journal entries of *session* (it was closed cleanly)."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # Replicated append log (pool workers catch up by replaying it)
-    # ------------------------------------------------------------------
-    def last_seq(self) -> int:
-        """The monotonic ``log_seq`` of the newest append (0 when empty).
-
-        Every verdict ``put`` and every ``journal_append`` is also recorded
-        in an append-only log with a store-wide monotonic sequence number.
-        A serving replica remembers the last sequence it has seen; on
-        (re)join it replays :meth:`entries_since` that sequence to warm its
-        caches and state before accepting traffic -- the pod-style
-        accountable-log catch-up from the paper's related work.  Stores
-        created before the log existed start at 0: only appends made after
-        migration are replayable.
-        """
-        raise NotImplementedError
-
-    def entries_since(
-        self, seq: int, limit: Optional[int] = None
-    ) -> Iterator[LogEntry]:
-        """Stream ``(log_seq, kind, record)`` appends newer than *seq*.
-
-        Entries come back in sequence order; *limit* bounds how many are
-        yielded.  ``kind`` is ``"verdict"`` (record keys: ``key``,
-        ``verdict``, ``name``, ``seconds``) or ``"journal"`` (record keys:
-        ``session``, ``seq``, ``entry``).
-        """
-        raise NotImplementedError
-
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -165,8 +132,8 @@ class SQLiteVerdictStore(VerdictStore):
     the threads of an asyncio daemon (event loop + worker pool).
 
     File-backed stores keep *two* connections: writes go through one, the
-    hot read paths (``get`` / ``get_many`` / ``last_seq`` /
-    ``entries_since``) through another with its own lock.  WAL already
+    hot read paths (``get`` / ``get_many`` / ``get_node`` /
+    ``get_node_many``) through another with its own lock.  WAL already
     guarantees readers never wait on the database's writer; the second
     connection extends that to this process -- a reader never waits out a
     *sibling process's* commit behind our own writer's busy-timeout spin,
@@ -221,20 +188,8 @@ class SQLiteVerdictStore(VerdictStore):
             "  PRIMARY KEY (session, seq)"
             ")"
         )
-        # The replicated append log: every verdict put and journal append
-        # also lands here under an AUTOINCREMENT sequence, so the numbers
-        # are monotonic and never reused even with several writer processes
-        # on one database.  Pool workers catch up by replaying entries_since
-        # their last-seen sequence (pre-existing stores migrate on open with
-        # an empty log; only appends from then on are replayable).
-        self._connection.execute(
-            "CREATE TABLE IF NOT EXISTS verdict_log ("
-            "  seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-            "  kind TEXT NOT NULL,"
-            "  record TEXT NOT NULL,"
-            "  created REAL NOT NULL"
-            ")"
-        )
+        # Older stores carry an append-log table nothing reads: free its pages.
+        self._connection.execute("DROP TABLE IF EXISTS verdict_log")
         self._connection.commit()
         # The read connection opens after the schema is committed, so it
         # always sees the migrated tables.  In-memory databases are private
@@ -270,48 +225,20 @@ class SQLiteVerdictStore(VerdictStore):
                     found[key] = bool(verdict)
         return found
 
-    def _log_insert(self, kind: str, records: Sequence[Dict], now: float) -> None:
-        # Caller holds the lock and commits; one log row per append keeps
-        # the verdict/journal tables and the log in a single transaction.
-        self._connection.executemany(
-            "INSERT INTO verdict_log (kind, record, created) VALUES (?, ?, ?)",
-            [(kind, json.dumps(record, sort_keys=True), now) for record in records],
-        )
-
     def put(self, key: str, verdict: bool, name: str = "", seconds: float = 0.0) -> None:
-        now = time.time()
-        with self._lock:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO verdicts (key, verdict, name, seconds, created)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (key, int(bool(verdict)), name, seconds, now),
-            )
-            self._log_insert(
-                "verdict",
-                [{"key": key, "verdict": bool(verdict), "name": name, "seconds": seconds}],
-                now,
-            )
-            self._connection.commit()
+        self.put_many([(key, verdict, name, seconds)])
 
     def put_many(self, records: Iterable[Tuple[str, bool, str, float]]) -> None:
         now = time.time()
-        rows = list(records)
+        rows = [
+            (key, int(bool(verdict)), name, seconds, now)
+            for key, verdict, name, seconds in records
+        ]
         with self._lock:
             self._connection.executemany(
                 "INSERT OR REPLACE INTO verdicts (key, verdict, name, seconds, created)"
                 " VALUES (?, ?, ?, ?, ?)",
-                [
-                    (key, int(bool(verdict)), name, seconds, now)
-                    for key, verdict, name, seconds in rows
-                ],
-            )
-            self._log_insert(
-                "verdict",
-                [
-                    {"key": key, "verdict": bool(verdict), "name": name, "seconds": seconds}
-                    for key, verdict, name, seconds in rows
-                ],
-                now,
+                rows,
             )
             self._connection.commit()
 
@@ -382,11 +309,6 @@ class SQLiteVerdictStore(VerdictStore):
                 " VALUES (?, ?, ?, ?)",
                 (session, int(seq), json.dumps(entry, sort_keys=True), now),
             )
-            self._log_insert(
-                "journal",
-                [{"session": session, "seq": int(seq), "entry": entry}],
-                now,
-            )
             self._connection.commit()
 
     def journal_entries(self, session: str) -> List[Tuple[int, Dict]]:
@@ -410,39 +332,6 @@ class SQLiteVerdictStore(VerdictStore):
                 "DELETE FROM session_journal WHERE session = ?", (session,)
             )
             self._connection.commit()
-
-    def last_seq(self) -> int:
-        with self._read_lock:
-            (seq,) = self._read_connection.execute(
-                "SELECT COALESCE(MAX(seq), 0) FROM verdict_log"
-            ).fetchone()
-        return int(seq)
-
-    def entries_since(
-        self, seq: int, limit: Optional[int] = None
-    ) -> Iterator[LogEntry]:
-        # Chunked cursor reads: the lock is only held per chunk, so a long
-        # catch-up replay never starves the writer, and WAL readers see a
-        # consistent prefix of the log regardless of concurrent appends.
-        cursor = int(seq)
-        remaining = limit
-        while remaining is None or remaining > 0:
-            take = self.GET_MANY_CHUNK
-            if remaining is not None:
-                take = min(take, remaining)
-            with self._read_lock:
-                rows = self._read_connection.execute(
-                    "SELECT seq, kind, record FROM verdict_log"
-                    " WHERE seq > ? ORDER BY seq LIMIT ?",
-                    (cursor, take),
-                ).fetchall()
-            if not rows:
-                return
-            for row_seq, kind, record in rows:
-                yield int(row_seq), str(kind), json.loads(record)
-            cursor = int(rows[-1][0])
-            if remaining is not None:
-                remaining -= len(rows)
 
     def journal_mode(self) -> str:
         """The active journal mode (``"wal"`` for file-backed stores)."""
@@ -477,10 +366,12 @@ def _split_scheme(path: str) -> Tuple[Optional[str], str]:
     return None, path
 
 
-def open_store(path: Optional[str]) -> VerdictStore:
+def open_store(path: Optional[str]) -> SQLiteVerdictStore:
     """Open (creating if necessary) the verdict store at *path*.
 
-    ``None`` or ``memory://`` yields a fresh in-memory SQLite store.
+    ``None``, ``memory://``, ``sqlite://:memory:`` or ``:memory:`` yields a
+    fresh in-memory SQLite store (``path == ":memory:"``), private to this
+    connection and so never shared between processes.
     ``sqlite://PATH`` (the form daemons should use) or a bare path opens
     the SQLite database at that path, whatever its suffix.  A file that is
     not a SQLite database (e.g. a JSON-lines store from an older release)

@@ -12,7 +12,7 @@ from repro.sweep.store import SQLiteVerdictStore
 
 
 def _spin_inner(stop):
-    while not stop.is_set():
+    while stop.locked():
         sum(range(500))
 
 
@@ -21,8 +21,14 @@ def _spin_outer(stop):
 
 
 def _spinner():
-    """A worker thread burning CPU in a known two-frame stack."""
-    stop = threading.Event()
+    """A worker thread burning CPU in a known two-frame stack.
+
+    It spins until the caller releases the returned lock.  Polling a held
+    lock calls no Python function, so the thread only ever yields inside
+    ``_spin_inner``'s own loop and every sample sees it as the leaf.
+    """
+    stop = threading.Lock()
+    stop.acquire()
     thread = threading.Thread(target=_spin_outer, args=(stop,), daemon=True)
     thread.start()
     return stop, thread
@@ -36,7 +42,7 @@ class TestFoldedAggregation:
             for _ in range(8):
                 profiler.sample_once()
         finally:
-            stop.set()
+            stop.release()
             thread.join()
         folded = profiler.folded()
         assert folded, "expected at least one folded stack"
@@ -59,7 +65,7 @@ class TestFoldedAggregation:
             for _ in range(8):
                 profiler.sample_once()
         finally:
-            stop.set()
+            stop.release()
             thread.join()
         rows = {row["function"]: row for row in profiler.top(100, sort="cumulative")}
         inner = rows["_spin_inner"]
@@ -80,7 +86,7 @@ class TestFoldedAggregation:
                 profiler.sample_once()
         finally:
             for stop, thread in spinners:
-                stop.set()
+                stop.release()
             for stop, thread in spinners:
                 thread.join()
         status = profiler.status()
@@ -94,7 +100,7 @@ class TestFoldedAggregation:
             for _ in range(4):
                 profiler.sample_once()
         finally:
-            stop.set()
+            stop.release()
             thread.join()
         by_self = profiler.top(5, sort="self")
         assert by_self == sorted(by_self, key=lambda r: -r["self_samples"])
@@ -119,7 +125,7 @@ class TestBounds:
             for _ in range(6):
                 profiler.sample_once()
         finally:
-            stop1.set()
+            stop1.release()
             stop2.set()
             thread1.join()
             thread2.join()
@@ -149,7 +155,7 @@ class TestLifecycle:
             while profiler.status()["samples"] == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
-            stop.set()
+            stop.release()
             thread.join()
         assert profiler.stop() is True
         assert not profiler.running
@@ -169,7 +175,7 @@ class TestLifecycle:
             assert profiler.start(hz=100) is True
         finally:
             profiler.stop()
-            stop.set()
+            stop.release()
             thread.join()
         # The five pre-start samples are gone; at most a couple of
         # background ticks landed before stop().
@@ -188,7 +194,7 @@ class TestLifecycle:
         try:
             profiler.sample_once()
         finally:
-            stop.set()
+            stop.release()
             thread.join()
         snapshot = profiler.snapshot(top=5)
         assert snapshot["samples"] >= 1

@@ -1,20 +1,22 @@
-"""The supervised worker pool: store append log, routing, catch-up, chaos.
+"""The supervised worker pool: shared store, routing, chaos.
 
 Three layers of coverage, cheapest first:
 
-* unit tests of the store append log (``last_seq`` / ``entries_since``)
-  in memory and on disk, including cross-process SQLite contention -- the
-  replication substrate the pool's catch-up rides on;
+* the shared store under cross-process SQLite contention -- every verdict
+  and journal entry one worker writes is there for its siblings to read --
+  and the supervisor's refusal of an in-memory store no two workers could
+  share;
 * unit tests of the router's key extraction and the supervisor's
   stats-merging helpers (pure functions);
 * one end-to-end chaos test: a real ``repro serve --workers 2`` pool,
   ``kill -9`` of a worker under a retrying client, zero visible errors,
-  and a restarted worker whose stats report a non-empty log replay.
+  and a restarted worker that answers what its sibling computed during
+  the outage from the shared store.
 """
 
 from __future__ import annotations
 
-import json
+import asyncio
 import os
 import signal
 import subprocess
@@ -24,98 +26,14 @@ import time
 import pytest
 
 from repro.service.loadgen import LoadReport
-from repro.service.pool import _merge_latency, _merge_values, _slot, routing_key
-from repro.sweep.store import SQLiteVerdictStore, open_store
-
-
-@pytest.fixture(params=["memory", "sqlite", "jsonl"])
-def store(request, tmp_path):
-    # "jsonl": a bare path with the JSON-lines suffix names a SQLite
-    # database like any other path.
-    path = {
-        "memory": "memory://",
-        "sqlite": str(tmp_path / "verdicts.sqlite"),
-        "jsonl": str(tmp_path / "verdicts.jsonl"),
-    }[request.param]
-    with open_store(path) as opened:
-        yield opened
-
-
-# ----------------------------------------------------------------------
-# The replicated append log
-# ----------------------------------------------------------------------
-class TestStoreAppendLog:
-    def test_empty_store_is_seq_zero(self, store):
-        assert store.last_seq() == 0
-        assert list(store.entries_since(0)) == []
-
-    def test_every_append_advances_the_seq(self, store):
-        store.put("a", True, name="x", seconds=0.1)
-        assert store.last_seq() == 1
-        store.put("b", False)
-        store.journal_append("sess", 1, {"op": "open"})
-        assert store.last_seq() == 3
-
-    def test_entries_since_streams_in_order_with_kinds(self, store):
-        store.put("a", True, name="x", seconds=0.25)
-        store.journal_append("sess", 1, {"op": "open"})
-        store.put("b", False)
-        entries = list(store.entries_since(0))
-        assert [seq for seq, _, _ in entries] == [1, 2, 3]
-        assert [kind for _, kind, _ in entries] == ["verdict", "journal", "verdict"]
-        first = entries[0][2]
-        assert first["key"] == "a" and first["verdict"] is True
-        assert first["name"] == "x" and first["seconds"] == 0.25
-        journal = entries[1][2]
-        assert journal["session"] == "sess" and journal["seq"] == 1
-        assert journal["entry"] == {"op": "open"}
-
-    def test_entries_since_resumes_mid_log(self, store):
-        for index in range(5):
-            store.put(f"k{index}", True)
-        tail = list(store.entries_since(3))
-        assert [seq for seq, _, _ in tail] == [4, 5]
-        assert [record["key"] for _, _, record in tail] == ["k3", "k4"]
-
-    def test_entries_since_honours_the_limit(self, store):
-        for index in range(6):
-            store.put(f"k{index}", bool(index % 2))
-        window = list(store.entries_since(0, limit=4))
-        assert [seq for seq, _, _ in window] == [1, 2, 3, 4]
-
-    def test_put_many_logs_each_record(self, store):
-        store.put_many([("a", True, "x", 0.1), ("b", False, "y", 0.2)])
-        entries = list(store.entries_since(0))
-        assert store.last_seq() == 2
-        assert {record["key"] for _, _, record in entries} == {"a", "b"}
-
-    def test_sqlite_entries_since_spans_chunks(self, tmp_path):
-        with SQLiteVerdictStore(str(tmp_path / "v.sqlite")) as opened:
-            count = opened.GET_MANY_CHUNK * 2 + 7
-            opened.put_many((f"k{i}", True, "", 0.0) for i in range(count))
-            seqs = [seq for seq, _, _ in opened.entries_since(0)]
-            assert seqs == list(range(1, count + 1))
-
-    def test_sqlite_log_survives_reopen_and_keeps_counting(self, tmp_path):
-        path = str(tmp_path / "v.sqlite")
-        with SQLiteVerdictStore(path) as first:
-            first.put("a", True)
-            first.put("b", False)
-        with SQLiteVerdictStore(path) as second:
-            assert second.last_seq() == 2
-            second.put("c", True)
-            assert second.last_seq() == 3
-            assert [r["key"] for _, _, r in second.entries_since(2)] == ["c"]
-
-    def test_jsonl_reload_rebuilds_the_log(self, tmp_path):
-        path = str(tmp_path / "v.jsonl")
-        with open_store(path) as first:
-            first.put("a", True)
-            first.journal_append("sess", 1, {"op": "open"})
-        with open_store(path) as second:
-            assert second.last_seq() == 2
-            kinds = [kind for _, kind, _ in second.entries_since(0)]
-            assert kinds == ["verdict", "journal"]
+from repro.service.pool import (
+    WorkerPool,
+    _merge_latency,
+    _merge_values,
+    _slot,
+    routing_key,
+)
+from repro.sweep.store import SQLiteVerdictStore
 
 
 # ----------------------------------------------------------------------
@@ -123,7 +41,7 @@ class TestStoreAppendLog:
 # ----------------------------------------------------------------------
 _WRITER_SNIPPET = """
 import sys
-from repro.sweep.store import SQLiteVerdictStore, open_store
+from repro.sweep.store import SQLiteVerdictStore
 
 path, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
 with SQLiteVerdictStore(path) as store:
@@ -135,10 +53,10 @@ with SQLiteVerdictStore(path) as store:
 
 class TestMultiProcessContention:
     def test_two_processes_share_the_log_without_losing_appends(self, tmp_path):
-        """Two writers hammer one WAL store: every append lands, exactly
-        once, and the log sequence is strictly monotonic with no reuse --
-        the invariant catch-up depends on (SQLite's busy timeout absorbs
-        the lock contention; a lost or duplicated seq would replay wrong).
+        """Two writers hammer one WAL store: every verdict and every journal
+        entry lands -- the invariant pool workers depend on, since each
+        reads what its siblings persisted (SQLite's busy timeout absorbs
+        the lock contention).
         """
         path = str(tmp_path / "shared.sqlite")
         count = 60
@@ -155,24 +73,42 @@ class TestMultiProcessContention:
         for proc in procs:
             assert proc.wait(timeout=120) == 0
         with SQLiteVerdictStore(path) as store:
-            entries = list(store.entries_since(0))
-            seqs = [seq for seq, _, _ in entries]
-            # Strictly monotonic, no duplicates, nothing lost.
-            assert seqs == sorted(seqs)
-            assert len(set(seqs)) == len(seqs) == 4 * count
-            assert store.last_seq() == seqs[-1]
-            verdict_keys = [
-                record["key"] for _, kind, record in entries if kind == "verdict"
-            ]
-            expected = {f"{tag}-{i}" for tag in ("alpha", "beta") for i in range(count)}
-            assert set(verdict_keys) == expected
-            journal_seqs = sorted(
-                (record["session"], record["seq"])
-                for _, kind, record in entries
-                if kind == "journal"
-            )
-            assert len(journal_seqs) == 2 * count
-            assert store.journal_entries("sess-alpha")[-1][1]["i"] == count - 1
+            assert dict(store.items()) == {
+                f"{tag}-{i}": (i % 2 == 0, tag, 0.0)
+                for tag in ("alpha", "beta")
+                for i in range(count)
+            }
+            for tag in ("alpha", "beta"):
+                assert store.journal_entries(f"sess-{tag}") == [
+                    (i, {"op": "delta", "i": i}) for i in range(count)
+                ]
+
+
+# ----------------------------------------------------------------------
+# The supervisor refuses a store its workers cannot share
+# ----------------------------------------------------------------------
+class TestPoolStore:
+    @pytest.mark.parametrize("store", ["memory://", "sqlite://:memory:", ":memory:"])
+    def test_an_in_memory_store_is_refused_before_any_worker_spawns(self, store):
+        # Each worker would open its own private database: a session's
+        # journal would die with its worker.
+        pool = WorkerPool(store=store)
+        try:
+            with pytest.raises(ValueError, match="private in-memory database"):
+                asyncio.run(pool.start())
+            assert all(worker.process is None for worker in pool.workers)
+        finally:
+            asyncio.run(pool.stop())
+        assert not os.path.exists(pool.state_dir)
+
+    def test_serve_exits_2_on_an_in_memory_pool_store(self, tmp_path, capsys):
+        from repro.sweep.cli import main
+
+        sock = tmp_path / "pool.sock"
+        argv = ["serve", "--workers", "2", "--store", "memory://", "--socket", str(sock)]
+        assert main(argv) == 2
+        assert "private in-memory database" in capsys.readouterr().err
+        assert not sock.exists()
 
 
 # ----------------------------------------------------------------------
@@ -250,46 +186,6 @@ class TestStatsMerging:
 
 
 # ----------------------------------------------------------------------
-# A (re)started worker replays the log before serving
-# ----------------------------------------------------------------------
-class TestWorkerCatchUp:
-    def test_restarted_server_replays_the_log_before_serving(self, tmp_path):
-        from repro.service.client import ServiceClient
-        from repro.service.server import ServerThread, ServiceConfig
-
-        path = str(tmp_path / "v.sqlite")
-        with SQLiteVerdictStore(path) as seed:
-            seed.put("k-a", True, name="a", seconds=0.1)
-            seed.put("k-b", False, name="b", seconds=0.2)
-        config = ServiceConfig(worker_id=7, catch_up_from=0)
-        with ServerThread(store="sqlite://" + path, config=config) as server:
-            with ServiceClient(server.address) as client:
-                stats = client.stats()
-        worker = stats["worker"]
-        assert worker["id"] == 7
-        assert worker["log_seq"] == 2
-        catch_up = worker["catch_up"]
-        assert catch_up["replayed"] == 2
-        assert catch_up["verdicts"] == 2 and catch_up["journal"] == 0
-        assert catch_up["from_seq"] == 0 and catch_up["to_seq"] == 2
-        # The replay warmed the LRU: both verdicts are already resident.
-        assert stats["tiers"]["lru"]["size"] == 2
-
-    def test_catch_up_from_the_tail_replays_nothing(self, tmp_path):
-        from repro.service.client import ServiceClient
-        from repro.service.server import ServerThread, ServiceConfig
-
-        path = str(tmp_path / "v.sqlite")
-        with SQLiteVerdictStore(path) as seed:
-            seed.put("k-a", True)
-        config = ServiceConfig(catch_up_from=1)
-        with ServerThread(store="sqlite://" + path, config=config) as server:
-            with ServiceClient(server.address) as client:
-                stats = client.stats()
-        assert stats["worker"]["catch_up"]["replayed"] == 0
-
-
-# ----------------------------------------------------------------------
 # Loadgen separates transport recovery from service latency
 # ----------------------------------------------------------------------
 class TestLoadReportReconnects:
@@ -307,7 +203,7 @@ class TestLoadReportReconnects:
 
 
 # ----------------------------------------------------------------------
-# End to end: kill -9 under load, zero visible errors, log catch-up
+# End to end: kill -9 under load, zero visible errors, store read-through
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestPoolChaos:
@@ -366,7 +262,7 @@ class TestPoolChaos:
         try:
             policy = RetryPolicy(max_attempts=12, base_delay=0.05, max_delay=0.5)
             with ServiceClient("unix:" + sock, timeout=10.0, retry=policy) as client:
-                # Warm traffic: appends raise the log past zero.
+                # Warm traffic before the kill.
                 for n in (4, 5, 6):
                     response = client.query_spec(
                         arbiter="3-colorable", family="cycle", n=n
@@ -379,17 +275,18 @@ class TestPoolChaos:
                 assert victim["pid"]
                 os.kill(victim["pid"], signal.SIGKILL)
 
-                # Traffic straight through the outage: new specs force
-                # fresh appends, so the restarted worker has log entries
-                # to replay; the retrying client must see zero errors.
+                # Traffic straight through the outage: new specs compute on
+                # the live sibling and land in the shared store; the
+                # retrying client must see zero errors.
+                outage = {}
                 for n in range(7, 19):
                     response = client.query_spec(
                         arbiter="3-colorable", family="cycle", n=n
                     )
                     assert response["ok"], response
+                    outage[n] = response["verdict"]
 
-                # The supervisor notices, restarts, and the newcomer
-                # reports a non-empty catch-up before rejoining.
+                # The supervisor notices and restarts the victim.
                 deadline = time.time() + 60
                 revived = None
                 while time.time() < deadline:
@@ -405,17 +302,22 @@ class TestPoolChaos:
                         break
                     time.sleep(0.2)
                 assert revived is not None, f"worker never rejoined: {pool}"
-                catch_up = revived["catch_up"]
-                assert catch_up is not None
-                assert catch_up["replayed"] > 0
-                assert catch_up["to_seq"] > catch_up["from_seq"]
                 assert pool["restarts"] >= 1
 
-                # And the revived worker answers again.
-                response = client.query_spec(
-                    arbiter="3-colorable", family="cycle", n=5
-                )
-                assert response["ok"], response
+                # The revived worker starts with a cold LRU: it answers the
+                # outage specs it owns by reading the shared store, and no
+                # outage spec is computed again.
+                owned = 0
+                for n, verdict in outage.items():
+                    spec = {"arbiter": "3-colorable", "family": "cycle", "n": n}
+                    response = client.query_spec(**spec)
+                    assert response["ok"], response
+                    assert response["verdict"] == verdict, (n, response)
+                    assert response["source"] in ("lru", "store"), (n, response)
+                    if _slot(routing_key({"spec": spec}), 2) == victim["id"]:
+                        owned += 1
+                        assert response["source"] == "store", (n, response)
+                assert owned == 5  # of the 12 outage specs
         finally:
             proc.send_signal(signal.SIGINT)
             try:

@@ -105,6 +105,39 @@ class TestPersistence:
         with pytest.raises(sqlite3.DatabaseError, match="file is not a database"):
             open_store(str(path))
 
+    def test_legacy_append_log_table_is_dropped_on_open(self, tmp_path):
+        # Stores written by older releases carry a verdict_log table, a
+        # JSON copy of every verdict put and journal append.  Reopening
+        # drops it and keeps the verdicts and the journal.
+        path = str(tmp_path / "legacy.sqlite")
+        with SQLiteVerdictStore(path) as first:
+            first.put("k", True, name="n", seconds=0.5)
+            first.journal_append("sess", 0, {"kind": "open"})
+        connection = sqlite3.connect(path)
+        connection.execute(
+            "CREATE TABLE IF NOT EXISTS verdict_log ("
+            " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
+            " kind TEXT NOT NULL, record TEXT NOT NULL, created REAL NOT NULL)"
+        )
+        connection.execute(
+            "INSERT INTO verdict_log (kind, record, created)"
+            " VALUES ('verdict', '{\"key\": \"k\"}', 0)"
+        )
+        connection.commit()
+        connection.close()
+        with SQLiteVerdictStore(path) as second:
+            assert dict(second.items()) == {"k": (True, "n", 0.5)}
+            assert second.journal_entries("sess") == [(0, {"kind": "open"})]
+        connection = sqlite3.connect(path)
+        tables = {
+            name
+            for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        connection.close()
+        assert "verdict_log" not in tables
+
     def test_open_store_creates_parent_directories(self, tmp_path):
         deep_sqlite = tmp_path / "a" / "b" / "c" / "verdicts.sqlite"
         with open_store(f"sqlite://{deep_sqlite}") as store:
