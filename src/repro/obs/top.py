@@ -208,6 +208,19 @@ def render(
         f"   {_rate(stats, prev, 'tiers', 'store', 'hits'):8.1f}"
         f"   ({store.get('size', '-')} stored, {store.get('promotions', 0)} promoted)"
     )
+    calls = store.get("calls") or {}
+    if calls:
+        # Where store calls ran: on the event loop, or hopped to a worker.
+        loop = sum(int(paths.get("loop", 0)) for paths in calls.values())
+        worker = sum(int(paths.get("worker", 0)) for paths in calls.values())
+        detail = "  ".join(
+            f"{op} {paths.get('loop', 0)}/{paths.get('worker', 0)}"
+            for op, paths in sorted(calls.items())
+        )
+        lines.append(
+            f"{_DIM}          store calls: loop {loop}  worker {worker}"
+            f"   (loop/worker: {detail}){_RESET}"
+        )
     lines.append(
         f"  compute {int(compute.get('computed', 0)):>8} {'':>9}   {'':>6}"
         f"   {_rate(stats, prev, 'tiers', 'compute', 'computed'):8.1f}"

@@ -12,12 +12,17 @@ compiled instance keeps its machine), so a registry weak in the owner
 would never release anything.  The bound alone releases dead owners'
 entries, oldest first.
 
+A registry is shared by every thread of a serving daemon (the event loop,
+the compute thread, executor threads), so lookup, eviction and insertion
+run under one lock; building a value does not.
+
 This module is dependency-free on purpose: it sits below both the engine
 and the hierarchy layers, so either can import it without cycles.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, Hashable, Tuple, TypeVar
 
 Value = TypeVar("Value")
@@ -33,13 +38,14 @@ class SharedRegistry:
         it evicts the oldest entry (insertion order).
     """
 
-    __slots__ = ("limit", "_entries")
+    __slots__ = ("limit", "_entries", "_lock")
 
     def __init__(self, limit: int) -> None:
         if limit < 1:
             raise ValueError("limit must be positive")
         self.limit = limit
         self._entries: Dict[Tuple[object, Hashable], object] = {}
+        self._lock = threading.Lock()
 
     def get_or_build(
         self, owner: object, key: Hashable, build: Callable[[], Value]
@@ -47,16 +53,23 @@ class SharedRegistry:
         """The cached value for ``(owner, key)``, building and caching on miss.
 
         Owners that cannot be hashed are not cached: *build* is simply
-        called, so callers never need a separate fallback path.
+        called, so callers never need a separate fallback path.  When two
+        threads build the same entry at once, both get the first one stored.
         """
         entry = (owner, key)
+        entries = self._entries
         try:
-            value = self._entries.get(entry)
+            with self._lock:
+                value = entries.get(entry)
         except TypeError:
             return build()
-        if value is None:
-            value = build()
-            entries = self._entries
+        if value is not None:
+            return value
+        value = build()
+        with self._lock:
+            stored = entries.get(entry)
+            if stored is not None:
+                return stored
             while len(entries) >= self.limit:
                 del entries[next(iter(entries))]
             entries[entry] = value

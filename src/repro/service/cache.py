@@ -44,9 +44,10 @@ MAX_ENGINES = 256
 class TieredVerdictCache:
     """Read path over tier 1 (LRU) and tier 2 (persistent store).
 
-    Thread-compatible: the event loop is the only *lookup* caller in the
-    daemon, but inserts may arrive from compute callbacks, so every access
-    takes the internal lock (uncontended in the common case).
+    Thread-safe: the daemon looks up on the event loop and on worker
+    threads (session queries, reads that hopped), and inserts may arrive
+    from compute callbacks, so every LRU access takes the internal lock
+    (uncontended in the common case).
     """
 
     def __init__(
@@ -95,9 +96,9 @@ class TieredVerdictCache:
         """``(verdict, tier)`` when some tier knows *key*; ``None`` on full miss.
 
         Blocking convenience for synchronous callers; the daemon instead
-        checks :meth:`lookup_lru` on the event loop and ships
-        :meth:`lookup_store` (disk I/O, possibly a busy-timeout wait) to a
-        worker thread.
+        checks :meth:`lookup_lru` and :meth:`lookup_store_nowait` on the
+        event loop, and ships :meth:`lookup_store` (possibly a busy-timeout
+        wait) to a worker thread only when the store would wait.
         """
         hit = self.lookup_lru(key)
         if hit is not None:
@@ -117,13 +118,26 @@ class TieredVerdictCache:
     def lookup_store(self, key: str) -> Optional[Tuple[bool, str]]:
         """Tier 2 only: the persistent store, promoting hits into the LRU.
 
-        May block on disk (up to the store's busy timeout under a
-        concurrent writer) -- call from a worker thread in async contexts.
+        May block (up to the store's busy timeout under a concurrent
+        writer) -- call from a worker thread in async contexts.
         """
         if self.store is None:
             return None
         start = time.perf_counter()
-        stored = self.store.get(key)
+        return self._store_answer(key, self.store.get(key), start)
+
+    def lookup_store_nowait(self, key: str) -> Optional[Tuple[bool, str]]:
+        """:meth:`lookup_store` for the event loop: raises
+        :class:`~repro.sweep.store.WouldBlock`, counting nothing, where
+        the store would wait."""
+        if self.store is None:
+            return None
+        start = time.perf_counter()
+        return self._store_answer(key, self.store.get_nowait(key), start)
+
+    def _store_answer(
+        self, key: str, stored: Optional[bool], start: float
+    ) -> Optional[Tuple[bool, str]]:
         self._store_seconds.observe(time.perf_counter() - start)
         if stored is None:
             self._store_misses.inc()

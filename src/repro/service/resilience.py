@@ -28,7 +28,10 @@ failpoints, makes the call and reports its outcome to the breaker.  The
 daemon always wraps its store, so every store interaction shares one
 chaos surface and one breaker protocol, and every probe the breaker lets
 through gets its outcome reported, whatever became of the request that
-triggered it.
+triggered it.  The non-blocking calls the event loop makes
+(``get_nowait``, ``journal_append_nowait``) pass the same gate; one that
+would wait raises :class:`~repro.sweep.store.WouldBlock` and hands its
+probe back unmade.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import time
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Optional, Tuple
 
 from repro.obs.log import get_logger
-from repro.sweep.store import VerdictStore
+from repro.obs.metrics import Counter, MetricsRegistry
+from repro.sweep.store import VerdictStore, WouldBlock
 
 _log = get_logger("repro.resilience")
 
@@ -276,6 +280,12 @@ class FaultInjector:
         if self._fire(name) is not None:
             raise InjectedFault(name)
 
+    def armed(self, name: str) -> bool:
+        """Could *name* fire now?  Only looks: nothing fires, no ``times``
+        budget is spent, whatever the rule's rate."""
+        rule = self._rules.get(name)
+        return rule is not None and (rule.until is None or self._clock() < rule.until)
+
     # ------------------------------------------------------------------
     def active(self) -> Dict[str, Dict[str, Any]]:
         """The currently armed rules (admin-op and ``stats`` view)."""
@@ -300,8 +310,8 @@ class FaultInjector:
 class CircuitBreaker:
     """A consecutive-failure breaker over the store tier.
 
-    States: ``closed`` (normal), ``open`` (shedding -- :meth:`allow`
-    answers ``False``), ``half-open`` (one probe in flight).  The breaker
+    States: ``closed`` (normal), ``open`` (shedding -- :meth:`admit`
+    answers ``None``), ``half-open`` (one probe in flight).  The breaker
     opens after ``failure_threshold`` *consecutive* failures; after
     ``reset_seconds`` in the open state a single caller is allowed through
     as a probe, whose outcome re-closes or re-opens the breaker.  All
@@ -350,22 +360,32 @@ class CircuitBreaker:
         if self._on_transition is not None:
             self._on_transition(old_state, new_state)
 
-    def allow(self) -> bool:
-        """May the caller touch the store now?  (Half-open: one probe.)"""
+    def admit(self) -> Optional[bool]:
+        """May the caller touch the store now?  ``None`` when the call is
+        shed, ``True`` when the caller is the half-open probe (one at a
+        time), ``False`` when the breaker is closed."""
         with self._lock:
             if self._state == self.CLOSED:
-                return True
+                return False
             if self._state == self.OPEN:
                 if self._clock() - self._opened_at < self.reset_seconds:
-                    return False
+                    return None
                 self._transition(self.HALF_OPEN)
                 self._probe_in_flight = False
             # half-open: admit exactly one probe at a time.
             if self._probe_in_flight:
-                return False
+                return None
             self._probe_in_flight = True
             self.probes += 1
             return True
+
+    def release(self) -> None:
+        """Hand back the probe :meth:`admit` gave out, unmade (the call
+        would have blocked): the next caller probes instead."""
+        with self._lock:
+            if self._state == self.HALF_OPEN:
+                self._probe_in_flight = False
+                self.probes -= 1
 
     def record_success(self) -> None:
         with self._lock:
@@ -486,8 +506,14 @@ class FaultingStore(VerdictStore):
     *breaker* first and raise :class:`StoreUnavailable` when shed;
     otherwise the failpoints apply, the call is made and its outcome is
     reported on the calling thread, so no caller can leave a probe
-    unreported.  Structural calls (``__len__``, ``items``, ``close``) and
-    journal *reads* pass through ungated -- stats must stay observable
+    unreported.  A non-blocking call treats an armed latency failpoint as
+    :class:`~repro.sweep.store.WouldBlock` (it would sleep), and a probe
+    whose call raises ``WouldBlock`` is handed back to the breaker.
+    Every call the breaker admits is counted in *registry* by operation
+    and path (unless it raised ``WouldBlock``): ``loop`` for the
+    non-blocking calls, ``worker`` for the blocking ones.
+    Structural calls (``__len__``, ``items``, ``close``, ``checkpoint``)
+    and journal *reads* pass through ungated -- stats must stay observable
     and startup recovery must be able to read what an earlier, healthy
     daemon journaled.
     """
@@ -496,60 +522,103 @@ class FaultingStore(VerdictStore):
     _PUT = ("store-put-latency", "store-put-error")
 
     def __init__(
-        self, inner: VerdictStore, faults: FaultInjector, breaker: CircuitBreaker
+        self,
+        inner: VerdictStore,
+        faults: FaultInjector,
+        breaker: CircuitBreaker,
+        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.inner = inner
         self.faults = faults
         self.breaker = breaker
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._counters: Dict[Tuple[str, str], Counter] = {}
 
-    def _call(self, failpoints: Tuple[str, str], method: Callable, *args: Any) -> Any:
-        if not self.breaker.allow():
-            raise StoreUnavailable("store call shed: the store circuit breaker is open")
+    def _count(self, op: str, path: str) -> None:
+        counter = self._counters.get((op, path))
+        if counter is None:
+            counter = self._counters[(op, path)] = self.registry.counter(
+                "repro_store_calls_total",
+                labels={"op": op, "path": path},
+                help="store calls by operation and by where they ran "
+                "(loop: non-blocking, on the event loop; worker: blocking)",
+            )
+        counter.inc()
+
+    def calls(self) -> Dict[str, Dict[str, int]]:
+        """Store calls so far: ``{op: {"loop": n, "worker": n}}``."""
+        calls: Dict[str, Dict[str, int]] = {}
+        for (op, path), counter in sorted(self._counters.items()):
+            calls.setdefault(op, {"loop": 0, "worker": 0})[path] = counter.value
+        return calls
+
+    def _call(self, failpoints: Tuple[str, str], op: str, *args: Any, wait: bool = True) -> Any:
+        """``inner.<op>(*args)`` through the gate; without *wait*, the
+        non-blocking ``inner.<op>_nowait``."""
         latency, error = failpoints
+        if not wait and self.faults.armed(latency):
+            raise WouldBlock(f"failpoint {latency!r} is armed")
+        probe = self.breaker.admit()
+        if probe is None:
+            raise StoreUnavailable("store call shed: the store circuit breaker is open")
+        path = "worker" if wait else "loop"
         try:
-            delay = self.faults.delay(latency)
-            if delay > 0.0:
-                time.sleep(delay)
+            if wait:
+                delay = self.faults.delay(latency)
+                if delay > 0.0:
+                    time.sleep(delay)
             self.faults.check(error)
-            result = method(*args)
+            result = getattr(self.inner, op if wait else op + "_nowait")(*args)
+        except WouldBlock:
+            if probe:
+                self.breaker.release()
+            raise
         except BaseException:
+            self._count(op, path)
             self.breaker.record_failure()
             raise
+        self._count(op, path)
         self.breaker.record_success()
         return result
 
     # -- verdicts ------------------------------------------------------
     def get(self, key):
-        return self._call(self._GET, self.inner.get, key)
+        return self._call(self._GET, "get", key)
+
+    def get_nowait(self, key):
+        return self._call(self._GET, "get", key, wait=False)
 
     def get_many(self, keys):
-        return self._call(self._GET, self.inner.get_many, keys)
+        return self._call(self._GET, "get_many", keys)
 
     def put(self, key, verdict, name="", seconds=0.0):
-        self._call(self._PUT, self.inner.put, key, verdict, name, seconds)
+        self._call(self._PUT, "put", key, verdict, name, seconds)
 
     def put_many(self, records):
-        self._call(self._PUT, self.inner.put_many, records)
+        self._call(self._PUT, "put_many", records)
 
     # -- node verdicts -------------------------------------------------
     def get_node(self, key):
-        return self._call(self._GET, self.inner.get_node, key)
+        return self._call(self._GET, "get_node", key)
 
     def get_node_many(self, keys):
-        return self._call(self._GET, self.inner.get_node_many, keys)
+        return self._call(self._GET, "get_node_many", keys)
 
     def put_node(self, key, verdict):
-        self._call(self._PUT, self.inner.put_node, key, verdict)
+        self._call(self._PUT, "put_node", key, verdict)
 
     def put_node_many(self, records):
-        self._call(self._PUT, self.inner.put_node_many, records)
+        self._call(self._PUT, "put_node_many", records)
 
     def node_count(self):
         return self.inner.node_count()
 
     # -- session journal -----------------------------------------------
     def journal_append(self, session, seq, entry):
-        self._call(self._PUT, self.inner.journal_append, session, seq, entry)
+        self._call(self._PUT, "journal_append", session, seq, entry)
+
+    def journal_append_nowait(self, session, seq, entry):
+        return self._call(self._PUT, "journal_append", session, seq, entry, wait=False)
 
     def journal_entries(self, session):
         return self.inner.journal_entries(session)
@@ -561,6 +630,9 @@ class FaultingStore(VerdictStore):
         self.inner.journal_clear(session)
 
     # -- structure -----------------------------------------------------
+    def checkpoint(self):
+        self.inner.checkpoint()
+
     def __len__(self):
         return len(self.inner)
 

@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
@@ -59,7 +59,7 @@ from repro.service.resilience import (
     StoreUnavailable,
 )
 from repro.service.resolver import Resolver
-from repro.sweep.store import VerdictStore, open_store
+from repro.sweep.store import VerdictStore, WouldBlock, open_store
 
 #: A served endpoint: ("tcp", host, port) or ("unix", path).
 Address = Tuple[Any, ...]
@@ -78,12 +78,15 @@ _log = get_logger("repro.service")
 class _DynamicSession:
     """One named mutable game living in the daemon.
 
-    All access (mutate *and* query) runs on worker threads under
-    ``lock``, so concurrent clients of the same session are serialized:
-    a query observes either all or none of any delta batch, never a
-    half-applied one.  The per-session canonical cache shares the store's
-    ``node_verdicts`` table, so ball verdicts survive mutation exactly when
-    their canonical signature does.
+    Every access (mutate *and* query) holds ``lock``, so concurrent
+    clients of the same session are serialized: a query observes either
+    all or none of any delta batch, never a half-applied one.  A small
+    mutate tries the lock on the event loop and waits for it only on a
+    worker thread; larger mutates and session queries always run on a
+    worker thread (see :meth:`VerdictService._mutate`).  The
+    per-session canonical cache shares the store's ``node_verdicts``
+    table, so ball verdicts survive mutation exactly when their canonical
+    signature does.
     """
 
     #: Most idempotency tokens remembered per session (oldest evicted).
@@ -91,6 +94,8 @@ class _DynamicSession:
 
     def __init__(self, name: str, mutable: MutableInstance, opening: Dict[str, Any]) -> None:
         self.name = name
+        #: A plain Lock, not an RLock: when a journal append hops, the
+        #: worker thread that finishes it releases the lock the loop took.
         self.lock = threading.Lock()
         self.mutable = mutable
         self.created_at = time.time()
@@ -140,6 +145,21 @@ class _DynamicSession:
             "recovered": self.recovered,
             **self.mutable.info(),
         }
+
+
+@dataclass
+class _Mutation:
+    """One mutate's progress, so a worker thread can finish what the loop
+    began (see :meth:`VerdictService._mutate_session`)."""
+
+    request: MutateRequest
+    started: float = field(default_factory=time.perf_counter)
+    #: ``None`` until the batch applied (or was answered from its token).
+    applied: Optional[int] = None
+    dirty: int = 0
+    deduped: bool = False
+    #: ``None`` until the journal step ran.
+    journaled: Optional[bool] = None
 
 
 @dataclass
@@ -202,8 +222,8 @@ class VerdictService:
         raw_store: Optional[VerdictStore] = (
             open_store(store) if isinstance(store, str) else store
         )
-        self.store: Optional[VerdictStore] = (
-            FaultingStore(raw_store, self.faults, self.breaker)
+        self.store: Optional[FaultingStore] = (
+            FaultingStore(raw_store, self.faults, self.breaker, self.registry)
             if raw_store is not None
             else None
         )
@@ -228,7 +248,8 @@ class VerdictService:
             trace_log=self.traces,
             faults=self.faults,
         )
-        #: Scenarios whose keys were already bulk-promoted from the store.
+        #: Scenarios whose bulk promotion from the store began (a failed
+        #: one is unmarked): their reads take the single-key path.
         self._promoted_scenarios: set = set()
         self.coalescer = RequestCoalescer(
             self.compute.evaluate,
@@ -237,8 +258,8 @@ class VerdictService:
         )
         self.started_at = time.time()
         self._monotonic_start = time.perf_counter()
-        #: Dynamic sessions by name; mutated and queried on worker threads
-        #: under each session's own lock (see :class:`_DynamicSession`).
+        #: Dynamic sessions by name, each serialized by its own lock (see
+        #: :class:`_DynamicSession`).
         self.sessions: Dict[str, _DynamicSession] = {}
         self.sessions_opened = 0
         self._request_counters = {
@@ -297,7 +318,9 @@ class VerdictService:
         #: answered with a typed ``draining`` error, in-flight ones finish.
         self.draining = False
         self.sessions_recovered = 0
-        self._persist_futures: set = set()
+        #: Work handed to worker threads that must finish before the store
+        #: closes: store writes, and mutates whose waiter may be gone.
+        self._worker_futures: set = set()
         self._closed = False
 
     @property
@@ -336,17 +359,28 @@ class VerdictService:
 
         A shed write counts *count* in the *skipped* counter (if any), a
         failed one as a put failure.  Persistence is best-effort: the
-        caller's verdicts stand either way.
+        caller's verdicts stand either way.  A non-blocking write that
+        would wait raises :class:`WouldBlock` for its caller to retry
+        blocking.
         """
         try:
             write()
             return True
+        except WouldBlock:
+            raise
         except StoreUnavailable:
             if skipped is not None:
                 skipped.inc(count)
         except Exception as error:  # noqa: BLE001 -- persistence is best-effort
             self._count_store_put_failure(error)
         return False
+
+    def _off_loop(self, function: Callable[..., Any], *args: Any) -> "asyncio.Future[Any]":
+        """``function(*args)`` on a worker thread; :meth:`close` waits for it."""
+        future = asyncio.get_running_loop().run_in_executor(None, function, *args)
+        self._worker_futures.add(future)
+        future.add_done_callback(self._worker_futures.discard)
+        return future
 
     def _record_computed(self, entries, verdicts, seconds) -> None:
         """Record a computed batch: LRU now, the store off the event loop."""
@@ -355,14 +389,10 @@ class VerdictService:
             self.cache.insert(key, verdict, name=name, seconds=spent, persist=False)
             records.append((key, bool(verdict), name, spent))
         if self.store is not None and records:
-            # A store write is a COMMIT that can wait out a concurrent
-            # writer's lock; keep it off the loop.  close() drains these.
+            # A whole batch's put_many is left to a worker thread: it is
+            # larger than a hop, and it may wait out another writer's lock.
             write = partial(self.store.put_many, records)
-            future = asyncio.get_running_loop().run_in_executor(
-                None, self._write, write, self._store_writes_skipped, len(records)
-            )
-            self._persist_futures.add(future)
-            future.add_done_callback(self._persist_futures.discard)
+            self._off_loop(self._write, write, self._store_writes_skipped, len(records))
 
     # ------------------------------------------------------------------
     async def handle_line(self, line: str) -> str:
@@ -548,6 +578,7 @@ class VerdictService:
                     request.id,
                 )
             trace.annotate(session=request.session)
+            # A session query repairs on a miss: it runs on a worker thread.
             # contextvars do not cross run_in_executor: hand the trace object
             # to the worker explicitly so its spans land on this request.
             verdict, source, key, name, seconds, degraded = await loop.run_in_executor(
@@ -562,19 +593,29 @@ class VerdictService:
             with trace.span("lru"):
                 hit = self.cache.lookup_lru(key)
             if hit is None and self.store is not None:
-                # Tier 2 is disk I/O (and can wait out a concurrent writer's
-                # lock): run it on the loop's default worker pool, not the
-                # loop.  The span measures the wait as the request saw it,
-                # executor queueing included.
+                # Tier 2 is read on the loop unless the store would wait.
+                # A scenario's first read (its bulk promotion) and a read
+                # that would wait run on a worker thread; the span then
+                # includes the executor's queueing.  A scenario is marked
+                # before its bulk read, so concurrent queries of it read
+                # one key each; _read_store unmarks it if that read fails.
                 scenario = request.scenario
                 if scenario in self._promoted_scenarios:
                     scenario = None
                 elif scenario is not None:
                     self._promoted_scenarios.add(scenario)
                 with trace.span("store"):
-                    hit, degraded = await loop.run_in_executor(
-                        None, self._read_store, key, scenario
-                    )
+                    if scenario is not None:
+                        hit, degraded = await loop.run_in_executor(
+                            None, self._read_store, key, scenario
+                        )
+                    else:
+                        try:
+                            hit, degraded = self._read_store(key, wait=False)
+                        except WouldBlock:
+                            hit, degraded = await loop.run_in_executor(
+                                None, self._read_store, key
+                            )
             if hit is not None:
                 verdict, source = hit
                 seconds = time.perf_counter() - start
@@ -612,20 +653,25 @@ class VerdictService:
     SCENARIO_PROMOTE_LIMIT = 512
 
     def _read_store(
-        self, key: str, scenario: Optional[str] = None
+        self, key: str, scenario: Optional[str] = None, wait: bool = True
     ) -> Tuple[Optional[Tuple[bool, str]], bool]:
-        """Tier 2 for *key*, on a worker thread: ``(hit or None, degraded)``.
+        """Tier 2 for *key*: ``(hit or None, degraded)``.
 
-        With *scenario* (its first store lookup), one ``get_many``
-        round-trip pulls every stored sibling verdict into the LRU, so a
-        warm-store client sweeping a scenario pays tier-2 latency once
-        instead of once per instance.  A read the breaker shed, or one that
-        failed, degrades the answer instead of failing it: LRU -> compute
-        still yields a correct verdict.
+        Without *wait* (on the event loop) the read raises
+        :class:`WouldBlock` where the store would wait, and the caller
+        retries on a worker thread.  With *scenario* (its first store
+        lookup, on a worker thread), one ``get_many`` round-trip pulls
+        every stored sibling verdict into the LRU, so a warm-store client
+        sweeping a scenario pays tier-2 latency once instead of once per
+        instance.  A read the breaker shed, or one that failed, degrades
+        the answer instead of failing it: LRU -> compute still yields a
+        correct verdict.  Such a bulk read also unmarks its scenario, so
+        the scenario's next query tries the promotion again.
         """
         try:
             if scenario is None:
-                return self.cache.lookup_store(key), False
+                lookup = self.cache.lookup_store if wait else self.cache.lookup_store_nowait
+                return lookup(key), False
             keys = self.resolver.scenario_keys(scenario)
             if len(keys) > self.SCENARIO_PROMOTE_LIMIT:
                 return self.cache.lookup_store(key), False
@@ -635,11 +681,15 @@ class VerdictService:
                 return (found[key], "store"), False
             self.cache.note_store_miss()
             return None, False
+        except WouldBlock:
+            raise
         except StoreUnavailable:
             self.cache.note_store_skipped()
         except Exception as error:  # noqa: BLE001 -- degrade, not die
             self.cache.note_store_error("get", error)
             self.events.append("store-get-failure", error=repr(error))
+        if scenario is not None:
+            self._promoted_scenarios.discard(scenario)
         return None, True
 
     def _query_session(
@@ -685,23 +735,61 @@ class VerdictService:
     # ------------------------------------------------------------------
     # Dynamic sessions
     # ------------------------------------------------------------------
+    #: Largest graph, in nodes plus edges, on which the event loop applies
+    #: a mutate itself, and then only a batch of at most one delta.  The
+    #: repair grows with the graph: on a 2-vCPU x86 box one delta takes
+    #: 0.2-0.3 ms at this size (a 12-node session with 40 edges: 0.17 ms),
+    #: 0.5 ms on a 64-node cycle and 5 ms on K64, and 256 deltas on a
+    #: 64-node cycle take ~140 ms.
+    LOOP_MUTATE_SIZE = 64
+
     async def _mutate(self, request: MutateRequest) -> Dict[str, Any]:
-        """The body of one mutate: find or open the session, apply off the loop."""
+        """The body of one mutate: find or open the session, then apply and
+        journal the batch on the loop unless it is large or would wait.
+
+        A batch of more than one delta, or one on a session graph larger
+        than :attr:`LOOP_MUTATE_SIZE`, runs whole on a worker thread: its
+        apply would stall every client of the loop.  For a small batch the
+        loop only tries the session lock.  While another mutate or a
+        session query holds it, the whole mutate runs on a worker thread,
+        which waits for the lock.  When the journal append would wait, only
+        the append moves to a worker thread, and the session stays locked
+        until it returns -- even if the request's deadline abandons this
+        coroutine -- so the session's next mutate cannot overtake it.
+        """
         session, opened = self._session_for_mutate(request)
-        loop = asyncio.get_running_loop()
-        applied, dirty, seconds, deduped, journaled = await loop.run_in_executor(
-            None, self._mutate_session, session, request
+        mutation = _Mutation(request)
+        graph = session.mutable.graph
+        small = len(request.deltas) <= 1 and (
+            len(graph.nodes) + len(graph.edges) <= self.LOOP_MUTATE_SIZE
         )
+        locked = small and session.lock.acquire(blocking=False)
+        if locked:
+            try:
+                self._mutate_session(session, mutation, wait=False)
+            except WouldBlock:
+                pass  # the worker below journals the batch, then unlocks
+            except BaseException:
+                session.lock.release()
+                raise
+            else:
+                session.lock.release()
+        if mutation.journaled is None:
+            # Shielded: a cancelled waiter must not cancel the worker's
+            # call, which alone can release a lock the loop handed over.
+            await asyncio.shield(
+                self._off_loop(self._finish_mutate, session, mutation, locked)
+            )
         return mutate_response(
             request.id,
             session=request.session,
-            applied=applied,
-            dirty=dirty,
+            applied=mutation.applied,
+            dirty=mutation.dirty,
             generation=session.mutable.compiled.generation,
-            seconds=seconds,
+            seconds=time.perf_counter() - mutation.started,
             opened=opened,
-            deduped=deduped,
-            journaled=journaled,
+            deduped=mutation.deduped,
+            journaled=mutation.journaled,
         )
 
     def _session_for_mutate(
@@ -762,55 +850,79 @@ class VerdictService:
         )
         return _DynamicSession(name, mutable, opening=address)
 
+    def _finish_mutate(
+        self, session: _DynamicSession, mutation: _Mutation, locked: bool
+    ) -> None:
+        """Worker-thread rest of a mutate: all of it, or (when the loop
+        holds the lock for it, *locked*) its journal append.  Leaves the
+        session unlocked."""
+        if not locked:
+            session.lock.acquire()
+        try:
+            self._mutate_session(session, mutation, wait=True)
+        finally:
+            session.lock.release()
+
     def _mutate_session(
-        self, session: _DynamicSession, request: MutateRequest
-    ) -> Tuple[int, int, float, bool, bool]:
-        """Worker-thread body of a mutate: dedup, apply, journal."""
-        start = time.perf_counter()
-        with session.lock:
+        self, session: _DynamicSession, mutation: _Mutation, wait: bool
+    ) -> None:
+        """Dedup, apply and journal one mutate; the caller holds the lock.
+
+        The one mutate body of the loop (``wait=False``) and of worker
+        threads (``wait=True``).  On the loop, a journal append that would
+        wait raises :class:`WouldBlock` with the batch applied and recorded
+        in *mutation*; the worker's call then journals it without applying
+        it again.
+        """
+        request = mutation.request
+        if mutation.applied is None:
             # A retry of a batch that already applied (the first reply was
             # lost): report the remembered outcome, do not apply it twice.
             cached = session.token_results.get(request.token)
             if cached is not None:
-                applied, dirty = cached
-                return applied, dirty, time.perf_counter() - start, True, True
+                mutation.applied, mutation.dirty = cached
+                mutation.deduped = mutation.journaled = True
+                return
             try:
-                applied, dirty = session.apply(request.deltas, request.token)
+                mutation.applied, mutation.dirty = session.apply(
+                    request.deltas, request.token
+                )
             except DeltaError as error:
                 raise ProtocolError("bad-delta", str(error), request.id) from error
-            journaled = self._journal_mutation(session, request, applied, dirty)
-            return applied, dirty, time.perf_counter() - start, False, journaled
+        mutation.journaled = self._journal_mutation(session, mutation, wait)
 
     def _journal_mutation(
-        self,
-        session: _DynamicSession,
-        request: MutateRequest,
-        applied: int,
-        dirty: int,
+        self, session: _DynamicSession, mutation: _Mutation, wait: bool
     ) -> bool:
         """Append one applied batch to the session's write-ahead journal.
 
         Sequence 0 records the opening address; sequence n the n-th
         applied batch in wire form with its token and outcome (recovery
-        re-applies it and rebuilds the idempotency-token memory).  Runs on
-        the worker thread under the session lock, after the batch applied:
-        every acknowledged mutation is either journaled or honestly
-        reported ``journaled: false``.  Once an append is shed or fails the
-        journal is a divergent prefix -- later batches are not appended
-        either, so recovery never silently skips a batch in the middle.
+        re-applies it and rebuilds the idempotency-token memory).  Runs
+        under the session lock, after the batch applied: every
+        acknowledged mutation is either journaled or honestly reported
+        ``journaled: false``.  Without *wait* it runs on the event loop and
+        raises :class:`WouldBlock` before the first entry that would wait;
+        the entries already written stay recorded in the session, so the
+        retry with *wait* writes only the rest.  Once an append is shed or
+        fails the journal is a divergent prefix -- later batches are not
+        appended either, so recovery never silently skips a batch in the
+        middle.
         """
         if self.store is None or session.journal_broken:
             if session.journal_broken:
                 self._journal_skipped.inc()
             return False
+        store = self.store
+        request = mutation.request
         entries: List[Tuple[int, Dict[str, Any]]] = []
         if not session.journaled_open:
             entries.append((0, {"kind": "open", "address": dict(session.opening)}))
         batch_entry: Dict[str, Any] = {
             "kind": "deltas",
             "deltas": [dict(body) for body in request.deltas],
-            "applied": applied,
-            "dirty": dirty,
+            "applied": mutation.applied,
+            "dirty": mutation.dirty,
         }
         if request.token is not None:
             batch_entry["token"] = request.token
@@ -818,14 +930,18 @@ class VerdictService:
 
         def append() -> None:
             for seq, entry in entries:
-                self.store.journal_append(session.name, seq, entry)
+                if wait:
+                    store.journal_append(session.name, seq, entry)
+                elif store.journal_append_nowait(session.name, seq, entry):
+                    # The loop's connection never checkpoints on commit.
+                    self._off_loop(self._write, store.checkpoint)
+                self._journal_appends.inc()
                 if entry["kind"] == "open":
                     session.journaled_open = True
                 else:
                     session.journal_seq = seq + 1
 
         if self._write(append, self._journal_skipped):
-            self._journal_appends.inc(len(entries))
             return True
         session.journal_broken = True
         _log.error("journal-broken", session=session.name)
@@ -888,6 +1004,7 @@ class VerdictService:
         tiers["store"]["async_put_failures"] = self._store_put_failures.value
         tiers["store"]["put_failures_by_error"] = dict(self._put_failures_by_error)
         tiers["store"]["writes_skipped"] = int(self._store_writes_skipped.value)
+        tiers["store"]["calls"] = self.store.calls() if self.store is not None else {}
         tiers["compute"] = self.compute.engine_stats()
         requests = {op: counter.value for op, counter in self._request_counters.items()}
         now_monotonic = time.perf_counter()
@@ -1002,11 +1119,11 @@ class VerdictService:
         for session in self.sessions.values():
             canonical = session.mutable.compiled.canonical
             if canonical is not None:
-                self._write(canonical.flush)
-        if self._persist_futures:
+                self._off_loop(self._write, canonical.flush)
+        if self._worker_futures:
             # Verdicts already answered to clients must reach the store
             # before it is closed (daemon restarts start warm).
-            await asyncio.gather(*list(self._persist_futures), return_exceptions=True)
+            await asyncio.gather(*list(self._worker_futures), return_exceptions=True)
         if self._owns_store and self.store is not None:
             self.store.close()
 

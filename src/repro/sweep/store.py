@@ -16,6 +16,12 @@ share one store file, so a verdict any worker persists is a tier-2 hit
 for all of them.  :class:`VerdictStore` is the interface it implements (and
 that :class:`repro.service.resilience.FaultingStore` wraps).
 
+A daemon's event loop must never wait on a lock, so ``get`` and
+``journal_append`` each have a non-blocking twin (``get_nowait``,
+``journal_append_nowait``) that raises :class:`WouldBlock` where the
+blocking call would wait; the caller then makes the blocking call on a
+worker thread.
+
 :func:`open_store` opens a store from a path: ``None`` or ``memory://``
 gives a private in-memory database, ``sqlite://PATH`` or a bare path (any
 suffix, including ``:memory:``) a SQLite database at that path; any other
@@ -31,16 +37,35 @@ import os
 import sqlite3
 import threading
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, TypeVar
 
 #: A stored verdict: (verdict, instance name, cold solve seconds).
 StoredVerdict = Tuple[bool, str, float]
+
+Result = TypeVar("Result")
+
+_GET = "SELECT verdict FROM verdicts WHERE key = ?"
+_JOURNAL_APPEND = (
+    "INSERT OR REPLACE INTO session_journal (session, seq, entry, created)"
+    " VALUES (?, ?, ?, ?)"
+)
+
+
+class WouldBlock(Exception):
+    """A non-blocking store call would have waited: for the store's lock
+    (another thread is using the connection) or for the database (another
+    connection holds a lock on it).  Nothing was read or written; the
+    blocking call does the same work."""
 
 
 class VerdictStore:
     """The verdict-store interface (also usable as a context manager)."""
 
     def get(self, key: str) -> Optional[bool]:
+        raise NotImplementedError
+
+    def get_nowait(self, key: str) -> Optional[bool]:
+        """:meth:`get`, raising :class:`WouldBlock` instead of waiting."""
         raise NotImplementedError
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, bool]:
@@ -93,6 +118,16 @@ class VerdictStore:
         """
         raise NotImplementedError
 
+    def journal_append_nowait(self, session: str, seq: int, entry: Dict) -> bool:
+        """:meth:`journal_append`, raising :class:`WouldBlock` instead of
+        waiting.  Returns ``True`` when the caller should run
+        :meth:`checkpoint` (off the event loop)."""
+        raise NotImplementedError
+
+    def checkpoint(self) -> None:
+        """Fold the write-ahead log back into the database (it may wait for
+        this store's writers; a no-op where there is no such log)."""
+
     def journal_entries(self, session: str) -> List[Tuple[int, Dict]]:
         """All journaled ``(seq, entry)`` pairs of *session*, in order."""
         raise NotImplementedError
@@ -138,11 +173,24 @@ class SQLiteVerdictStore(VerdictStore):
     connection extends that to this process -- a reader never waits out a
     *sibling process's* commit behind our own writer's busy-timeout spin,
     which matters when several pool workers share one store file.
+
+    A third connection serves the non-blocking calls (``get_nowait``,
+    ``journal_append_nowait``), under a lock they only try: its
+    ``busy_timeout`` is 0, so a locked database raises :class:`WouldBlock`
+    at once, and its ``wal_autocheckpoint`` is 0, so none of its commits
+    copies the log back into the database.  Every
+    :attr:`CHECKPOINT_EVERY`-th of them asks the caller to run
+    :meth:`checkpoint` instead.  In-memory stores have no other
+    connection to wait for: there the non-blocking calls use the writer's
+    connection, and only its lock can make them raise.
     """
 
     #: How many keys one bulk ``SELECT ... IN (...)`` carries at most
     #: (SQLite's default variable limit is 999).
     GET_MANY_CHUNK = 500
+
+    #: Commits of the non-blocking connection per requested checkpoint.
+    CHECKPOINT_EVERY = 1000
 
     def __init__(self, path: str, busy_timeout_ms: int = 5000) -> None:
         self.path = path
@@ -200,15 +248,41 @@ class SQLiteVerdictStore(VerdictStore):
             self._read_connection.execute(
                 f"PRAGMA busy_timeout = {int(busy_timeout_ms)}"
             )
+            self._nowait_lock = threading.Lock()
+            self._nowait_connection = sqlite3.connect(path, check_same_thread=False)
+            self._nowait_connection.execute("PRAGMA busy_timeout = 0")
+            self._nowait_connection.execute("PRAGMA wal_autocheckpoint = 0")
+            # Per connection, like the writer's: no fsync on each commit.
+            self._nowait_connection.execute("PRAGMA synchronous = NORMAL")
         else:
-            self._read_lock = self._lock
-            self._read_connection = self._connection
+            self._read_lock = self._nowait_lock = self._lock
+            self._read_connection = self._nowait_connection = self._connection
+        self._nowait_commits = 0
+
+    def _nowait(self, work: Callable[[sqlite3.Connection], Result]) -> Result:
+        """``work(connection)`` on the non-blocking connection, or
+        :class:`WouldBlock` when its lock or the database is taken."""
+        if not self._nowait_lock.acquire(blocking=False):
+            raise WouldBlock("another thread is using the store's connection")
+        connection = self._nowait_connection
+        try:
+            return work(connection)
+        except sqlite3.OperationalError as error:
+            if connection.in_transaction:
+                connection.rollback()
+            if error.sqlite_errorcode & 0xFF in (sqlite3.SQLITE_BUSY, sqlite3.SQLITE_LOCKED):
+                raise WouldBlock(str(error)) from error
+            raise
+        finally:
+            self._nowait_lock.release()
 
     def get(self, key: str) -> Optional[bool]:
         with self._read_lock:
-            row = self._read_connection.execute(
-                "SELECT verdict FROM verdicts WHERE key = ?", (key,)
-            ).fetchone()
+            row = self._read_connection.execute(_GET, (key,)).fetchone()
+        return None if row is None else bool(row[0])
+
+    def get_nowait(self, key: str) -> Optional[bool]:
+        row = self._nowait(lambda connection: connection.execute(_GET, (key,)).fetchone())
         return None if row is None else bool(row[0])
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, bool]:
@@ -302,14 +376,33 @@ class SQLiteVerdictStore(VerdictStore):
             yield key, (bool(verdict), name, seconds)
 
     def journal_append(self, session: str, seq: int, entry: Dict) -> None:
-        now = time.time()
+        row = (session, int(seq), json.dumps(entry, sort_keys=True), time.time())
         with self._lock:
-            self._connection.execute(
-                "INSERT OR REPLACE INTO session_journal (session, seq, entry, created)"
-                " VALUES (?, ?, ?, ?)",
-                (session, int(seq), json.dumps(entry, sort_keys=True), now),
-            )
+            self._connection.execute(_JOURNAL_APPEND, row)
             self._connection.commit()
+
+    def journal_append_nowait(self, session: str, seq: int, entry: Dict) -> bool:
+        row = (session, int(seq), json.dumps(entry, sort_keys=True), time.time())
+
+        def append(connection: sqlite3.Connection) -> bool:
+            connection.execute(_JOURNAL_APPEND, row)
+            connection.commit()
+            if self.path == ":memory:":
+                return False
+            self._nowait_commits += 1
+            if self._nowait_commits < self.CHECKPOINT_EVERY:
+                return False
+            self._nowait_commits = 0
+            return True
+
+        return self._nowait(append)
+
+    def checkpoint(self) -> None:
+        # Under both writing connections' locks, so no commit of this store
+        # lands mid-checkpoint: the log is folded back whole, and the next
+        # commit restarts it from the beginning.
+        with self._lock, self._nowait_lock:
+            self._connection.execute("PRAGMA wal_checkpoint(PASSIVE)").fetchall()
 
     def journal_entries(self, session: str) -> List[Tuple[int, Dict]]:
         with self._lock:
@@ -343,6 +436,8 @@ class SQLiteVerdictStore(VerdictStore):
         if self._read_connection is not self._connection:
             with self._read_lock:
                 self._read_connection.close()
+            with self._nowait_lock:
+                self._nowait_connection.close()
         with self._lock:
             self._connection.close()
 

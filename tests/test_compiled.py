@@ -696,6 +696,42 @@ class TestSharingAndIntegration:
         gc.collect()
         assert sum(ref() is None for ref in machines) >= 10
 
+    def test_shared_registry_evicts_safely_across_threads(self):
+        # Four threads keep missing one limit-2 registry, with an owner
+        # whose hash yields the GIL so their lookups, evictions and inserts
+        # interleave.  Two unlocked evictions could pick the same oldest
+        # entry, and the second ``del`` raised KeyError.
+        import threading
+        import time
+
+        from repro.registry import SharedRegistry
+
+        class YieldingOwner:
+            def __hash__(self):
+                time.sleep(0)
+                return object.__hash__(self)
+
+        registry = SharedRegistry(limit=2)
+        errors = []
+
+        def run(worker):
+            owner = YieldingOwner()
+            try:
+                for key in range(300):
+                    built = registry.get_or_build(owner, key, lambda: (worker, key))
+                    assert built == (worker, key)
+            except Exception as error:  # noqa: BLE001 -- reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=run, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert "entries=2," in repr(registry)
+
     def test_leaf_evaluator_shares_instance_memo_with_engine(self):
         # Dict-facing leaf queries and engines on one instance share the
         # per-node memo.  A rule-less machine: the bitset search leaves no

@@ -9,7 +9,9 @@ error -- never by dying or hanging.
 from __future__ import annotations
 
 import asyncio
+import os
 import socket
+import sqlite3
 import threading
 import time
 
@@ -26,8 +28,10 @@ from repro.service.resilience import (
     RetryPolicy,
     parse_fault_spec,
 )
-from repro.service.server import ServerThread, ServiceConfig, VerdictService
-from repro.sweep.store import SQLiteVerdictStore, open_store
+from repro.service.protocol import MAX_DELTAS
+from repro.service.resolver import MAX_INLINE_NODES
+from repro.service.server import ServerThread, ServiceConfig, VerdictService, _DynamicSession
+from repro.sweep.store import SQLiteVerdictStore, WouldBlock, open_store
 
 SPEC = {"arbiter": "2-colorable", "family": "cycle", "n": 6, "scheme": "sequential"}
 
@@ -121,6 +125,17 @@ class TestFaultInjector:
         assert pattern == fires(7)  # same seed, same chaos
         assert any(pattern) and not all(pattern)  # rate actually bites
 
+    def test_armed_only_looks(self):
+        clock = FakeClock()
+        faults = FaultInjector(clock=clock)
+        assert not faults.armed("store-get-latency")
+        faults.configure("store-get-latency", rate=0.5, latency=0.2, times=1, for_seconds=5.0)
+        assert all(faults.armed("store-get-latency") for _ in range(5))  # whatever the rate
+        assert faults.fired == {}
+        assert faults.active()["store-get-latency"]["times_left"] == 1  # budget unspent
+        clock.advance(5.1)
+        assert not faults.armed("store-get-latency")
+
     def test_off_and_clear(self):
         faults = FaultInjector()
         faults.configure_spec("store-get-error,slow-response:latency=0.1")
@@ -169,6 +184,54 @@ class TestFaultingStore:
         store.get("missing")
         assert time.perf_counter() - started >= 0.04
 
+    def test_nowait_calls_hop_on_armed_latency_and_count_by_path(self):
+        inner = SQLiteVerdictStore(":memory:")
+        inner.put("k", True)
+        store = FaultingStore(inner, FaultInjector(), CircuitBreaker())
+        assert store.get_nowait("k") is True
+        assert store.journal_append_nowait("s", 0, {"kind": "open", "address": {}}) is False
+        store.faults.configure("store-get-latency", latency=0.01, times=1)
+        with pytest.raises(WouldBlock):
+            store.get_nowait("k")  # it would sleep: the caller hops instead
+        assert "store-get-latency" in store.faults.active()  # not spent by the look
+        assert store.get("k") is True  # the blocking call sleeps and spends it
+        assert store.faults.active() == {}
+        assert store.calls() == {
+            "get": {"loop": 1, "worker": 1},
+            "journal_append": {"loop": 1, "worker": 0},
+        }
+        assert (
+            'repro_store_calls_total{op="get",path="loop"} 1'
+            in store.registry.render_prometheus()
+        )
+
+    def test_probe_that_would_block_is_handed_back(self):
+        inner = SQLiteVerdictStore(":memory:")
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, reset_seconds=1.0, clock=clock)
+        store = FaultingStore(inner, FaultInjector(), breaker)
+        breaker.record_failure()
+        clock.advance(1.1)
+        taken, done = threading.Event(), threading.Event()
+
+        def hold():  # another thread owns the in-memory store's connection
+            with inner._lock:
+                taken.set()
+                done.wait(5)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        taken.wait(5)
+        try:
+            with pytest.raises(WouldBlock):
+                store.get_nowait("k")  # took the half-open probe, then would wait
+        finally:
+            done.set()
+            holder.join()
+        assert breaker.snapshot()["probes"] == 0  # handed back, not leaked
+        assert store.get("k") is None  # the next caller probes...
+        assert breaker.state == "closed"  # ...and re-closes the breaker
+
 
 # ----------------------------------------------------------------------
 # Circuit breaker
@@ -184,7 +247,7 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         breaker.record_failure()
         assert breaker.state == "open"
-        assert not breaker.allow()
+        assert breaker.admit() is None
 
     def test_half_open_single_probe_recloses(self):
         clock = FakeClock()
@@ -196,28 +259,43 @@ class TestCircuitBreaker:
             on_transition=lambda old, new: transitions.append((old, new)),
         )
         breaker.record_failure()
-        assert breaker.state == "open" and not breaker.allow()
+        assert breaker.state == "open" and breaker.admit() is None
         clock.advance(5.1)
-        assert breaker.allow()  # the probe
+        assert breaker.admit() is True  # the probe
         assert breaker.state == "half-open"
-        assert not breaker.allow()  # second caller is NOT admitted
+        assert breaker.admit() is None  # second caller is NOT admitted
         breaker.record_success()
-        assert breaker.state == "closed" and breaker.allow()
+        assert breaker.state == "closed" and breaker.admit() is False  # no probe
         assert transitions == [
             ("closed", "open"),
             ("open", "half-open"),
             ("half-open", "closed"),
         ]
 
+    def test_released_probe_goes_to_the_next_caller(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(failure_threshold=1, reset_seconds=1.0, clock=clock)
+        assert breaker.admit() is False  # closed: admitted, no probe
+        breaker.record_failure()
+        assert breaker.admit() is None  # open: shed
+        clock.advance(1.1)
+        assert breaker.admit() is True  # the half-open probe
+        assert breaker.admit() is None
+        breaker.release()
+        assert breaker.snapshot()["probes"] == 0
+        assert breaker.admit() is True  # the next caller probes instead
+        breaker.record_success()
+        assert breaker.state == "closed" and breaker.snapshot()["probes"] == 1
+
     def test_failed_probe_reopens(self):
         clock = FakeClock()
         breaker = CircuitBreaker(failure_threshold=1, reset_seconds=1.0, clock=clock)
         breaker.record_failure()
         clock.advance(1.1)
-        assert breaker.allow()
+        assert breaker.admit() is True  # the probe
         breaker.record_failure()
         assert breaker.state == "open"
-        assert not breaker.allow()  # timer restarted
+        assert breaker.admit() is None  # timer restarted
         assert breaker.opened == 2
         snapshot = breaker.snapshot()
         assert snapshot["state"] == "open" and snapshot["probes"] == 1
@@ -475,6 +553,282 @@ class TestBreakerEndToEnd:
                 after = _query(client, n=6)
                 assert after["ok"] is True and after["degraded"] is False
                 assert client.stats()["resilience"]["breaker"]["state"] == "closed"
+
+
+# ----------------------------------------------------------------------
+# The event loop never waits on the store
+# ----------------------------------------------------------------------
+CHORD = {"kind": "edge-insert", "u": 0, "v": 2}
+
+
+def _store_with_spec(tmp_path):
+    """A store file that already holds SPEC's verdict: its path and answer."""
+    path = str(tmp_path / "v.sqlite")
+    with ServerThread(store="sqlite://" + path) as server:
+        with ServiceClient(server.address) as client:
+            answer = client.query_spec(**SPEC)
+    return path, answer
+
+
+def _calls(client, op):
+    calls = client.stats()["tiers"]["store"]["calls"]
+    return calls.get(op, {"loop": 0, "worker": 0})
+
+
+def _write_lock(path):
+    """Another connection holding the file's write lock (released by
+    ``execute("COMMIT")``, from any thread)."""
+    holder = sqlite3.connect(path, isolation_level=None, check_same_thread=False)
+    holder.execute("BEGIN IMMEDIATE")
+    return holder
+
+
+def _recording_apply(monkeypatch, gate=None):
+    """The threads every session apply runs on (each waits for *gate*)."""
+    threads = []
+    apply = _DynamicSession.apply
+
+    def recording(self, deltas, token):
+        threads.append(threading.current_thread().name)
+        if gate is not None:
+            gate.wait(10)
+        return apply(self, deltas, token)
+
+    monkeypatch.setattr(_DynamicSession, "apply", recording)
+    return threads
+
+
+class TestLoopNeverWaits:
+    def test_idle_daemon_reads_and_journals_on_the_loop(self, tmp_path):
+        path, answer = _store_with_spec(tmp_path)
+        with ServerThread(store="sqlite://" + path) as server:
+            with ServiceClient(server.address) as client:
+                hit = client.query_spec(**SPEC)
+                assert (hit["source"], hit["verdict"]) == ("store", answer["verdict"])
+                client.mutate("wb", spec=SPEC)
+                assert client.mutate("wb", deltas=[CHORD])["journaled"] is True
+                assert _calls(client, "get") == {"loop": 1, "worker": 0}
+                # The open, its empty batch, the chord.
+                assert _calls(client, "journal_append") == {"loop": 3, "worker": 0}
+
+    @pytest.mark.parametrize(
+        "n, size, on_loop",
+        [(32, 1, True), (33, 1, False), (6, 2, False)],
+        ids=["one-delta-32-cycle", "one-delta-33-cycle", "two-deltas-6-cycle"],
+    )
+    def test_only_a_small_mutate_applies_on_the_loop(
+        self, tmp_path, monkeypatch, n, size, on_loop
+    ):
+        # A 32-cycle has 64 nodes plus edges, a 33-cycle 66.
+        assert VerdictService.LOOP_MUTATE_SIZE == 64
+        threads = _recording_apply(monkeypatch)
+        labels = [{"kind": "set-label", "node": i, "label": "1"} for i in range(size)]
+        with ServerThread(store="sqlite://" + str(tmp_path / "v.sqlite")) as server:
+            with ServiceClient(server.address) as client:
+                client.mutate("s", spec=dict(SPEC, n=n))
+                before = _calls(client, "journal_append")
+                assert client.mutate("s", deltas=labels)["journaled"] is True
+                after = _calls(client, "journal_append")
+        assert (threads[-1] == "verdict-server") is on_loop
+        path, other = ("loop", "worker") if on_loop else ("worker", "loop")
+        assert (after[path] - before[path], after[other] - before[other]) == (1, 0)
+
+    def test_the_largest_mutate_applies_off_the_loop(self, tmp_path, monkeypatch):
+        gate = threading.Event()
+        threads = _recording_apply(monkeypatch, gate)
+        spec = dict(SPEC, n=MAX_INLINE_NODES)
+        chords = [
+            {"kind": kind, "u": u, "v": u + 2}
+            for u in range(0, MAX_INLINE_NODES - 2, 2)
+            for kind in ("edge-insert", "edge-delete")
+        ]
+        deltas = (chords * MAX_DELTAS)[:MAX_DELTAS]
+        result = {}
+        with ServerThread(store="sqlite://" + str(tmp_path / "v.sqlite")) as server:
+            with ServiceClient(server.address) as client:
+                gate.set()
+                client.mutate("big", spec=spec)
+                gate.clear()
+
+                def mutate():
+                    with ServiceClient(server.address) as other:
+                        result["answer"] = other.mutate("big", deltas=deltas)
+
+                waiting = threading.Thread(target=mutate)
+                try:
+                    waiting.start()
+                    time.sleep(0.3)
+                    started = time.perf_counter()
+                    assert client.ping()
+                    assert time.perf_counter() - started < 0.1
+                    assert "answer" not in result  # applying, off the loop
+                finally:
+                    gate.set()
+                    waiting.join(timeout=30)
+                assert result["answer"]["applied"] == MAX_DELTAS
+                assert result["answer"]["journaled"] is True
+        assert "verdict-server" not in threads
+
+    def test_a_read_behind_busy_connections_hops_and_the_loop_keeps_serving(
+        self, tmp_path
+    ):
+        path, answer = _store_with_spec(tmp_path)
+        store = SQLiteVerdictStore(path)
+        # Another thread holds both read connections, as a checkpoint holds
+        # the loop's and a long bulk read the workers'.  A WAL reader is
+        # never locked out by SQLite itself once it has read: only a
+        # connection that takes the file exclusively before then can.
+        taken, release = threading.Event(), threading.Event()
+
+        def hold():
+            with store._nowait_lock, store._read_lock:
+                taken.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        result = {}
+
+        def query():
+            with ServiceClient(server.address) as client:
+                result["answer"] = client.query_spec(**SPEC)
+
+        waiting = threading.Thread(target=query)
+        try:
+            with ServerThread(store=store) as server:
+                holder.start()
+                taken.wait(5)
+                waiting.start()
+                time.sleep(0.3)
+                with ServiceClient(server.address) as client:
+                    started = time.perf_counter()
+                    assert client.ping()
+                    assert time.perf_counter() - started < 0.1
+                    assert "answer" not in result  # still waiting, off the loop
+                    release.set()
+                    waiting.join(timeout=10)
+                    hit = result["answer"]
+                    assert (hit["source"], hit["verdict"]) == ("store", answer["verdict"])
+                    assert _calls(client, "get") == {"loop": 0, "worker": 1}
+        finally:
+            release.set()
+            holder.join(timeout=10)
+            waiting.join(timeout=10)
+            store.close()
+
+    def test_a_mutate_behind_a_write_lock_journals_after_it(self, tmp_path):
+        path = str(tmp_path / "v.sqlite")
+        with ServerThread(store="sqlite://" + path) as server:
+            with ServiceClient(server.address) as client:
+                client.mutate("wb", spec=SPEC)
+                holder = _write_lock(path)
+                result = {}
+
+                def mutate():
+                    with ServiceClient(server.address) as other:
+                        result["answer"] = other.mutate("wb", deltas=[CHORD])
+
+                waiting = threading.Thread(target=mutate)
+                try:
+                    waiting.start()
+                    time.sleep(0.3)
+                    started = time.perf_counter()
+                    assert client.ping()
+                    assert time.perf_counter() - started < 0.1
+                    assert "answer" not in result  # its append waits off the loop
+                finally:
+                    holder.execute("COMMIT")
+                    holder.close()
+                    waiting.join(timeout=10)
+                assert result["answer"]["journaled"] is True
+                assert _calls(client, "journal_append") == {"loop": 2, "worker": 1}
+
+    def test_a_deadline_does_not_unlock_a_session_mid_append(self, tmp_path):
+        path = str(tmp_path / "v.sqlite")
+        with ServerThread(store="sqlite://" + path) as server:
+            with ServiceClient(server.address) as client:
+                client.mutate("wb", spec=SPEC)
+                holder = _write_lock(path)
+                threading.Timer(0.2, holder.execute, args=("COMMIT",)).start()
+                late = client.mutate(
+                    "wb", deltas=[CHORD], token="t-1", deadline_ms=20, check=False
+                )
+                assert late["error"]["code"] == "deadline-exceeded"
+                # The abandoned append still holds the session: this batch
+                # applies and journals after it, never beside it.
+                label = {"kind": "set-label", "node": 1, "label": "1"}
+                after = client.mutate("wb", deltas=[label], token="t-2")
+                assert after["journaled"] is True
+                assert client.mutate("wb", deltas=[CHORD], token="t-1")["deduped"] is True
+                entries = server.service.store.journal_entries("wb")
+                assert [seq for seq, _ in entries] == [0, 1, 2, 3]
+                assert [entry.get("token") for _, entry in entries[2:]] == ["t-1", "t-2"]
+                before = client.query_session("wb")
+                assert before["verdict"] is False  # the chord made a triangle
+        holder.close()
+        with ServerThread(store="sqlite://" + path) as fresh:
+            assert fresh.service.sessions_recovered == 1
+            with ServiceClient(fresh.address) as client:
+                recovered = client.query_session("wb")
+                assert (recovered["verdict"], recovered["key"]) == (
+                    before["verdict"], before["key"],
+                )
+
+    def test_a_half_open_probe_that_would_block_recloses_on_a_worker(self, tmp_path):
+        path = str(tmp_path / "v.sqlite")
+        config = ServiceConfig(breaker_threshold=1, breaker_reset_seconds=0.2)
+        with ServerThread(store="sqlite://" + path, config=config) as server:
+            with ServiceClient(server.address) as client:
+                client.set_faults("store-put-error=1.0:times=1")
+                tripped = client.mutate("tripped", spec=SPEC)
+                assert tripped["journaled"] is False
+                assert client.stats()["resilience"]["breaker"]["state"] == "open"
+                time.sleep(0.3)  # past the reset: the next store call probes
+                holder = _write_lock(path)
+                threading.Timer(0.2, holder.execute, args=("COMMIT",)).start()
+                # The loop takes the probe, would wait for the write lock,
+                # hands the probe back and hops; the worker probes again.
+                probed = client.mutate("probe", spec=SPEC)
+                holder.close()
+                assert probed["journaled"] is True
+                breaker = client.stats()["resilience"]["breaker"]
+                assert breaker["state"] == "closed" and breaker["probes"] == 1
+                assert _calls(client, "journal_append")["worker"] >= 1
+
+    def test_loop_journal_commits_checkpoint_the_wal_off_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        path = str(tmp_path / "v.sqlite")
+        store = SQLiteVerdictStore(path)
+        store.CHECKPOINT_EVERY = 10
+        threads = []
+        checkpoint = SQLiteVerdictStore.checkpoint
+
+        def recording(self):
+            threads.append(threading.current_thread().name)
+            checkpoint(self)
+
+        monkeypatch.setattr(SQLiteVerdictStore, "checkpoint", recording)
+        mutates = 300
+        try:
+            with ServerThread(store=store) as server:
+                with ServiceClient(server.address) as client:
+                    client.mutate("wb", spec=SPEC)
+                    for step in range(mutates):
+                        kind = "edge-insert" if step % 2 == 0 else "edge-delete"
+                        delta = {"kind": kind, "u": 0, "v": 2}
+                        assert client.mutate("wb", deltas=[delta])["journaled"] is True
+                    appends = _calls(client, "journal_append")
+            wal_bytes = os.path.getsize(path + "-wal")
+        finally:
+            store.close()
+        # A loop commit that meets a running checkpoint hops instead.
+        assert appends["loop"] + appends["worker"] == mutates + 2
+        assert appends["loop"] > appends["worker"]
+        assert len(threads) == appends["loop"] // 10
+        assert "verdict-server" not in threads  # never on the loop's thread
+        # Each commit adds at least one 4 KiB page to the log; checkpoints
+        # let it restart instead of growing with every commit.
+        assert wal_bytes < mutates * 4096 / 2, wal_bytes
 
 
 # ----------------------------------------------------------------------

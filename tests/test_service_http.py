@@ -230,6 +230,17 @@ class TestTop:
         assert "repro verdict daemon" in frame
         assert "lru" in frame and "coalescer" in frame
 
+    def test_render_shows_where_store_calls_ran(self):
+        stats = {
+            "tiers": {"store": {"calls": {
+                "get": {"loop": 40, "worker": 2},
+                "journal_append": {"loop": 7, "worker": 0},
+            }}},
+        }
+        frame = render(stats)
+        assert "store calls: loop 47  worker 2" in frame
+        assert "get 40/2" in frame and "journal_append 7/0" in frame
+
     def test_run_top_once_renders_and_exits_zero(self, console_server, capsys):
         host, port = console_server.http_address
         assert run_top(connect=f"{host}:{port}", once=True) == 0

@@ -208,10 +208,14 @@ class TestLoadReportReconnects:
 @pytest.mark.slow
 class TestPoolChaos:
     def _start_pool(self, tmp_path):
+        """The pool's process, its socket, and its stderr log (a file the
+        caller closes: a pipe nobody drains could fill and block it)."""
         sock = str(tmp_path / "pool.sock")
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        log_path = tmp_path / "pool.stderr"
+        log = open(log_path, "wb")
         proc = subprocess.Popen(
             [
                 sys.executable,
@@ -233,32 +237,33 @@ class TestPoolChaos:
             ],
             env=env,
             stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
+            stderr=log,
         )
         deadline = time.time() + 60
         while time.time() < deadline:
             if proc.poll() is not None:
-                raise AssertionError(
-                    "pool exited early: " + proc.stderr.read().decode()
-                )
+                log.close()
+                raise AssertionError("pool exited early: " + log_path.read_text())
             if os.path.exists(sock):
                 try:
                     from repro.service.client import ServiceClient
 
                     with ServiceClient("unix:" + sock, timeout=5.0) as client:
                         if client.ping():
-                            return proc, sock
+                            return proc, sock, log
                 except Exception:  # noqa: BLE001 -- not listening yet
                     pass
             time.sleep(0.1)
         proc.kill()
+        proc.wait()
+        log.close()
         raise AssertionError("pool never became ready")
 
     def test_kill_dash_nine_is_invisible_to_a_retrying_client(self, tmp_path):
         from repro.service.client import ServiceClient
         from repro.service.resilience import RetryPolicy
 
-        proc, sock = self._start_pool(tmp_path)
+        proc, sock, log = self._start_pool(tmp_path)
         try:
             policy = RetryPolicy(max_attempts=12, base_delay=0.05, max_delay=0.5)
             with ServiceClient("unix:" + sock, timeout=10.0, retry=policy) as client:
@@ -324,10 +329,16 @@ class TestPoolChaos:
                 assert proc.wait(timeout=30) == 0
             except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
                 raise
+            finally:
+                log.close()
 
     def test_sigterm_drains_the_pool_cleanly(self, tmp_path):
-        proc, sock = self._start_pool(tmp_path)
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == 0
+        proc, sock, log = self._start_pool(tmp_path)
+        try:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            log.close()
         assert not os.path.exists(sock)

@@ -140,6 +140,58 @@ class TestEndToEnd:
         assert first["source"] == "store"
         assert all(sibling["source"] == "lru" for sibling in siblings)
 
+    def test_failed_scenario_promotion_is_retried(self):
+        """A bulk read that failed promotes nothing, so the scenario's next
+        store lookup tries the bulk read again."""
+        store = SQLiteVerdictStore(":memory:")
+        from repro.sweep.executor import run_instances
+
+        run_instances(build_instances("smoke"), store=store, scenario_name="smoke")
+        with ServerThread(store=store) as server:
+            with ServiceClient(server.address) as client:
+                client.set_faults("store-get-error=1.0:times=1")
+                first = client.query_scenario("smoke", index=0)
+                # Index 1 is index 0's game under another name: skip to 2.
+                second = client.query_scenario("smoke", index=2)
+                siblings = [
+                    client.query_scenario("smoke", index=i) for i in range(4, 7)
+                ]
+                promotions = client.stats()["tiers"]["store"]["promotions"]
+        assert first["degraded"] is True  # the failed bulk read
+        assert second["source"] == "store"  # the retried bulk read
+        assert all(sibling["source"] == "lru" for sibling in siblings)
+        assert promotions > 0
+
+    def test_queries_during_a_promotion_read_one_key_each(self):
+        """Only a scenario's first query bulk-reads it: queries arriving
+        while that read is in flight take the single-key read."""
+        store = SQLiteVerdictStore(":memory:")
+        from repro.sweep.executor import run_instances
+
+        run_instances(build_instances("smoke"), store=store, scenario_name="smoke")
+        with ServerThread(store=store) as server:
+            with ServiceClient(server.address) as client:
+                # Spent by the bulk read: it sleeps, the later reads do not.
+                client.set_faults("store-get-latency=1.0:latency=1.0:times=1")
+                answers = {}
+
+                def query(index):
+                    with ServiceClient(server.address) as other:
+                        answers[index] = other.query_scenario("smoke", index=index)
+
+                first = threading.Thread(target=query, args=(0,))
+                first.start()
+                time.sleep(0.2)
+                during = [threading.Thread(target=query, args=(i,)) for i in (2, 4, 5)]
+                for thread in during:
+                    thread.start()
+                for thread in (first, *during):
+                    thread.join(timeout=10)
+                calls = client.stats()["tiers"]["store"]["calls"]
+        assert all(answers[i]["source"] == "store" for i in (0, 2, 4, 5)), answers
+        assert calls["get_many"] == {"loop": 0, "worker": 1}
+        assert calls["get"] == {"loop": 3, "worker": 0}
+
     def test_inline_spec_and_scenario_key_agree(self, fig2_server):
         """The same game addressed both ways maps to one store key."""
         with ServiceClient(fig2_server.address) as client:

@@ -19,6 +19,7 @@ from repro.sweep import (
     machine_fingerprint,
     open_store,
 )
+from repro.sweep.store import WouldBlock
 
 
 @pytest.fixture(params=["memory", "sqlite", "jsonl"])
@@ -222,6 +223,70 @@ class TestServiceConcurrency:
             assert reader.get_many([f"m{i}" for i in range(10)]) == {
                 f"m{i}": False for i in range(10)
             }
+
+
+class TestNonBlockingCalls:
+    """``get_nowait`` / ``journal_append_nowait``: the event loop's calls,
+    which raise ``WouldBlock`` where the blocking calls would wait."""
+
+    def test_nowait_calls_match_the_blocking_ones(self, store):
+        store.put("k", True)
+        assert store.get_nowait("k") is True and store.get_nowait("absent") is None
+        store.journal_append_nowait("s", 0, {"kind": "open", "address": {}})
+        store.journal_append("s", 1, {"kind": "deltas", "deltas": []})
+        assert [seq for seq, _ in store.journal_entries("s")] == [0, 1]
+
+    def test_a_locked_database_raises_would_block(self, tmp_path):
+        path = str(tmp_path / "locked.sqlite")
+        with SQLiteVerdictStore(path) as store:
+            store.put("k", True)
+            holder = sqlite3.connect(path, isolation_level=None)
+            holder.execute("BEGIN IMMEDIATE")  # another connection's write lock
+            try:
+                assert store.get_nowait("k") is True  # WAL: readers never wait
+                with pytest.raises(WouldBlock):
+                    store.journal_append_nowait("s", 0, {"kind": "open"})
+            finally:
+                holder.execute("COMMIT")
+                holder.close()
+            assert store.journal_entries("s") == []  # nothing half-written
+            store.journal_append_nowait("s", 0, {"kind": "open"})
+            assert store.journal_entries("s") == [(0, {"kind": "open"})]
+
+    def test_a_lock_held_by_another_thread_raises_would_block(self):
+        # In memory the non-blocking calls share the writer's lock.
+        with SQLiteVerdictStore(":memory:") as store:
+            taken, done = threading.Event(), threading.Event()
+
+            def hold():
+                with store._lock:
+                    taken.set()
+                    done.wait(5)
+
+            holder = threading.Thread(target=hold)
+            holder.start()
+            taken.wait(5)
+            try:
+                with pytest.raises(WouldBlock):
+                    store.get_nowait("k")
+                with pytest.raises(WouldBlock):
+                    store.journal_append_nowait("s", 0, {})
+            finally:
+                done.set()
+                holder.join()
+            assert store.get_nowait("k") is None
+
+    def test_every_nth_loop_commit_asks_for_a_checkpoint(self, tmp_path):
+        with SQLiteVerdictStore(str(tmp_path / "wal.sqlite")) as store:
+            (pages,) = store._nowait_connection.execute("PRAGMA wal_autocheckpoint").fetchone()
+            assert pages == 0  # loop commits never checkpoint by themselves
+            store.CHECKPOINT_EVERY = 3
+            due = [store.journal_append_nowait("s", seq, {}) for seq in range(7)]
+            assert due == [False, False, True, False, False, True, False]
+            store.checkpoint()
+        with SQLiteVerdictStore(":memory:") as memory:  # no log to fold back
+            memory.CHECKPOINT_EVERY = 1
+            assert memory.journal_append_nowait("s", 0, {}) is False
 
 
 class TestKeyScheme:
