@@ -187,7 +187,8 @@ def test_figure2_cold_seconds(benchmark):
     Every game gets a fresh ``CompiledInstance`` and engine, so the time
     covers lowering, interning and table construction, not just warm
     lookups.  The median over 5 full-workload passes is recorded as
-    ``figure2_cold_median_seconds`` (drift-checked by ``repro bench``).
+    ``figure2_cold_median_seconds``, for information: the gated cold
+    figure is perfbench's ``sweep-cold`` workload, run by ``repro bench``.
     """
     games = _figure2_workload()
 

@@ -12,7 +12,8 @@
 * :mod:`repro.obs.log` -- structured JSON-lines logging with request-id
   correlation off the ambient trace.
 * :mod:`repro.obs.history` -- the append-only benchmark history
-  (``BENCH_history.jsonl``) and its noise-tolerant regression gate.
+  (``BENCH_history.jsonl`` of perfbench records) and its gate at the
+  ``BENCHMARK.json`` bounds.
 * :mod:`repro.obs.http` -- the stdlib-only asyncio HTTP console
   (``/stats``, ``/metrics``, ``/profile``, browse pages) served next to
   the daemon's TCP protocol by ``repro serve --http``.
@@ -23,12 +24,8 @@
 from repro.obs.export import chrome_trace, render_chrome_trace, trace_events
 from repro.obs.history import (
     DEFAULT_HISTORY_FILENAME,
-    MetricSpec,
-    TRACKED_METRICS,
-    append_record,
-    build_record,
     check,
-    collect_metrics,
+    default_history_path,
     read_history,
     sparkline,
 )
@@ -64,26 +61,22 @@ __all__ = [
     "EventLog",
     "Gauge",
     "Histogram",
-    "MetricSpec",
     "MetricsRegistry",
     "REGISTRY",
     "SamplingProfiler",
     "StructuredLogger",
-    "TRACKED_METRICS",
     "get_registry",
     "RequestTrace",
     "SpanRecord",
     "TraceLog",
     "activate",
     "active",
-    "append_record",
-    "build_record",
     "check",
     "chrome_trace",
-    "collect_metrics",
     "configure",
     "current_trace",
     "deactivate",
+    "default_history_path",
     "get_logger",
     "read_history",
     "render_chrome_trace",

@@ -487,15 +487,10 @@ class ConsoleServer:
         return 200, "text/plain; charset=utf-8", (folded + "\n").encode("utf-8")
 
     def _bench(self, params: Dict[str, str], as_json: bool) -> Tuple[int, str, bytes]:
-        import os
-        from pathlib import Path
-
         from repro.obs import history as bench_history
 
-        # Resolved per request so the page tracks whatever directory the
-        # benchmarks are writing to right now.
-        base = Path(os.environ.get("BENCH_OUTPUT_DIR", "."))
-        history_path = base / bench_history.DEFAULT_HISTORY_FILENAME
+        # Resolved per request, so the page follows $BENCH_OUTPUT_DIR.
+        history_path = bench_history.default_history_path()
         records = bench_history.read_history(history_path)
         limit = _int_param(params, "limit", 50, 500)
         records = records[-limit:]
@@ -505,31 +500,34 @@ class ConsoleServer:
             return self._html(
                 "Benchmark history",
                 f"<p>No records at {html.escape(str(history_path))}. "
-                "Run <code>repro bench --collect</code> to append one.</p>",
+                "Run <code>repro bench</code> to append some.</p>",
             )
         newest = records[-1]
-        rows = []
-        for spec in bench_history.TRACKED_METRICS:
-            series = bench_history.metric_series(records, spec.name)
-            if not series:
-                continue
-            rows.append(
-                [
-                    html.escape(spec.name),
-                    html.escape(spec.direction),
-                    f"{series[-1]:g}",
-                    html.escape(bench_history.sparkline(series, width=40)),
-                    str(len(series)),
-                ]
-            )
+        context = newest.get("context") or {}
         meta = (
             f"<p>{len(records)} records; newest "
-            f"{html.escape(str(newest.get('git_sha', '?')))[:12]} at "
-            f"{html.escape(str(newest.get('ts', '?')))}.</p>"
+            f"{html.escape(str(context.get('git_sha', '?')))[:12]} at "
+            f"{html.escape(str(newest.get('started', '?')))}.</p>"
         )
         return self._html(
             "Benchmark history",
-            meta + _table(["metric", "direction", "latest", "trend", "n"], rows),
+            meta
+            + _table(
+                ["workload", "metric", "unit", "latest", "trend", "n"],
+                [
+                    [
+                        html.escape(workload),
+                        html.escape(name),
+                        html.escape(unit),
+                        f"{values[-1]:g}",
+                        html.escape(bench_history.sparkline(values, width=40)),
+                        str(len(values)),
+                    ]
+                    for (workload, name), (unit, values) in bench_history.metric_series(
+                        records
+                    ).items()
+                ],
+            ),
         )
 
     def _pager(self, base: str, page: int, per_page: int, more: bool) -> str:

@@ -30,7 +30,7 @@ from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, MetricsRegistry
 from repro.obs.trace import RequestTrace, TraceLog, active
 from repro.service.resilience import StoreUnavailable
 from repro.sweep.executor import evaluate_timed
-from repro.sweep.store import VerdictStore
+from repro.sweep.store import VerdictStore, WouldBlock
 
 #: Bound on the compute tier's in-memory canonical ball cache (the daemon
 #: is long-lived; sweeps use unbounded per-run caches instead).
@@ -60,6 +60,8 @@ class TieredVerdictCache:
         self.lru = LRUCache(lru_size).bind_metrics(self.registry, "repro_tier_lru")
         self.store = store
         self._lock = threading.Lock()
+        #: The store's size at the last count that did not have to wait.
+        self._store_size: Optional[int] = None
         self._store_hits = self.registry.counter(
             "repro_tier_store_hits_total", help="tier-2 store lookups that hit"
         )
@@ -208,17 +210,16 @@ class TieredVerdictCache:
     def stats(self) -> Dict[str, object]:
         with self._lock:
             lru_info = self.lru.info()
-        store_size: Optional[int] = None
         if self.store is not None:
             try:
-                store_size = len(self.store)
-            except Exception:
-                store_size = None
+                self._store_size = self.store.len_nowait()
+            except WouldBlock:
+                pass  # a writer holds the store: report the last count
         return {
             "lru": {**lru_info, "seconds": round(self._lru_seconds.sum, 6)},
             "store": {
                 "attached": self.store is not None,
-                "size": store_size,
+                "size": self._store_size,
                 "hits": self._store_hits.value,
                 "misses": self._store_misses.value,
                 "promotions": self._store_promotions.value,

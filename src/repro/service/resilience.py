@@ -512,10 +512,10 @@ class FaultingStore(VerdictStore):
     Every call the breaker admits is counted in *registry* by operation
     and path (unless it raised ``WouldBlock``): ``loop`` for the
     non-blocking calls, ``worker`` for the blocking ones.
-    Structural calls (``__len__``, ``items``, ``close``, ``checkpoint``)
-    and journal *reads* pass through ungated -- stats must stay observable
-    and startup recovery must be able to read what an earlier, healthy
-    daemon journaled.
+    Structural calls (``__len__``, ``len_nowait``, ``items``, ``close``,
+    ``checkpoint``) and journal *reads* pass through ungated -- stats must
+    stay observable and startup recovery must be able to read what an
+    earlier, healthy daemon journaled.
     """
 
     _GET = ("store-get-latency", "store-get-error")
@@ -635,6 +635,9 @@ class FaultingStore(VerdictStore):
 
     def __len__(self):
         return len(self.inner)
+
+    def len_nowait(self):
+        return self.inner.len_nowait()
 
     def items(self):
         return self.inner.items()

@@ -24,9 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
+from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.obs import history as bench_history
 from repro.service.cli import add_service_commands
 from repro.sweep.executor import run_scenario
 from repro.sweep.scenarios import all_scenarios, get_scenario
@@ -138,56 +141,46 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="run benchmark suites, append to BENCH_history.jsonl, gate on regressions",
+        help="run perfbench's workloads, append their records to "
+        "BENCH_history.jsonl, gate at the BENCHMARK.json bounds",
     )
     bench.add_argument(
-        "suites",
+        "workloads",
         nargs="*",
-        help="suites to run (fig02 fig07 canonical service dynamic; default: all)",
+        metavar="WORKLOAD",
+        help="workloads of BENCHMARK.json to run (default: all of them)",
     )
     bench.add_argument(
-        "--list", action="store_true", help="list the runnable suites and exit"
-    )
-    bench.add_argument(
-        "--collect",
-        action="store_true",
-        help="skip running: collect metrics from the existing BENCH_*.json snapshots",
+        "--seconds",
+        type=float,
+        default=None,
+        help="measured window of each run (default: BENCHMARK.json's run_seconds)",
     )
     bench.add_argument(
         "--check",
         action="store_true",
-        help="gate: fail if the newest history record breaks a floor or "
-        "regressed past --threshold vs the baseline window",
-    )
-    bench.add_argument(
-        "--no-append",
-        action="store_true",
-        help="do not append a record to the history file",
-    )
-    bench.add_argument(
-        "--history",
-        default=None,
-        metavar="PATH",
-        help="history file (default: BENCH_history.jsonl next to the BENCH_*.json files)",
+        help="gate: fail if an end-to-end metric of this run got worse than "
+        "the median of the --window earlier runs by more than its bound",
     )
     bench.add_argument(
         "--window",
         type=int,
         default=5,
-        help="baseline window: compare against the median of this many prior records",
+        help="baseline: the median of this many earlier runs of the workload "
+        "at the same --seconds",
     )
     bench.add_argument(
-        "--threshold",
-        type=float,
-        default=1.5,
-        help="regression factor that trips --check (1.5: 2x slowdowns trip, "
-        "10%% noise passes)",
+        "--history",
+        default=None,
+        metavar="PATH",
+        help="history file (default: BENCH_history.jsonl in $BENCH_OUTPUT_DIR, "
+        "else the repo root)",
     )
     bench.add_argument(
         "--json",
         default=None,
         metavar="OUT",
-        help="write the record + check result as JSON ('-' for stdout)",
+        help="with --check, write its rows as JSON ('-' for stdout)",
     )
     bench.set_defaults(handler=_command_bench)
 
@@ -378,112 +371,145 @@ def _profile_json(stats: "pstats.Stats", args: argparse.Namespace) -> Dict[str, 
     return {"sort": args.sort, "top": args.top, "rows": rows}
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: run suites, append history, gate regressions.
+def _run_perfbench(workload: str, seconds: float, trace: int, history: Path) -> int:
+    """One seed-1 ``perfbench/run.py`` run appending its record to *history*.
 
-    Default flow: run the requested benchmark suites (all of them when
-    none are named) via pytest, collect the tracked metrics out of the
-    refreshed ``BENCH_*.json`` snapshots, append one record to the
-    append-only ``BENCH_history.jsonl``, and -- with ``--check`` -- gate
-    against floors and the baseline window.  ``--collect`` skips the run
-    and reads whatever snapshots already exist (what CI does after its
-    own pytest-benchmark step).
+    Its output goes to stderr; returns its exit code (non-zero on any wrong
+    or failed answer).
     """
-    import os
-    import subprocess
-    from pathlib import Path
+    command = [
+        sys.executable, str(bench_history.REPO_ROOT / "perfbench" / "run.py"),
+        "--workload", workload, "--seed", "1", "--seconds", str(seconds),
+        "--trace", str(trace), "--out", str(history),
+    ]
+    print(f"running: {' '.join(command)}", file=sys.stderr)
+    completed = subprocess.run(
+        command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+    )
+    sys.stderr.write(completed.stdout)
+    return completed.returncode
 
-    from repro.obs import history as bench_history
 
-    if args.list:
-        for name, filename in sorted(bench_history.SUITES.items()):
-            print(f"{name:<10} benchmarks/{filename}")
-        return 0
-    names = list(args.suites) or sorted(bench_history.SUITES)
-    unknown = [name for name in names if name not in bench_history.SUITES]
+def _layer_report(
+    earlier: List[Dict[str, Any]], latest: List[Dict[str, Any]]
+) -> str:
+    """``perfbench/compare.py``'s report of the *earlier* records against
+    the *latest* ones: medians, changes and, for each end-to-end change
+    past its bound, the per-layer metrics that move it."""
+    import tempfile
+
+    root = bench_history.REPO_ROOT
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = []
+        for name, records in (("base", earlier), ("head", latest)):
+            path = Path(scratch) / f"{name}.jsonl"
+            path.write_text("".join(json.dumps(record) + "\n" for record in records))
+            paths.append(str(path))
+        completed = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "compare.py"), *paths,
+             "--bounds", str(root / "BENCHMARK.json")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+    return completed.stdout
+
+
+def _command_bench(args: argparse.Namespace) -> int:
+    """``repro bench``: run perfbench, append its records, gate at the bounds.
+
+    Runs ``perfbench/run.py`` on each named workload of ``BENCHMARK.json``
+    (all of them when none is named), end to end (``--trace 0``) and then
+    traced (``--trace 1``); each run appends its record to the history
+    file.  A run with a wrong or failed answer stops the command with its
+    exit code before anything is checked.  With ``--check``, each
+    end-to-end metric of a workload's new end-to-end record is gated
+    against the median of the ``--window`` earlier ones at its bound
+    (:func:`repro.obs.history.check`), and every failing workload is
+    explained by ``perfbench/compare.py``'s layer report.
+    """
+    spec = json.loads((bench_history.REPO_ROOT / "BENCHMARK.json").read_text())
+    known = [workload["name"] for workload in spec["workloads"]]
+    names = args.workloads or known
+    unknown = [name for name in names if name not in known]
     if unknown:
         print(
-            f"unknown suite(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(bench_history.SUITES))})",
+            f"unknown workload(s): {', '.join(unknown)} (known: {', '.join(known)})",
             file=sys.stderr,
         )
         return 2
-    repo_dir = Path(__file__).resolve().parents[3]
-    bench_dir = Path(os.environ.get("BENCH_OUTPUT_DIR", repo_dir))
-    if not args.collect:
-        files = [
-            str(repo_dir / "benchmarks" / bench_history.SUITES[name])
-            for name in names
-        ]
-        command = [
-            sys.executable, "-m", "pytest", "-q",
-            "--benchmark-disable-gc", "--benchmark-min-rounds=3", *files,
-        ]
-        print(f"running: {' '.join(command)}", file=sys.stderr)
-        env = dict(os.environ)
-        src = str(repo_dir / "src")
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-        )
-        completed = subprocess.run(command, cwd=repo_dir, env=env)
-        if completed.returncode != 0:
-            print("benchmark run failed; no record appended", file=sys.stderr)
-            return completed.returncode
-    metrics = bench_history.collect_metrics(bench_dir)
-    if not metrics:
-        print(
-            f"no tracked metrics found in {bench_dir}/BENCH_*.json "
-            "(run the suites first, or check BENCH_OUTPUT_DIR)",
-            file=sys.stderr,
-        )
-        return 1
-    history_path = (
-        Path(args.history)
+    if args.window < 1:
+        print("--window must be at least 1", file=sys.stderr)
+        return 2
+    seconds = float(spec["run_seconds"] if args.seconds is None else args.seconds)
+    history = (
+        Path(args.history).resolve()
         if args.history
-        else bench_dir / bench_history.DEFAULT_HISTORY_FILENAME
+        else bench_history.default_history_path()
     )
-    record = bench_history.build_record(metrics, repo_dir=repo_dir)
-    if args.no_append:
-        records = bench_history.read_history(history_path) + [record]
-    else:
-        bench_history.append_record(history_path, record)
-        records = bench_history.read_history(history_path)
+    for workload in names:
+        for trace in (0, 1):
+            code = _run_perfbench(workload, seconds, trace, history)
+            if code != 0:
+                print(
+                    f"perfbench {workload} --trace {trace} exited {code}; "
+                    "nothing checked",
+                    file=sys.stderr,
+                )
+                return code
+    print(f"appended {2 * len(names)} records to {history}", file=sys.stderr)
+    if not args.check:
+        return 0
+    out = sys.stderr if args.json == "-" else sys.stdout
+    records = bench_history.read_history(history)
+    rows: List[Dict[str, Any]] = []
+    reports: Dict[str, str] = {}
+    for workload in names:
+        newest, earlier = bench_history.baseline(records, workload, 0, args.window)
+        workload_rows = bench_history.check(newest, earlier, spec["end_to_end"])
+        rows.extend(workload_rows)
+        for row in workload_rows:
+            marker = "ok  " if row["ok"] else "FAIL"
+            value, baseline = (
+                "-" if row[key] is None else f"{row[key]:.4g}" for key in ("value", "baseline")
+            )
+            print(
+                f"  {marker} {workload:<15} {row['metric']:<14} {value:>10}"
+                f"  baseline {baseline:>10}  {row['reason']}",
+                file=out,
+            )
+        if not all(row["ok"] for row in workload_rows):
+            traced, traced_earlier = bench_history.baseline(
+                records, workload, 1, args.window
+            )
+            reports[workload] = _layer_report(earlier + traced_earlier, [newest, traced])
+            print(f"compare.py, {workload}: the window's runs -> this run", file=out)
+            print(reports[workload], end="", file=out)
+    failures = [row for row in rows if not row["ok"]]
+    if failures:
         print(
-            f"appended record {len(records)} ({record['git_sha'][:12]}, "
-            f"{len(metrics)} metrics) to {history_path}",
+            f"bench check FAILED: {len(failures)} of {len(rows)} rows out of bounds",
             file=sys.stderr,
         )
-    payload: Dict[str, Any] = {"record": record, "history": str(history_path)}
-    exit_code = 0
-    if args.check:
-        result = bench_history.check(
-            records, window=args.window, threshold=args.threshold
+    else:
+        print(f"bench check passed: {len(rows)} rows within their bounds", file=out)
+    if args.json:
+        text = json.dumps(
+            {
+                "history": str(history),
+                "seconds": seconds,
+                "window": args.window,
+                "ok": not failures,
+                "rows": rows,
+                "reports": reports,
+            },
+            indent=2,
+            sort_keys=True,
         )
-        payload["check"] = result.as_dict()
-        for row in result.rows:
-            marker = "ok  " if row["ok"] else "FAIL"
-            baseline = (
-                f" (baseline {row['baseline']:g})"
-                if row.get("baseline") is not None
-                else ""
-            )
-            value = f"{row['value']:g}" if row.get("value") is not None else "-"
-            print(f"  {marker} {row['metric']:<28} {value}{baseline}  {row['reason']}")
-        if result.ok:
-            print(f"bench check passed: {len(result.rows)} metrics within bounds")
+        if args.json == "-":
+            print(text)
         else:
-            print(
-                f"bench check FAILED: {len(result.failures)} of "
-                f"{len(result.rows)} metrics out of bounds",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    if args.json == "-":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return exit_code
+            with open(args.json, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+    return 1 if failures else 0
 
 
 def _command_dynamic(args: argparse.Namespace) -> int:

@@ -16,11 +16,11 @@ share one store file, so a verdict any worker persists is a tier-2 hit
 for all of them.  :class:`VerdictStore` is the interface it implements (and
 that :class:`repro.service.resilience.FaultingStore` wraps).
 
-A daemon's event loop must never wait on a lock, so ``get`` and
-``journal_append`` each have a non-blocking twin (``get_nowait``,
-``journal_append_nowait``) that raises :class:`WouldBlock` where the
-blocking call would wait; the caller then makes the blocking call on a
-worker thread.
+A daemon's event loop must never wait on a lock, so ``get``,
+``journal_append`` and ``len`` each have a non-blocking twin
+(``get_nowait``, ``journal_append_nowait``, ``len_nowait``) that raises
+:class:`WouldBlock` where the blocking call would wait; the caller then
+makes the blocking call on a worker thread, or reports an older count.
 
 :func:`open_store` opens a store from a path: ``None`` or ``memory://``
 gives a private in-memory database, ``sqlite://PATH`` or a bare path (any
@@ -45,6 +45,7 @@ StoredVerdict = Tuple[bool, str, float]
 Result = TypeVar("Result")
 
 _GET = "SELECT verdict FROM verdicts WHERE key = ?"
+_COUNT = "SELECT COUNT(*) FROM verdicts"
 _JOURNAL_APPEND = (
     "INSERT OR REPLACE INTO session_journal (session, seq, entry, created)"
     " VALUES (?, ?, ?, ?)"
@@ -143,6 +144,10 @@ class VerdictStore:
     def __len__(self) -> int:
         raise NotImplementedError
 
+    def len_nowait(self) -> int:
+        """``len(store)``, raising :class:`WouldBlock` instead of waiting."""
+        raise NotImplementedError
+
     def items(self) -> Iterator[Tuple[str, StoredVerdict]]:
         raise NotImplementedError
 
@@ -175,10 +180,10 @@ class SQLiteVerdictStore(VerdictStore):
     which matters when several pool workers share one store file.
 
     A third connection serves the non-blocking calls (``get_nowait``,
-    ``journal_append_nowait``), under a lock they only try: its
-    ``busy_timeout`` is 0, so a locked database raises :class:`WouldBlock`
-    at once, and its ``wal_autocheckpoint`` is 0, so none of its commits
-    copies the log back into the database.  Every
+    ``journal_append_nowait``, ``len_nowait``), under a lock they only
+    try: its ``busy_timeout`` is 0, so a locked database raises
+    :class:`WouldBlock` at once, and its ``wal_autocheckpoint`` is 0, so
+    none of its commits copies the log back into the database.  Every
     :attr:`CHECKPOINT_EVERY`-th of them asks the caller to run
     :meth:`checkpoint` instead.  In-memory stores have no other
     connection to wait for: there the non-blocking calls use the writer's
@@ -362,9 +367,11 @@ class SQLiteVerdictStore(VerdictStore):
 
     def __len__(self) -> int:
         with self._lock:
-            (count,) = self._connection.execute(
-                "SELECT COUNT(*) FROM verdicts"
-            ).fetchone()
+            (count,) = self._connection.execute(_COUNT).fetchone()
+        return int(count)
+
+    def len_nowait(self) -> int:
+        (count,) = self._nowait(lambda connection: connection.execute(_COUNT).fetchone())
         return int(count)
 
     def items(self) -> Iterator[Tuple[str, StoredVerdict]]:

@@ -715,6 +715,60 @@ class TestLoopNeverWaits:
             waiting.join(timeout=10)
             store.close()
 
+    @pytest.mark.parametrize(
+        "locks", [("_lock",), ("_lock", "_nowait_lock")], ids=["writer", "checkpoint"]
+    )
+    def test_stats_never_waits_for_the_writer(self, tmp_path, locks):
+        path, _ = _store_with_spec(tmp_path)
+        store = SQLiteVerdictStore(path)
+        taken = threading.Event()
+
+        def hold():
+            # A writer busy for 1 s (a checkpoint also holds the loop's
+            # connection), which then commits a second verdict.
+            held = [getattr(store, name) for name in locks]
+            for lock in held:
+                lock.acquire()
+            try:
+                taken.set()
+                time.sleep(1.0)
+                store.put("another-key", True)
+            finally:
+                for lock in reversed(held):
+                    lock.release()
+
+        holder = threading.Thread(target=hold)
+        result = {}
+
+        def stats():
+            with ServiceClient(server.address) as other:
+                started = time.perf_counter()
+                result["size"] = other.stats()["tiers"]["store"]["size"]
+                result["seconds"] = time.perf_counter() - started
+
+        asking = threading.Thread(target=stats)
+        try:
+            with ServerThread(store=store) as server:
+                with ServiceClient(server.address) as client:
+                    assert client.stats()["tiers"]["store"]["size"] == 1
+                    holder.start()
+                    assert taken.wait(5)
+                    asking.start()
+                    time.sleep(0.05)
+                    started = time.perf_counter()
+                    assert client.ping()
+                    assert time.perf_counter() - started < 0.1
+                    asking.join(timeout=10)
+                    assert result["seconds"] < 0.1
+                    assert result["size"] == 1  # exact, or the last count read
+                    holder.join(timeout=10)
+                    assert not holder.is_alive()
+                    assert client.stats()["tiers"]["store"]["size"] == 2
+        finally:
+            holder.join(timeout=10)
+            asking.join(timeout=10)
+            store.close()
+
     def test_a_mutate_behind_a_write_lock_journals_after_it(self, tmp_path):
         path = str(tmp_path / "v.sqlite")
         with ServerThread(store="sqlite://" + path) as server:

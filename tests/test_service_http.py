@@ -412,7 +412,7 @@ class TestBenchEndpoint:
         monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
         with _get(console_server, "/bench") as response:
             text = response.read().decode("utf-8")
-        assert "repro bench --collect" in text
+        assert "Run <code>repro bench</code>" in text
 
     def test_bench_page_renders_history_with_sparklines(
         self, console_server, tmp_path, monkeypatch
@@ -421,15 +421,21 @@ class TestBenchEndpoint:
 
         monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
         path = tmp_path / bench_history.DEFAULT_HISTORY_FILENAME
-        for qps in (100.0, 120.0, 90.0):
-            bench_history.append_record(
-                path,
-                {"ts": 1.0, "git_sha": "cafe1234", "metrics": {"service.hot_qps": qps}},
-            )
+        with open(path, "a") as handle:
+            for trace, ops in ((0, 100.0), (1, 7.0), (0, 120.0), (0, 90.0)):
+                record = {
+                    "workload": "serve-hot", "trace": trace, "seconds": 5.0,
+                    "started": 1.0, "context": {"git_sha": "cafe1234", "src_loc": 27000},
+                    "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"}},
+                }
+                handle.write(json.dumps(record) + "\n")
         payload = _get_json(console_server, "/bench?format=json")
-        assert len(payload["records"]) == 3
-        assert payload["path"].endswith(bench_history.DEFAULT_HISTORY_FILENAME)
+        assert len(payload["records"]) == 4
+        assert payload["path"] == str(bench_history.default_history_path())
         with _get(console_server, "/bench") as response:
             page = response.read().decode("utf-8")
-        assert "service.hot_qps" in page
+        # One row per (workload, end-to-end metric), then the src_loc series.
+        assert "<td>serve-hot</td><td>ops_per_s</td><td>1/s</td><td>90</td>" in page
+        assert "<td></td><td>context.src_loc</td><td>lines</td><td>27000</td>" in page
+        assert bench_history.sparkline([100.0, 120.0, 90.0], width=40) in page
         assert "cafe1234" in page

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro.sweep import cli
 from repro.sweep.cli import main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -108,78 +109,132 @@ class TestSubprocess:
         assert payload["summary"]["instances"] > 10
 
 
-class TestBenchCommand:
-    def _snapshots(self, tmp_path, qps=500.0):
-        (tmp_path / "BENCH_fig02.json").write_text(json.dumps({
-            "engine_vs_naive": {"speedup_median": 50.0},
-            "figure2_cold_median_seconds": 0.004,
-        }))
-        (tmp_path / "BENCH_service.json").write_text(json.dumps({
-            "speedup_hot_vs_cold": 80.0,
-            "speedup_warm_vs_cold": 40.0,
-            "hot_cache": {
-                "requests_per_second": qps,
-                "latency_ms": {"p99": 2.0},
-                "cache_hit_rate": 0.99,
+class FakePerfbench:
+    """Stands in for ``perfbench/run.py``: each run appends a canned record."""
+
+    def __init__(self):
+        self.calls = []
+        self.p50_ms = 0.1  # of the next end-to-end record
+        self.exit_codes = {}  # (workload, trace) -> exit code
+
+    def __call__(self, workload, seconds, trace, history):
+        self.calls.append((workload, seconds, trace))
+        code = self.exit_codes.get((workload, trace), 0)
+        if code:
+            return code
+        if trace == 0:
+            metrics = {"setup_s": 0.5, "peak_rss_mb": 50.0, "sweep_s": 0.1,
+                       "ops_per_s": 1000.0, "p50_ms": self.p50_ms, "mutate_p50_ms": 0.2}
+        else:
+            metrics = {"transport.us": 3000.0 * self.p50_ms, "wire.decode.us": 8.0,
+                       "layers.coverage": 0.95}
+        record = {
+            "workload": workload, "seed": 1, "seconds": seconds, "trace": trace,
+            "size": "full", "context": {"git_sha": "cafe", "src_loc": 100}, "notes": {},
+            "correct": True, "metrics": {
+                name: {"value": value, "unit": "u"} for name, value in metrics.items()
             },
-        }))
+        }
+        with open(history, "a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        return 0
 
-    def test_bench_list_names_every_suite(self, capsys):
-        assert main(["bench", "--list"]) == 0
-        out = capsys.readouterr().out
-        for name in ("fig02", "fig07", "canonical", "service", "dynamic"):
-            assert name in out
 
-    def test_bench_unknown_suite_fails(self, capsys):
-        assert main(["bench", "nope"]) == 2
-        assert "unknown suite" in capsys.readouterr().err
-
-    def test_bench_collect_appends_a_record_and_checks(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        self._snapshots(tmp_path)
+class TestBenchCommand:
+    @pytest.fixture
+    def perfbench(self, tmp_path, monkeypatch):
+        fake = FakePerfbench()
+        monkeypatch.setattr(cli, "_run_perfbench", fake)
         monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
-        out_json = tmp_path / "bench.json"
-        assert main(["bench", "--collect", "--check", "--json", str(out_json)]) == 0
-        captured = capsys.readouterr()
-        assert "appended record 1" in captured.err
-        assert "bench check passed" in captured.out
+        return fake
+
+    def test_bench_unknown_workload_fails(self, perfbench, capsys):
+        assert main(["bench", "sweep-cold", "nope"]) == 2
+        assert "unknown workload(s): nope" in capsys.readouterr().err
+        assert main(["bench", "--window", "0"]) == 2
+        assert "--window" in capsys.readouterr().err
+        assert perfbench.calls == []
+
+    def test_bench_runs_every_workload_end_to_end_then_traced(self, perfbench, tmp_path, capsys):
+        assert main(["bench"]) == 0
+        assert perfbench.calls == [
+            (workload, 20.0, trace)
+            for workload in ("sweep-cold", "serve-hot", "serve-store-rw")
+            for trace in (0, 1)
+        ]
         history = (tmp_path / "BENCH_history.jsonl").read_text().splitlines()
-        assert len(history) == 1
-        record = json.loads(history[0])
-        assert record["metrics"]["service.hot_qps"] == 500.0
-        assert record["git_sha"] and record["git_sha"] != ""
-        payload = json.loads(out_json.read_text())
-        assert payload["check"]["ok"] is True
+        assert len(history) == 6
+        assert "bench check" not in capsys.readouterr().out
+
+    def test_bench_failed_run_stops_with_its_code_and_checks_nothing(
+        self, perfbench, tmp_path, capsys
+    ):
+        perfbench.exit_codes[("serve-hot", 1)] = 3
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--check", "--json", str(out)]) == 3
+        assert perfbench.calls[-1] == ("serve-hot", 20.0, 1)
+        assert len(perfbench.calls) == 4  # serve-store-rw never ran
+        captured = capsys.readouterr()
+        assert "nothing checked" in captured.err
+        assert "bench check" not in captured.out + captured.err
+        assert not out.exists()
 
     def test_bench_check_trips_on_a_2x_regression(
-        self, tmp_path, monkeypatch, capsys
+        self, perfbench, capsys
     ):
-        monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
-        for qps in (500.0, 510.0, 490.0):
-            self._snapshots(tmp_path, qps=qps)
-            assert main(["bench", "--collect", "--check"]) == 0
-            capsys.readouterr()
-        self._snapshots(tmp_path, qps=200.0)  # > 2x below the ~500 median
-        assert main(["bench", "--collect", "--check"]) == 1
+        for _ in range(3):
+            assert main(["bench", "serve-hot", "--seconds", "5", "--check"]) == 0
+        capsys.readouterr()
+        perfbench.p50_ms = 0.2  # twice the window's median
+        argv = ["bench", "serve-hot", "--seconds", "5", "--check", "--window", "3"]
+        assert main(argv) == 1
         captured = capsys.readouterr()
-        assert "FAIL service.hot_qps" in captured.out.replace("  ", " ")
-        assert "bench check FAILED" in captured.err
+        rows = [line.split() for line in captured.out.splitlines() if "baseline" in line]
+        assert [row[:3] for row in rows] == [
+            ["ok", "serve-hot", name] for name in ("setup_s", "peak_rss_mb", "sweep_s",
+                                                  "ops_per_s")
+        ] + [["FAIL", "serve-hot", "p50_ms"], ["ok", "serve-hot", "mutate_p50_ms"]]
+        assert "+100.0% vs median of 3 (bound 25%)" in captured.out
+        # compare.py's report: the medians, the verdict, the moving layer.
+        report = captured.out[captured.out.index("== serve-hot"):]
+        assert "WORSE" in report
+        assert "<- transport.us" in report and "+100.0%" in report
+        assert "bench check FAILED: 1 of 6 rows" in captured.err
 
-    def test_bench_no_append_checks_without_writing(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        self._snapshots(tmp_path)
-        monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
-        assert main(["bench", "--collect", "--check", "--no-append"]) == 0
-        assert not (tmp_path / "BENCH_history.jsonl").exists()
+    def test_bench_json_carries_the_rows(self, perfbench, capsys):
+        assert main(["bench", "serve-hot", "--seconds", "5", "--check"]) == 0
+        capsys.readouterr()
+        assert main(["bench", "serve-hot", "--seconds", "5", "--check", "--json", "-"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is True and payload["seconds"] == 5.0
+        assert [row["metric"] for row in payload["rows"]] == [
+            "setup_s", "peak_rss_mb", "sweep_s", "ops_per_s", "p50_ms", "mutate_p50_ms",
+        ]
+        p50 = payload["rows"][4]
+        assert (p50["workload"], p50["value"], p50["baseline"], p50["change"]) == (
+            "serve-hot", 0.1, 0.1, 0.0,
+        )
 
-    def test_bench_collect_with_no_snapshots_fails(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
-        assert main(["bench", "--collect"]) == 1
-        assert "no tracked metrics" in capsys.readouterr().err
+    @pytest.mark.slow
+    def test_bench_real_run_appends_correct_records_of_both_traces(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.join(REPO_ROOT, "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        history = tmp_path / "history.jsonl"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "bench", "sweep-cold", "--seconds", "1",
+             "--history", str(history)],
+            env=env, capture_output=True, text=True, timeout=300, cwd=str(tmp_path),
+        )
+        assert completed.returncode == 0, completed.stderr
+        records = [json.loads(line) for line in history.read_text().splitlines()]
+        assert [(r["workload"], r["trace"], r["seconds"]) for r in records] == [
+            ("sweep-cold", 0, 1.0), ("sweep-cold", 1, 1.0),
+        ]
+        assert all(r["correct"] and r["failed"] == 0 for r in records)
+        assert "p50_ms" in records[0]["metrics"]
+        assert "engine.kernel.ms" in records[1]["metrics"]
+        assert records[0]["context"]["src_loc"] > 0
 
 
 class TestProfileLive:
