@@ -25,13 +25,12 @@ def decode_text(bits: str) -> str:
     """Decode a bit string produced by :func:`encode_text`."""
     if len(bits) % 8 != 0:
         raise ValueError("encoded text must have a length divisible by 8")
-    chars = []
-    for i in range(0, len(bits), 8):
-        chunk = bits[i : i + 8]
-        if not set(chunk) <= {"0", "1"}:
-            raise ValueError(f"invalid bit chunk {chunk!r}")
-        chars.append(chr(int(chunk, 2)))
-    return "".join(chars)
+    if bits.strip("01"):  # some character is neither "0" nor "1"
+        chunk = next(
+            bits[i : i + 8] for i in range(0, len(bits), 8) if bits[i : i + 8].strip("01")
+        )
+        raise ValueError(f"invalid bit chunk {chunk!r}")
+    return int(bits or "0", 2).to_bytes(len(bits) // 8, "big").decode("latin-1")
 
 
 def encode_formula_text(text: str) -> str:

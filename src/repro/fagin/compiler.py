@@ -21,13 +21,25 @@ Running the resulting arbiter through the certificate game of
 :mod:`repro.hierarchy.game` decides exactly the property defined by ``phi``
 (on the graphs where the exhaustive game is feasible); this is the executable
 content of the generalized Fagin theorem.
+
+A game runs the arbiter at every leaf it cannot answer from its memo, so
+the arbiter does as little per view as it can: ``psi`` is compiled once
+into closures (:func:`repro.logic.semantics.compile_formula`, tested
+against the Table 1 interpreter :func:`~repro.logic.semantics.evaluate`),
+and each arbiter memoizes the decoded content of each certificate string
+and the structure of each view shape in bounded ``functools.lru_cache``
+wrappers of its own.  The memos are thread-safe, die with the arbiter, and
+stay out of the arbiter's store key (:mod:`repro.sweep.fingerprint` sees
+an ``lru_cache`` wrapper's function, not its contents), so a filled memo
+never changes the key.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.fagin.encoding import (
     ElementRef,
@@ -41,7 +53,7 @@ from repro.graphs.structures import Structure
 from repro.hierarchy.arbiters import ArbiterSpec
 from repro.hierarchy.certificate_spaces import CertificateSpace
 from repro.logic.fragments import second_order_prefix, is_lfo_sentence
-from repro.logic.semantics import EvaluationOptions, evaluate
+from repro.logic.semantics import compile_formula
 from repro.logic.syntax import (
     BoundedExists,
     BoundedForall,
@@ -198,9 +210,14 @@ def decode_relation_certificates(
 # ----------------------------------------------------------------------
 # The compiled arbiter
 # ----------------------------------------------------------------------
-def _view_structure(view: LocalView) -> Tuple[Structure, Dict[ElementRef, object]]:
-    """Build the structural representation of a local view.
+def _view_structure(
+    nodes: FrozenSet[str],
+    edges: FrozenSet[FrozenSet[str]],
+    labels: Tuple[Tuple[str, str], ...],
+) -> Tuple[Structure, Dict[ElementRef, object]]:
+    """Build the structural representation of a local view's shape.
 
+    Takes a :class:`LocalView`'s ``nodes``, ``edges`` and ``labels``.
     Elements are the view's node identifiers and ``(identifier, position)``
     pairs for labeling bits; the mapping from :class:`ElementRef` to element
     is returned alongside so decoded certificates can be resolved.
@@ -210,11 +227,12 @@ def _view_structure(view: LocalView) -> Tuple[Structure, Dict[ElementRef, object
     rel1: Set[Tuple[object, object]] = set()
     rel2: Set[Tuple[object, object]] = set()
     ref_to_element: Dict[ElementRef, object] = {}
+    label_of = dict(labels)
 
-    for identifier in sorted(view.nodes):
+    for identifier in sorted(nodes):
         domain.append(identifier)
         ref_to_element[(identifier, None)] = identifier
-        label = view.label_of(identifier)
+        label = label_of[identifier]
         previous = None
         for position in range(1, len(label) + 1):
             element = (identifier, position)
@@ -226,7 +244,7 @@ def _view_structure(view: LocalView) -> Tuple[Structure, Dict[ElementRef, object
             if previous is not None:
                 rel1.add((previous, element))
             previous = element
-    for edge in view.edges:
+    for edge in edges:
         a, b = tuple(edge)
         rel1.add((a, b))
         rel1.add((b, a))
@@ -234,9 +252,20 @@ def _view_structure(view: LocalView) -> Tuple[Structure, Dict[ElementRef, object
     return Structure(domain, unary=[ones], binary=[rel1, rel2]), ref_to_element
 
 
+#: Bounds of each compiled arbiter's memos (see :func:`compile_sentence`):
+#: decoded certificate strings, and view shapes with their structures.
+_DECODE_MEMO_SIZE = 4096
+_SHAPE_MEMO_SIZE = 256
+
+
 @dataclass
 class CompiledArbiter:
-    """The result of compiling a local second-order sentence."""
+    """The result of compiling a local second-order sentence.
+
+    ``memos`` names the arbiter's ``functools.lru_cache`` wrappers
+    (``"decode"`` and ``"view_structure"``); their ``cache_info()`` reports
+    hits and misses.
+    """
 
     sentence: Formula
     blocks: List[Tuple[str, List[RelationVariable]]]
@@ -244,6 +273,7 @@ class CompiledArbiter:
     radius: int
     algorithm: NeighborhoodGatherAlgorithm
     spaces: List[CertificateSpace]
+    memos: Mapping[str, Callable]
 
     def spec(self, name: str = "") -> ArbiterSpec:
         """Wrap the arbiter into an :class:`ArbiterSpec` ready for the game solver."""
@@ -266,7 +296,9 @@ def compile_sentence(
     """Compile a sentence of the local second-order hierarchy into an arbiter.
 
     The sentence must consist of a second-order quantifier prefix followed by
-    an LFO matrix ``∀x psi(x)`` with ``psi`` in BF.
+    an LFO matrix ``∀x psi(x)`` with ``psi`` in BF.  ``psi`` is compiled
+    once, and the returned arbiter carries its own memos (see the module
+    docstring and :attr:`CompiledArbiter.memos`).
     """
     blocks, matrix = quantifier_blocks(sentence)
     if not is_lfo_sentence(matrix):
@@ -276,37 +308,48 @@ def compile_sentence(
     first_order_variable = matrix.variable
     radius = bounded_quantifier_depth(psi)
 
-    all_relations = [relation for _, block in blocks for relation in block]
     spaces = [
         relation_certificate_space(block, radius, candidate_limit=candidate_limit)
         for _, block in blocks
     ]
+    check = compile_formula(psi)
+    # Per-arbiter memos: a game revisits a few view shapes and certificate
+    # strings at every leaf.  They are bounded lru_cache wrappers, so they are
+    # thread-safe, die with the arbiter, and keep their contents out of the
+    # store key: the fingerprint walks closure cells and mappings, and sees
+    # only the wrapped function of an lru_cache wrapper.  Nothing mutates
+    # what they return.
+    decode = functools.lru_cache(maxsize=_DECODE_MEMO_SIZE)(safe_decode_relation_content)
+    view_structure = functools.lru_cache(maxsize=_SHAPE_MEMO_SIZE)(_view_structure)
 
     def compute(view: LocalView) -> str:
-        structure, ref_to_element = _view_structure(view)
+        structure, ref_to_element = view_structure(view.nodes, view.edges, view.labels)
+        certificates = dict(view.certificates)
         # Decode all certificate levels visible in the view.
-        interpretation: Dict[RelationVariable, FrozenSet[Tuple[object, ...]]] = {}
+        env: Dict[object, object] = {}
         for level_index, (_, block) in enumerate(blocks):
-            decoded = decode_relation_certificates(view, level_index, block)
+            contents = [
+                decode(certificates[identifier][level_index])
+                for identifier in view.nodes
+                if level_index < len(certificates[identifier])
+            ]
             for relation in block:
                 tuples = set()
-                for tup in decoded[relation.name]:
-                    try:
-                        resolved = tuple(ref_to_element[ref] for ref in tup)
-                    except KeyError:
-                        continue  # tuple refers to elements outside the view
-                    tuples.add(resolved)
-                interpretation[relation] = frozenset(tuples)
+                for content in contents:
+                    for tup in content.get(relation.name, ()):
+                        try:
+                            tuples.add(tuple([ref_to_element[ref] for ref in tup]))
+                        except KeyError:
+                            continue  # tuple refers to elements outside the view
+                env[relation] = frozenset(tuples)
         # Evaluate psi at the center element and at each of its labeling bits.
         center = view.center
         own_elements = [center] + [
             (center, position) for position in range(1, len(view.center_label()) + 1)
         ]
-        options = EvaluationOptions(candidate_limit=0)
         for element in own_elements:
-            assignment: Dict[object, object] = dict(interpretation)
-            assignment[first_order_variable] = element
-            if not evaluate(structure, psi, assignment, options):
+            env[first_order_variable] = element
+            if not check(structure, env):
                 return "0"
         return "1"
 
@@ -318,4 +361,5 @@ def compile_sentence(
         radius=radius,
         algorithm=algorithm,
         spaces=spaces,
+        memos={"decode": decode, "view_structure": view_structure},
     )

@@ -18,13 +18,21 @@ through :class:`EvaluationOptions`:
   astronomically large enumeration.
 
 Both existential and universal quantifiers short-circuit.
+
+:func:`evaluate` interprets a formula node by node and is the reference.
+:func:`compile_formula` turns a first-order formula into nested closures
+once, for callers that check one formula many times (the compiled Fagin
+arbiters of :mod:`repro.fagin.compiler` run theirs at every memo miss of a
+game); its closures bind quantified variables in place on one assignment
+dict instead of copying it per binding, and are tested against
+:func:`evaluate`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.structures import Structure, structural_representation
@@ -245,6 +253,114 @@ def _eval(structure: Structure, formula: Formula, sigma: Assignment, options: Ev
             for interpretation in _relation_interpretations(structure, formula.relation, options)
         )
     raise TypeError(f"unknown formula node {formula!r}")
+
+
+# ----------------------------------------------------------------------
+# Compiled first-order formulas
+# ----------------------------------------------------------------------
+Check = Callable[[Structure, Assignment], bool]
+"""A compiled formula: ``check(structure, assignment)`` is its truth value."""
+
+_UNBOUND = object()
+
+
+def _quantifier(
+    variable: str,
+    candidates: Callable[[Structure, Assignment], Iterable[Element]],
+    body: Check,
+    universal: bool,
+) -> Check:
+    """``∃`` (or ``∀`` if *universal*) *variable* over ``candidates(structure, env)``.
+
+    The candidates are read before *variable* is bound, so an anchor naming
+    the quantified variable refers to its outer binding, as in :func:`_eval`.
+    The variable is bound in place on *env*, and its previous binding (or
+    its absence) is restored on the way out.
+    """
+
+    def check(structure: Structure, env: Assignment) -> bool:
+        elements = candidates(structure, env)
+        saved = env.get(variable, _UNBOUND)
+        try:
+            for element in elements:
+                env[variable] = element
+                # A witness decides an ∃, a counterexample decides a ∀.
+                if (not body(structure, env)) is universal:
+                    return not universal
+            return universal
+        finally:
+            if saved is _UNBOUND:
+                env.pop(variable, None)
+            else:
+                env[variable] = saved
+
+    return check
+
+
+def compile_formula(formula: Formula) -> Check:
+    """Compile a first-order formula into a closure ``check(structure, env) -> bool``.
+
+    ``check(S, env)`` equals ``evaluate(S, formula, env)``: connectives and
+    quantifiers short-circuit in the same order, relation variables are
+    looked up as :func:`_eval` looks them up, and an unassigned variable
+    raises ``KeyError``.  Quantifiers bind their variable in place on *env*
+    and restore it afterwards, so *env* is unchanged when ``check`` returns
+    or raises.  Second-order quantifiers are refused with ``ValueError``.
+    """
+    if isinstance(formula, TruthConstant):
+        value = formula.value
+        return lambda structure, env: value
+    if isinstance(formula, UnaryAtom):
+        index, variable = formula.index, formula.variable
+        return lambda structure, env: structure.in_unary(index, env[variable])
+    if isinstance(formula, BinaryAtom):
+        index, left, right = formula.index, formula.left, formula.right
+        return lambda structure, env: structure.in_binary(index, env[left], env[right])
+    if isinstance(formula, Equal):
+        left, right = formula.left, formula.right
+        return lambda structure, env: env[left] == env[right]
+    if isinstance(formula, RelationAtom):
+        relation, arguments = formula.relation, formula.arguments
+
+        def relation_atom(structure: Structure, env: Assignment) -> bool:
+            try:
+                interpretation = env[relation]
+            except KeyError:
+                interpretation = _lookup_relation(env, relation)
+            return tuple([env[name] for name in arguments]) in interpretation
+
+        return relation_atom
+    if isinstance(formula, Not):
+        operand = compile_formula(formula.operand)
+        return lambda structure, env: not operand(structure, env)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        left, right = compile_formula(formula.left), compile_formula(formula.right)
+        if isinstance(formula, And):
+            return lambda structure, env: left(structure, env) and right(structure, env)
+        if isinstance(formula, Or):
+            return lambda structure, env: left(structure, env) or right(structure, env)
+        if isinstance(formula, Implies):
+            return lambda structure, env: (not left(structure, env)) or right(structure, env)
+        return lambda structure, env: left(structure, env) == right(structure, env)
+    if isinstance(formula, (Exists, Forall)):
+        candidates = lambda structure, env: structure.domain
+        universal = isinstance(formula, Forall)
+    elif isinstance(formula, (BoundedExists, BoundedForall)):
+        anchor = formula.anchor
+        candidates = lambda structure, env: structure.connections(env[anchor])
+        universal = isinstance(formula, BoundedForall)
+    elif isinstance(formula, (LocalExists, LocalForall)):
+        anchor, radius = formula.anchor, formula.radius
+        candidates = lambda structure, env: structure.ball(env[anchor], radius)
+        universal = isinstance(formula, LocalForall)
+    elif isinstance(formula, (SOExists, SOForall)):
+        raise ValueError(
+            f"compile_formula compiles first-order formulas only; {formula.relation.name!r} "
+            "is quantified second-order (use evaluate)"
+        )
+    else:
+        raise TypeError(f"unknown formula node {formula!r}")
+    return _quantifier(formula.variable, candidates, compile_formula(formula.body), universal)
 
 
 def graph_satisfies(

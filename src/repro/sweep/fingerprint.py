@@ -7,12 +7,12 @@ folded into a SHA-256 digest instead:
 
 * the **machine** is fingerprinted structurally: class name plus every
   attribute, with functions reduced to their bytecode, constants, names and
-  (recursively) closure cells and defaults.  Two separately constructed
-  machines with the same code and parameters therefore share a fingerprint,
-  while any change to the compute function's body, a captured constant
-  (e.g. the number of colors) or a numeric parameter such as the radius
-  produces a fresh key -- a changed machine is a cache miss, never a stale
-  hit.  Source locations (file names, line numbers) are deliberately
+  (recursively, to any depth) closure cells and defaults.  Two separately
+  constructed machines with the same code and parameters therefore share a
+  fingerprint, while any change to the compute function's body, a captured
+  constant (e.g. the number of colors) or a numeric parameter such as the
+  radius produces a fresh key -- a changed machine is a cache miss, never a
+  stale hit.  Source locations (file names, line numbers) are deliberately
   excluded so that moving code around does not invalidate the store.
 * the **graph** contributes its nodes, edges and labels; the **identifier
   assignment** contributes the identifiers in node order.
@@ -42,39 +42,38 @@ from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.hierarchy.certificate_spaces import CertificateSpace, materialize_space
 from repro.hierarchy.game import Quantifier
 
-#: Recursion bound for structural fingerprinting (closures of closures ...).
-_MAX_DEPTH = 12
-
 _PRIMITIVES = (str, bytes, int, float, bool, complex, type(None))
 
 
-def _code_tokens(code: CodeType, out: List[str], seen: set, depth: int) -> None:
+def _code_tokens(code: CodeType, out: List[str], seen: set) -> None:
     out.append(f"code:{code.co_argcount}:{code.co_kwonlyargcount}")
     out.append(code.co_code.hex())
     out.append(f"names:{code.co_names!r}")
     for const in code.co_consts:
-        _tokens(const, out, seen, depth + 1)
+        _tokens(const, out, seen)
 
 
-def _function_tokens(func: FunctionType, out: List[str], seen: set, depth: int) -> None:
+def _function_tokens(func: FunctionType, out: List[str], seen: set) -> None:
     out.append(f"function:{func.__qualname__.rsplit('.<locals>.', 1)[-1]}")
-    _code_tokens(func.__code__, out, seen, depth)
+    _code_tokens(func.__code__, out, seen)
     for cell in func.__closure__ or ():
         try:
             contents = cell.cell_contents
         except ValueError:  # empty cell (still being initialized)
             out.append("cell:empty")
             continue
-        _tokens(contents, out, seen, depth + 1)
+        _tokens(contents, out, seen)
     for default in func.__defaults__ or ():
-        _tokens(default, out, seen, depth + 1)
+        _tokens(default, out, seen)
 
 
-def _tokens(obj: object, out: List[str], seen: set, depth: int = 0) -> None:
-    """Append canonical tokens describing *obj* to *out* (recursive)."""
-    if depth > _MAX_DEPTH:
-        out.append("max-depth")
-        return
+def _tokens(obj: object, out: List[str], seen: set) -> None:
+    """Append canonical tokens describing *obj* to *out* (recursive).
+
+    There is no depth bound: *seen* cuts cycles, and a truncated walk would
+    give machines that differ only below the bound one key.  An object
+    nested past the interpreter's recursion limit raises ``RecursionError``.
+    """
     if isinstance(obj, _PRIMITIVES):
         out.append(repr(obj))
         return
@@ -88,24 +87,24 @@ def _tokens(obj: object, out: List[str], seen: set, depth: int = 0) -> None:
             items = sorted(items, key=repr)
         out.append(f"{type(obj).__name__}[{len(items)}]")
         for item in items:
-            _tokens(item, out, seen, depth + 1)
+            _tokens(item, out, seen)
         return
     if isinstance(obj, Mapping):
         out.append(f"mapping[{len(obj)}]")
         for key in sorted(obj, key=repr):
             out.append(repr(key))
-            _tokens(obj[key], out, seen, depth + 1)
+            _tokens(obj[key], out, seen)
         return
     if isinstance(obj, MethodType):
         out.append("method")
-        _tokens(obj.__self__, out, seen, depth + 1)
-        _function_tokens(obj.__func__, out, seen, depth)
+        _tokens(obj.__self__, out, seen)
+        _function_tokens(obj.__func__, out, seen)
         return
     if isinstance(obj, FunctionType):
-        _function_tokens(obj, out, seen, depth)
+        _function_tokens(obj, out, seen)
         return
     if isinstance(obj, CodeType):
-        _code_tokens(obj, out, seen, depth)
+        _code_tokens(obj, out, seen)
         return
     if callable(obj) and not hasattr(obj, "__dict__") and not hasattr(obj, "__slots__"):
         out.append(f"callable:{getattr(obj, '__qualname__', type(obj).__name__)}")
@@ -123,7 +122,7 @@ def _tokens(obj: object, out: List[str], seen: set, depth: int = 0) -> None:
     if state:
         for key in sorted(state, key=repr):
             out.append(repr(key))
-            _tokens(state[key], out, seen, depth + 1)
+            _tokens(state[key], out, seen)
     elif type(obj).__repr__ is not object.__repr__:
         out.append(repr(obj))
     else:
@@ -137,11 +136,8 @@ def structural_fingerprint(obj: object) -> str:
     """A stable SHA-256 fingerprint of an object's structure and code."""
     out: List[str] = []
     _tokens(obj, out, set())
-    digest = hashlib.sha256()
-    for token in out:
-        digest.update(token.encode("utf-8", "backslashreplace"))
-        digest.update(b"\x00")
-    return digest.hexdigest()
+    out.append("")  # every token, the last one too, ends in a NUL byte
+    return hashlib.sha256("\x00".join(out).encode("utf-8", "backslashreplace")).hexdigest()
 
 
 def machine_fingerprint(machine: object) -> str:

@@ -21,6 +21,7 @@ from repro.boolsat import (
     to_cnf_tseytin,
 )
 from repro.boolsat.boolean_graph import is_valid_sat_graph_assignment
+from repro.boolsat.encoding import decode_text, encode_text
 from repro.boolsat.cnf import formula_to_cnf_clauses
 from repro.boolsat.formulas import all_valuations, brute_force_satisfiable
 
@@ -150,3 +151,33 @@ class TestBooleanGraphs:
     def test_encoding_rejects_unparsable_text(self):
         with pytest.raises(ValueError):
             encode_formula_text("P1 &&& P2")
+
+
+class TestTextEncoding:
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(alphabet=st.characters(max_codepoint=127)))
+    def test_round_trip_on_ascii(self, text):
+        assert decode_text(encode_text(text)) == text
+
+    def test_empty_string_round_trips(self):
+        assert encode_text("") == ""
+        assert decode_text("") == ""
+
+    def test_length_error_is_unchanged(self):
+        with pytest.raises(ValueError, match=r"^encoded text must have a length divisible by 8$"):
+            decode_text("0100000")
+        # The length is checked before the characters.
+        with pytest.raises(ValueError, match="divisible by 8"):
+            decode_text("01x")
+
+    @pytest.mark.parametrize(
+        "chunk",
+        # int(..., 2) would accept the prefix, the underscore, the spaces
+        # and the non-ASCII digits.
+        ["0100000x", "0b000001", "0_000001", " 1000001", "1000001 ", "\u0661" * 8],
+    )
+    def test_first_invalid_chunk_is_reported(self, chunk):
+        bits = encode_text("A") + chunk + "0" * 8 + "x" * 8
+        with pytest.raises(ValueError, match=r"^invalid bit chunk ") as raised:
+            decode_text(bits)
+        assert str(raised.value) == f"invalid bit chunk {chunk!r}"

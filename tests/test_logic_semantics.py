@@ -1,11 +1,13 @@
 """Tests for formula evaluation on structures (Table 1 semantics)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import generators
 from repro.graphs.structures import Structure, structural_representation
 from repro.logic import EvaluationOptions, evaluate, graph_satisfies
-from repro.logic.semantics import EvaluationBudgetExceeded
+from repro.logic.semantics import EvaluationBudgetExceeded, compile_formula
 from repro.logic.shorthands import is_bit1, is_node, is_selected
 from repro.logic.syntax import (
     And,
@@ -18,6 +20,7 @@ from repro.logic.syntax import (
     Iff,
     Implies,
     LocalExists,
+    LocalForall,
     Not,
     Or,
     RelationAtom,
@@ -162,3 +165,106 @@ class TestGraphSatisfaction:
 
         assert graph_satisfies(generators.path_graph(2, labels=["1", "1"]), all_selected_formula())
         assert not graph_satisfies(generators.path_graph(2, labels=["1", "0"]), all_selected_formula())
+
+
+# ----------------------------------------------------------------------
+# compile_formula against the reference interpreter
+# ----------------------------------------------------------------------
+VARIABLES = ("x", "y", "z")
+UNARY_R = RelationVariable("R", 1)
+BINARY_S = RelationVariable("S", 2)
+
+_variables = st.sampled_from(VARIABLES)
+_distinct_pair = st.tuples(_variables, _variables).filter(lambda pair: pair[0] != pair[1])
+_atoms = st.one_of(
+    st.builds(TruthConstant, st.booleans()),
+    st.builds(UnaryAtom, st.just(1), _variables),
+    st.builds(BinaryAtom, st.sampled_from((1, 2)), _variables, _variables),
+    st.builds(Equal, _variables, _variables),
+    st.builds(lambda v: RelationAtom(UNARY_R, (v,)), _variables),
+    st.builds(lambda v, w: RelationAtom(BINARY_S, (v, w)), _variables, _variables),
+)
+
+
+def _extend(children):
+    bounded = lambda kind: st.builds(  # noqa: E731
+        lambda pair, body: kind(pair[0], pair[1], body), _distinct_pair, children
+    )
+    # LocalExists/LocalForall allow the anchor to be the bound variable itself.
+    local = lambda kind: st.builds(  # noqa: E731
+        kind, _variables, _variables, st.integers(0, 2), children
+    )
+    return st.one_of(
+        st.builds(Not, children),
+        *(st.builds(kind, children, children) for kind in (And, Or, Implies, Iff)),
+        *(st.builds(kind, _variables, children) for kind in (Exists, Forall)),
+        bounded(BoundedExists),
+        bounded(BoundedForall),
+        local(LocalExists),
+        local(LocalForall),
+    )
+
+
+_formulas = st.recursive(_atoms, _extend, max_leaves=10)
+
+
+@st.composite
+def _structures_and_assignments(draw):
+    """A random signature-(1, 2) structure of 1-4 elements, with every first-order
+    variable and both relation variables assigned."""
+    domain = list(range(draw(st.integers(1, 4))))
+    subsets = lambda items: st.sets(st.sampled_from(items)) if items else st.just(set())  # noqa: E731
+    pairs = [(a, b) for a in domain for b in domain]
+    structure = Structure(
+        domain, unary=[draw(subsets(domain))], binary=[draw(subsets(pairs)), draw(subsets(pairs))]
+    )
+    assignment = {variable: draw(st.sampled_from(domain)) for variable in VARIABLES}
+    assignment[UNARY_R] = frozenset((a,) for a in draw(subsets(domain)))
+    assignment[BINARY_S] = frozenset(draw(subsets(pairs)))
+    return structure, assignment
+
+
+class TestCompiledFormulas:
+    @settings(max_examples=300, deadline=None)
+    @given(formula=_formulas, drawn=_structures_and_assignments())
+    def test_compiled_formula_equals_evaluate(self, formula, drawn):
+        # Every variable is assigned up front, so every quantifier rebinds a
+        # bound variable, and the assignment must come back unchanged.
+        structure, assignment = drawn
+        env = dict(assignment)
+        assert compile_formula(formula)(structure, env) == evaluate(structure, formula, assignment)
+        assert env == assignment
+
+    def test_quantifier_rebinding_restores_the_outer_binding(self, chain_structure):
+        # ∃x (x ∈ U) ∧ ¬U(x): the inner x shadows the outer one, which is
+        # visible again after the quantifier; the anchor of a radius
+        # quantifier naming its own variable reads the outer binding.
+        phi = And(Exists("x", UnaryAtom(1, "x")), Not(UnaryAtom(1, "x")))
+        local = LocalExists("x", "x", 0, UnaryAtom(1, "x"))
+        for element in chain_structure.domain:
+            env = {"x": element}
+            assert compile_formula(phi)(chain_structure, env) == evaluate(
+                chain_structure, phi, {"x": element}
+            )
+            assert compile_formula(local)(chain_structure, env) == (element == 2)
+            assert env == {"x": element}
+        # A variable bound only by the quantifier is unbound again afterwards.
+        env = {}
+        assert compile_formula(Exists("y", UnaryAtom(1, "y")))(chain_structure, env)
+        assert env == {}
+
+    def test_relation_looked_up_by_name_and_missing_variables_raise(self, chain_structure):
+        X = RelationVariable("X", 1)
+        atom = compile_formula(RelationAtom(X, ("x",)))
+        # A hand-written assignment may key the relation by an equal-named variable.
+        assert atom(chain_structure, {"x": 1, RelationVariable("X", 2): frozenset({(1,)})})
+        with pytest.raises(KeyError):
+            atom(chain_structure, {"x": 1})
+        with pytest.raises(KeyError):
+            compile_formula(UnaryAtom(1, "x"))(chain_structure, {})
+
+    def test_second_order_quantifiers_are_refused(self):
+        X = RelationVariable("X", 1)
+        for kind in (SOExists, SOForall):
+            with pytest.raises(ValueError, match="first-order"):
+                compile_formula(And(TruthConstant(True), kind(X, RelationAtom(X, ("x",)))))

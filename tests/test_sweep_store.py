@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sqlite3
 import threading
 
 import pytest
 
+from repro.fagin import compile_sentence
 from repro.graphs import generators
 from repro.graphs.identifiers import sequential_identifier_assignment
 from repro.hierarchy.certificate_spaces import bit_space, color_space
 from repro.hierarchy.game import pi_prefix, sigma_prefix
+from repro.logic.examples import color_relations, three_colorable_formula
+from repro.logic.syntax import Formula, RelationAtom
 from repro.machines import builtin
 from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
 from repro.sweep import (
@@ -20,6 +24,28 @@ from repro.sweep import (
     open_store,
 )
 from repro.sweep.store import WouldBlock
+
+
+def _next_color_at(formula, n):
+    """*formula* with the relation of its *n*-th color atom (in field order)
+    replaced by the next color ``C(i+1 mod 3)``."""
+    colors = color_relations(3)
+    count = [0]
+
+    def walk(node):
+        if isinstance(node, RelationAtom):
+            count[0] += 1
+            if count[0] - 1 != n:
+                return node
+            return dataclasses.replace(node, relation=colors[(colors.index(node.relation) + 1) % 3])
+        changes = {
+            field.name: walk(getattr(node, field.name))
+            for field in dataclasses.fields(node)
+            if isinstance(getattr(node, field.name), Formula)
+        }
+        return dataclasses.replace(node, **changes) if changes else node
+
+    return walk(formula)
 
 
 @pytest.fixture(params=["memory", "sqlite", "jsonl"])
@@ -316,6 +342,55 @@ class TestKeyScheme:
         assert machine_fingerprint(builtin.constant_algorithm("1")) != machine_fingerprint(
             builtin.constant_algorithm("0")
         )
+
+    def test_every_atom_of_the_colorability_matrix_reaches_the_key(self):
+        # The matrix nests deeper than any fixed bound a fingerprint walk
+        # could stop at: changing the relation of any one of its 21 atoms
+        # must change the machine's fingerprint.
+        base = three_colorable_formula()
+        variants = [_next_color_at(base, n) for n in range(21)]
+        assert len(set(variants)) == 21 and base not in variants
+        fingerprints = {
+            machine_fingerprint(compile_sentence(f).algorithm) for f in [base] + variants
+        }
+        assert len(fingerprints) == 22
+
+    def test_store_warmed_by_a_sentence_misses_for_its_variant(self):
+        # Atom 3 turns ¬(C0(x) ∧ C1(x)) into ¬(C1(x) ∧ C1(x)), which forbids
+        # C1: the 3-cycle is then not colorable, and a store warmed by the
+        # original sentence must not answer for it.
+        from repro.sweep import run_instances
+        from repro.sweep.scenarios import family_cycles, instances_for_spec
+
+        def instances(formula):
+            spec = compile_sentence(formula).spec("fagin-3col")
+            return instances_for_spec(spec, family_cycles((3,)), id_schemes=("small",))
+
+        base = three_colorable_formula()
+        variant = _next_color_at(base, 3)
+        assert run_instances(instances(variant)).verdicts == [False]
+        with open_store("memory://") as store:
+            assert run_instances(instances(base), store=store).verdicts == [True]
+            warm = run_instances(instances(variant), store=store)
+            assert warm.verdicts == [False]
+            assert warm.cached_count == 0
+
+    def test_fagin_keys_survive_deciding_and_rebuilding(self):
+        # The compiled arbiters memoize per arbiter; the memos must stay out
+        # of the key, which is the same before and after a decision fills
+        # them, and for a second build of the scenario.
+        from repro.sweep import run_instances
+        from repro.sweep.fingerprint import game_instance_key
+        from repro.sweep.scenarios import build_instances
+
+        def keys(instances):
+            return [(machine_fingerprint(i.machine), game_instance_key(i)) for i in instances]
+
+        first = build_instances("fagin")
+        before = keys(first)
+        assert keys(build_instances("fagin")) == before
+        run_instances(first)
+        assert keys(first) == before
 
     def test_stateless_helper_attribute_is_stable(self):
         # A machine dragging along a stateless helper object must not leak
