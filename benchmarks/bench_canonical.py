@@ -49,7 +49,7 @@ def test_canonical_cache_hit_rate_on_separations(benchmark):
     assert warm["store_hits"] > 0, warm
 
     # The sweep orchestrator reports the same counters end to end.
-    sweep = run_instances(build_instances(SCENARIO), scenario_name=SCENARIO)
+    sweep = run_instances(build_instances(SCENARIO), scenario=SCENARIO)
     assert sweep.canonical is not None and sweep.canonical["hit_rate"] > 0
 
     benchmark(

@@ -64,10 +64,10 @@ def test_full_separation_table(benchmark):
 def test_separations_sweep_scenario(benchmark):
     """The Figure 2 membership games, run as a registered sweep scenario.
 
-    The sweep executor shards the scenario's instances by shared leaf
-    evaluator and answers them through the engine; the fooling-pair games
-    must come out exactly as Proposition 24 predicts (only the doubled
-    cycle is 2-colorable).
+    The sweep executor answers the scenario's instances in order through
+    the engine, sharing one compiled instance per leaf evaluator; the
+    fooling-pair games must come out exactly as Proposition 24 predicts
+    (only the doubled cycle is 2-colorable).
     """
     result = benchmark(run_scenario, "separations")
     by_name = {r.name: r.verdict for r in result.results}

@@ -44,8 +44,8 @@ def test_locality_sweep_scenario(benchmark):
     """The Figure 7 verification games as a registered sweep scenario.
 
     Every proof-labeling scheme's honest certificates must be accepted on
-    every sample graph (completeness), here checked through the sharded
-    sweep executor rather than one-off verifier runs.
+    every sample graph (completeness), here checked through the sweep
+    executor rather than one-off verifier runs.
     """
     result = benchmark(run_scenario, "locality")
     assert result.results, "the locality scenario must produce instances"

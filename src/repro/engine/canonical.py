@@ -30,7 +30,7 @@ exactly the repetition graph families and locally-unique identifier
 schemes produce.)
 
 :class:`CanonicalVerdictCache` holds the shared table.  It is attached to
-compiled instances (one cache per sweep shard, per service compute tier,
+compiled instances (one cache per sweep, per service compute tier,
 ...), consulted on per-node memo misses of the eligible paths, and
 optionally backed by the persistent verdict store's node-verdict table so
 isomorphic work is skipped across sessions too.
@@ -116,11 +116,10 @@ class CanonicalVerdictCache:
     :class:`~repro.sweep.store.VerdictStore` is consulted through its
     node-verdict table and hits are promoted.  Fresh verdicts accumulate in
     a dirty list so callers can persist them in one bulk write
-    (:meth:`flush`) or ship them across process boundaries
-    (:meth:`drain_records` -- sweep workers return them to the parent).
+    (:meth:`flush`) or take them as records (:meth:`drain_records`).
 
     Not thread-safe by itself: every current holder already serializes
-    evaluation (sweep shards are single-threaded, the service compute tier
+    evaluation (a sweep evaluates on one thread, the service compute tier
     runs under its batch lock).
     """
 
@@ -194,11 +193,6 @@ class CanonicalVerdictCache:
         """Fresh ``(key, verdict)`` records since the last drain/flush."""
         records, self._dirty = self._dirty, []
         return records
-
-    def merge_records(self, records) -> None:
-        """Adopt records drained from another cache (a worker process)."""
-        for key, verdict in records:
-            self.put(key, verdict)
 
     def flush(self) -> int:
         """Persist the dirty records into the attached store (if any)."""

@@ -89,7 +89,8 @@ def _figure7_plan() -> "Tuple[List[Figure7Row], list, List[int]]":
     Returns ``(rows, instances, instance_rows)`` where ``instance_rows[i]``
     is the index of the row that instance ``i``'s verdict belongs to.
     Deterministic (the provers are), which lets the instance list double as
-    a registered scenario for parallel workers and the persistent store.
+    a registered scenario: the daemon addresses it by name and index, and
+    warm re-runs reproduce its store keys.
     """
     from repro.engine.batch import GameInstance
     from repro.hierarchy.game import Quantifier
@@ -150,26 +151,24 @@ def figure7_verification_instances() -> list:
 
     Registered as the built-in ``figure7-verification`` scenario in
     :mod:`repro.sweep.scenarios`; ``figure7_rows`` runs exactly this list,
-    which is what lets it shard across worker processes by name.
+    so a table computed against a store shares its verdicts with
+    ``repro sweep figure7-verification`` against that store.
     """
     return _figure7_plan()[1]
 
 
-def figure7_rows(jobs: int = 0, store: Union[str, object, None] = None) -> List[Figure7Row]:
+def figure7_rows(store: Union[str, object, None] = None) -> List[Figure7Row]:
     """Compute the Figure 7 table rows.
 
     The honest-certificate verification games of every scheme x sample pair
     are collected into one batch and run through the sweep executor as the
     registered ``figure7-verification`` scenario: engines are shared across
-    pairs, *jobs* > 1 shards the batch over worker processes, and *store*
-    makes re-tabulations incremental across sessions.
+    pairs, and *store* makes re-tabulations incremental across sessions.
     """
     from repro.sweep import run_instances
 
     rows, instances, instance_rows = _figure7_plan()
-    sweep = run_instances(
-        instances, jobs=jobs, store=store, scenario="figure7-verification"
-    )
+    sweep = run_instances(instances, store=store, scenario="figure7-verification")
     for row_index, result in zip(instance_rows, sweep.results):
         if not result.verdict:
             rows[row_index].scheme_verified = False

@@ -58,7 +58,7 @@ def _three_colorable_witness() -> Dict[str, object]:
     # and a persistent-store hit when a verdict store is configured).
     sweep = run_instances(
         instances_for_spec(spec, [("triangle", triangle), ("K4", k4)]),
-        scenario_name="figure2-3colorable",
+        scenario="figure2-3colorable",
     )
     triangle_wins, k4_wins = sweep.verdicts
     return {

@@ -250,10 +250,10 @@ class ComputeTier:
     :func:`~repro.sweep.executor.evaluate_timed`, handing it two *long-lived*
     LRU caches: compiled instances keyed by their ``(machine, graph, ids)``
     group, and game engines keyed by the full engine sharing key.  Unlike a
-    sweep shard -- whose caches die with the shard -- the daemon's engines
-    survive across batches, so a miss on a previously seen ``(machine,
-    graph, ids)`` group reuses the interned alphabet, the per-node verdict
-    memo and the transposition cache from earlier traffic.
+    sweep -- whose caches die with it -- the daemon's engines survive
+    across batches, so a miss on a previously seen ``(machine, graph,
+    ids)`` group reuses the interned alphabet, the per-node verdict memo and
+    the transposition cache from earlier traffic.
 
     Evaluation is serialized by a lock: the engines' memo state is not
     thread-safe, and the workload is pure Python (GIL-bound), so worker

@@ -1,4 +1,4 @@
-"""Sweep orchestrator: sharded parallel game evaluation over a scenario registry.
+"""Sweep orchestrator: in-process game evaluation over a scenario registry.
 
 Every result in the paper is answered by sweeping one question -- *who wins
 the certificate game?* -- across families of graphs, identifier assignments
@@ -10,16 +10,16 @@ top of :mod:`repro.engine`:
   quantifier prefixes, with the paper's workloads (separations, locality,
   fagin) registered out of the box alongside new graph families (random
   regular, grids, trees, gadgets);
-* :mod:`repro.sweep.executor` -- a sharded executor that keeps instances
-  sharing a compiled instance on one shard, runs shards across a
-  ``multiprocessing`` pool (with a deterministic in-process fallback), and
-  merges fresh verdicts back;
+* :mod:`repro.sweep.executor` -- an executor that answers what the store
+  holds, decides the rest in instance order in-process (instances sharing
+  a compiled instance share its per-node verdict memo), and merges fresh
+  verdicts back;
 * :mod:`repro.sweep.store` -- the persistent SQLite verdict store, keyed
   by the content-addressed fingerprints of
   :mod:`repro.sweep.fingerprint`, making re-runs across sessions
   incremental;
-* :mod:`repro.sweep.cli` -- ``python -m repro sweep <scenario> [--jobs N]
-  [--store PATH] [--json OUT]``.
+* :mod:`repro.sweep.cli` -- ``python -m repro sweep <scenario>
+  [--store PATH] [--json OUT] [--limit N]``.
 """
 
 from repro.sweep.fingerprint import (
@@ -47,7 +47,6 @@ from repro.sweep.executor import (
     evaluator_sharing_key,
     run_instances,
     run_scenario,
-    shard_indices,
 )
 
 __all__ = [
@@ -73,5 +72,4 @@ __all__ = [
     "evaluator_sharing_key",
     "run_instances",
     "run_scenario",
-    "shard_indices",
 ]

@@ -6,10 +6,10 @@ List what can be swept::
 
     python -m repro scenarios
 
-Run the CI smoke scenario on two processes against a persistent store,
-also dumping machine-readable results::
+Run the CI smoke scenario against a persistent store, also dumping
+machine-readable results::
 
-    python -m repro sweep smoke --jobs 2 --store verdicts.sqlite --json out.json
+    python -m repro sweep smoke --store verdicts.sqlite --json out.json
 
 A second run against the same store answers everything from cache.
 
@@ -35,6 +35,17 @@ from repro.sweep.executor import run_scenario
 from repro.sweep.scenarios import all_scenarios, get_scenario
 
 
+def _instance_limit(text: str) -> int:
+    """The type of ``--limit``: a number of instances, 0 or more."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = None
+    if limit is None or limit < 0:
+        raise argparse.ArgumentTypeError(f"expected a number >= 0, got {text!r}")
+    return limit
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -45,12 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = commands.add_parser("sweep", help="run a registered sweep scenario")
     sweep.add_argument("scenario", help="scenario name (see `python -m repro scenarios`)")
-    sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="number of parallel worker processes (<= 1: in-process)",
-    )
     sweep.add_argument(
         "--store",
         default=None,
@@ -64,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the machine-readable sweep result to this file ('-' for stdout)",
     )
     sweep.add_argument(
-        "--limit", type=int, default=None, help="run only the first N instances"
+        "--limit", type=_instance_limit, default=None,
+        help="run only the first N instances",
     )
     sweep.add_argument(
         "--quiet", action="store_true", help="suppress the result table (summary only)"
@@ -123,7 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="pstats sort order (--live maps tottime to self samples)",
     )
     profile.add_argument(
-        "--limit", type=int, default=None, help="profile only the first N instances"
+        "--limit", type=_instance_limit, default=None,
+        help="profile only the first N instances",
     )
     profile.add_argument(
         "--store",
@@ -202,9 +209,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     except KeyError as error:
         print(error.args[0], file=sys.stderr)
         return 2
-    result = run_scenario(
-        args.scenario, jobs=args.jobs, store=args.store, limit=args.limit
-    )
+    result = run_scenario(args.scenario, store=args.store, limit=args.limit)
     if args.json == "-":
         print(result.to_json())
     elif args.json:
@@ -226,8 +231,7 @@ def _command_profile(args: argparse.Namespace) -> int:
 
     Used to validate engine optimizations: the printout shows where a cold
     (or warm, with ``--store``) scenario run actually spends its time, the
-    top call sites first.  Profiling always runs in-process (``jobs=1``) --
-    a fork pool would hide the workers from the profiler.
+    top call sites first.
     """
     import cProfile
     import pstats
@@ -244,9 +248,7 @@ def _command_profile(args: argparse.Namespace) -> int:
         return 2
     profiler = cProfile.Profile()
     profiler.enable()
-    result = run_scenario(
-        args.scenario, jobs=1, store=args.store, limit=args.limit
-    )
+    result = run_scenario(args.scenario, store=args.store, limit=args.limit)
     profiler.disable()
     summary = (
         f"profiled scenario {args.scenario!r}: {len(result.results)} instances, "

@@ -6,9 +6,10 @@ cross-product of graph-family generators, identifier schemes and arbiter
 specifications.  Scenarios are registered by name so that
 
 * the CLI (``python -m repro sweep <scenario>``) can run them,
-* the sharded executor can rebuild exactly the same instance list inside a
-  worker process from nothing but the scenario name (machines close over
-  plain Python functions and are not picklable; names are), and
+* the verdict daemon (``python -m repro query --scenario NAME --index I``)
+  can rebuild exactly the same instance list from nothing but the scenario
+  name (machines close over plain Python functions and cannot cross the
+  wire; names can), and
 * re-runs hit the persistent verdict store, because the recipe is
   deterministic.
 
@@ -68,8 +69,8 @@ def register_scenario(
     """Decorator registering a scenario builder under *name*.
 
     Re-registering a name replaces the previous scenario (so tests can
-    shadow built-ins); the builder must be deterministic, since workers and
-    warm re-runs rebuild the instance list from scratch.
+    shadow built-ins); the builder must be deterministic, since the daemon
+    and warm re-runs rebuild the instance list from scratch.
     """
 
     def decorate(builder: ScenarioBuilder) -> ScenarioBuilder:

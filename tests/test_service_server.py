@@ -130,7 +130,7 @@ class TestEndToEnd:
         store = SQLiteVerdictStore(":memory:")
         from repro.sweep.executor import run_instances
 
-        run_instances(build_instances("smoke"), store=store, scenario_name="smoke")
+        run_instances(build_instances("smoke"), store=store, scenario="smoke")
         with ServerThread(store=store) as server:
             with ServiceClient(server.address) as client:
                 first = client.query_scenario("smoke", index=0)
@@ -146,7 +146,7 @@ class TestEndToEnd:
         store = SQLiteVerdictStore(":memory:")
         from repro.sweep.executor import run_instances
 
-        run_instances(build_instances("smoke"), store=store, scenario_name="smoke")
+        run_instances(build_instances("smoke"), store=store, scenario="smoke")
         with ServerThread(store=store) as server:
             with ServiceClient(server.address) as client:
                 client.set_faults("store-get-error=1.0:times=1")
@@ -168,7 +168,7 @@ class TestEndToEnd:
         store = SQLiteVerdictStore(":memory:")
         from repro.sweep.executor import run_instances
 
-        run_instances(build_instances("smoke"), store=store, scenario_name="smoke")
+        run_instances(build_instances("smoke"), store=store, scenario="smoke")
         with ServerThread(store=store) as server:
             with ServiceClient(server.address) as client:
                 # Spent by the bulk read: it sleeps, the later reads do not.

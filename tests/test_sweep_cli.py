@@ -24,7 +24,7 @@ class TestInProcess:
     def test_sweep_smoke_with_store_and_json(self, tmp_path, capsys):
         store = str(tmp_path / "verdicts.sqlite")
         out_json = str(tmp_path / "result.json")
-        assert main(["sweep", "smoke", "--jobs", "2", "--store", store, "--json", out_json]) == 0
+        assert main(["sweep", "smoke", "--store", store, "--json", out_json]) == 0
         table = capsys.readouterr().out
         assert "instances:" in table.splitlines()[-1]
         payload = json.loads(open(out_json).read())
@@ -45,6 +45,20 @@ class TestInProcess:
 
     def test_limit(self, tmp_path, capsys):
         assert main(["sweep", "smoke", "--limit", "3", "--quiet"]) == 0
+        assert main(["sweep", "smoke", "--limit", "0", "--quiet"]) == 0
+
+    @pytest.mark.parametrize("command", ["sweep", "profile"])
+    def test_negative_limit_fails(self, command, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "smoke", "--limit", "-1"])
+        assert exited.value.code == 2
+        assert "--limit: expected a number >= 0, got '-1'" in capsys.readouterr().err
+
+    def test_jobs_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "smoke", "--jobs", "2"])
+        assert exited.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_unknown_scenario_fails(self, capsys):
         assert main(["sweep", "definitely-not-registered"]) == 2
@@ -91,8 +105,6 @@ class TestSubprocess:
                 "repro",
                 "sweep",
                 "smoke",
-                "--jobs",
-                "2",
                 "--store",
                 str(tmp_path / "store.sqlite"),
                 "--json",

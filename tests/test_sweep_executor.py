@@ -1,9 +1,9 @@
-"""The sharded executor: equivalence, sharding policy, store incrementality.
+"""The sweep executor: ground truth, group sharing, store incrementality.
 
 The acceptance bar for the subsystem lives here:
 
-* a registered multi-instance scenario run with ``jobs=4`` returns verdicts
-  identical to the sequential executor (including on randomized scenarios),
+* verdicts of randomized scenarios equal the properties they decide, in
+  instance order,
 * a warm re-run against the persistent store completes at least 5x faster
   than the cold run.
 """
@@ -26,11 +26,10 @@ from repro.machines import builtin
 from repro.sweep import (
     SQLiteVerdictStore,
     build_instances,
-    evaluator_sharing_key,
+    evaluate_timed,
     register_scenario,
     run_instances,
     run_scenario,
-    shard_indices,
 )
 from repro.properties.coloring import three_colorable, two_colorable
 
@@ -69,74 +68,28 @@ def _random_instances(seed: int) -> list:
     return instances
 
 
-# Registered at import time so forked pool workers can rebuild them by name.
+# Registered by name, as run_scenario builds what it runs from the registry.
 for _seed in (11, 23):
     register_scenario(f"test-random-{_seed}", "randomized equivalence scenario")(
         lambda seed=_seed: _random_instances(seed)
     )
 
 
-class TestParallelSequentialEquivalence:
-    @pytest.mark.parametrize("seed", [11, 23])
-    def test_randomized_scenarios(self, seed):
-        name = f"test-random-{seed}"
-        sequential = run_scenario(name, jobs=0)
-        parallel = run_scenario(name, jobs=4)
-        assert sequential.verdicts == parallel.verdicts
-        assert [r.name for r in sequential.results] == [r.name for r in parallel.results]
-
-    def test_registered_scenario_jobs4_matches_sequential(self):
-        sequential = run_scenario("coloring-cycles", jobs=1)
-        parallel = run_scenario("coloring-cycles", jobs=4)
-        assert len(sequential.results) > 10
-        assert sequential.verdicts == parallel.verdicts
-
-    def test_verdicts_match_ground_truth(self):
-        result = run_scenario("test-random-11")
-        for instance, verdict in zip(build_instances("test-random-11"), result.verdicts):
+class TestInProcessSweep:
+    @pytest.mark.parametrize("name", ["test-random-11", "test-random-23"])
+    def test_verdicts_match_ground_truth(self, name):
+        instances = build_instances(name)
+        result = run_scenario(name)
+        assert [r.name for r in result.results] == [i.name for i in instances]
+        for instance, verdict in zip(instances, result.verdicts):
             if instance.name.startswith("3-colorable"):
                 assert verdict == three_colorable(instance.graph), instance.name
             else:
                 assert verdict == two_colorable(instance.graph), instance.name
 
-    def test_mismatched_scenario_name_is_a_loud_error(self):
-        """Workers rebuilding a *different* instance list must not be trusted."""
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("parallel path needs fork")
-        instances = build_instances("smoke")
-        with pytest.raises(RuntimeError, match="rebuilt differently|rebuilt with only"):
-            # The claimed scenario exists but builds other instances.
-            run_instances(instances, jobs=4, scenario="test-random-11")
-
-    def test_parallel_smoke_runs_in_pool(self):
-        result = run_scenario("smoke", jobs=2)
-        # On fork-capable platforms this must actually exercise the pool;
-        # elsewhere the deterministic fallback answers identically.
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            assert result.executed_parallel
-        assert result.verdicts == run_scenario("smoke", jobs=0).verdicts
-
-
-class TestSharding:
-    def test_evaluator_groups_stay_together(self):
-        instances = build_instances("coloring-cycles")
-        shards = shard_indices(instances, 4)
-        flat = sorted(index for shard in shards for index in shard)
-        assert flat == list(range(len(instances)))
-        shard_of = {index: s for s, shard in enumerate(shards) for index in shard}
-        for i, first in enumerate(instances):
-            for j in range(i + 1, len(instances)):
-                if evaluator_sharing_key(first) == evaluator_sharing_key(instances[j]):
-                    assert shard_of[i] == shard_of[j], (
-                        "instances sharing an evaluator must share a shard"
-                    )
-
     def test_spaces_do_not_split_an_evaluator_group(self):
-        """Sigma/Pi games (or many spaces) on one instance shard together."""
+        """Sigma/Pi games (or many spaces) on one instance share one compiled form."""
+        from repro.engine.caching import LRUCache
         from repro.hierarchy.certificate_spaces import bit_space, color_space
 
         graph = generators.cycle_graph(6)
@@ -147,20 +100,18 @@ class TestSharding:
             for spec in [two_colorability_spec()]
             for i, space in enumerate([bit_space(), color_space(2), bit_space()])
         ]
-        shards = shard_indices(spaced, 3)
-        assert len(shards) == 1, "one evaluator group must stay on one shard"
+        compiled = LRUCache(None)
+        evaluate_timed(spaced, compiled_cache=compiled)
+        assert len(compiled) == 1, "one evaluator group must compile once"
 
-    def test_sharding_is_deterministic(self):
-        instances = build_instances("smoke")
-        assert shard_indices(instances, 3) == shard_indices(instances, 3)
+    def test_more_than_one_job_is_an_error(self):
+        with pytest.raises(ValueError, match="in-process"):
+            run_instances(build_instances("smoke"), jobs=2)
 
-    def test_degenerate_shard_counts(self):
-        instances = build_instances("smoke")
-        assert shard_indices(instances, 1) == [list(range(len(instances)))]
-        many = shard_indices(instances, 1000)
-        assert sorted(i for s in many for i in s) == list(range(len(instances)))
-        with pytest.raises(ValueError):
-            shard_indices(instances, 0)
+    def test_negative_limit_is_an_error(self):
+        with pytest.raises(ValueError, match="limit"):
+            run_scenario("smoke", limit=-1)
+        assert run_scenario("smoke", limit=0).results == []
 
 
 class TestPersistentStore:
@@ -180,14 +131,6 @@ class TestPersistentStore:
             f"warm re-run must be >= 5x faster: cold {cold_seconds:.3f}s, "
             f"warm {warm_seconds:.3f}s"
         )
-
-    def test_store_shared_between_parallel_and_sequential(self, tmp_path):
-        path = str(tmp_path / "verdicts.sqlite")
-        cold = run_scenario("smoke", jobs=4, store=path)
-        assert cold.cold_count == len(cold.results)
-        warm = run_scenario("smoke", jobs=0, store=path)
-        assert warm.cold_count == 0
-        assert warm.verdicts == cold.verdicts
 
     def test_changed_machine_invalidates(self, tmp_path):
         """A store warmed by one machine must not answer for a changed one."""
@@ -217,3 +160,31 @@ class TestPersistentStore:
             assert first.cold_count == len(first.results)
             assert second.cold_count == 0
             assert first.verdicts == second.verdicts
+
+    def test_path_store_is_closed_when_evaluation_raises(self, tmp_path, monkeypatch):
+        from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
+        from repro.sweep import executor
+
+        def compute(view):
+            raise RuntimeError("compute failed")
+
+        closes = []
+
+        class CloseCountingStore(SQLiteVerdictStore):
+            def close(self):
+                closes.append(self)
+                super().close()
+
+        monkeypatch.setattr(executor, "open_store", CloseCountingStore)
+        graph = generators.cycle_graph(4)
+        instance = GameInstance(
+            machine=NeighborhoodGatherAlgorithm(1, compute, name="raises"),
+            graph=graph,
+            ids=sequential_identifier_assignment(graph),
+            spaces=[],
+            prefix=[],
+            name="raises",
+        )
+        with pytest.raises(RuntimeError, match="compute failed"):
+            run_instances([instance], store=str(tmp_path / "verdicts.sqlite"))
+        assert len(closes) == 1
