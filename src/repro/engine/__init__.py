@@ -23,11 +23,12 @@ an instance is lowered once to CSR adjacency, interned certificate codes
 and dependency balls as index arrays, and the game runs on packed integer
 restriction keys maintained *incrementally* under assignment deltas, with
 table-driven leaf kernels for machines that declare a
-:mod:`repro.machines.rules` rule.  :mod:`repro.engine.bitset` packs
-per-node acceptance over the whole interned code alphabet into single
-integers emitted by the rules themselves, so the innermost search prunes
-whole code-blocks with a few ``&`` operations, and a quantifier *collapse*
-skips subtrees that cannot change the verdict.
+:mod:`repro.machines.rules` rule.  For pairwise rules,
+:mod:`repro.engine.bitset` packs per-node acceptance over the whole
+interned code alphabet into single integers emitted by the rules
+themselves, so the innermost search prunes whole code-blocks with a few
+``&`` operations; star rules take the generic memoized search.  A
+quantifier *collapse* skips subtrees that cannot change the verdict.
 :class:`~repro.engine.compiled.CompiledGameEngine` is the only fast path;
 machines without a rule fall back to local views rebuilt from the
 instance's own balls or to ball-subgraph simulation, under the same memo.

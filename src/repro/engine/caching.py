@@ -129,10 +129,8 @@ class EvaluatorStats:
         the direct and table-driven paths).
     bitset_prunes:
         Search positions killed outright by an empty viability mask in the
-        bitset search (whole code-blocks discarded before descending).
-    bitset_evaluations:
-        Rule-predicate evaluations spent building bitset slot masks (the
-        pairwise tables count their builds on the kernel instead).
+        pairwise bitset search (whole code-blocks discarded before
+        descending).
     """
 
     leaves: int = 0
@@ -140,7 +138,6 @@ class EvaluatorStats:
     node_misses: int = 0
     simulator_runs: int = 0
     bitset_prunes: int = 0
-    bitset_evaluations: int = 0
 
     def hit_rate(self) -> float:
         """Fraction of node-verdict requests answered from cache."""

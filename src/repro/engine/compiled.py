@@ -36,7 +36,7 @@ integer form once and the whole game runs on it:
 level enumeration is an odometer over code arrays (one ``set_code`` delta
 per step, in exactly the reference solver's ``itertools.product`` order),
 the innermost levels are solved by pruned search on coded state (mask
-pruning through :mod:`repro.engine.bitset` where a rule allows it), and
+pruning through :mod:`repro.engine.bitset` for pairwise rules), and
 transposition keys are packed per-level code integers.  Caches are
 LRU-bounded (:mod:`repro.engine.caching`).
 
@@ -218,7 +218,6 @@ class CompiledInstance:
             else None
         )
         self._rule_is_pairwise = isinstance(self.rule, PairwiseRule)
-        self._uniform_labels = len(set(self.labels)) <= 1
 
         if dirty is None or direct != old_direct:
             dirty_set = set(range(n))
@@ -326,8 +325,6 @@ class CompiledInstance:
         self.shift = max(self.shift * 2, (len(self.alphabet) - 1).bit_length() + 1)
         self.generation += 1
         self._dep_shifts = []
-        # Int-packed pair keys ride on the shift width; drop them with the memo.
-        self._pair_table.clear()
         self.clear_memo()
 
     def clear_memo(self) -> None:
@@ -401,23 +398,14 @@ class CompiledInstance:
         resynchronize, transposition entries (which embed the generation)
         die, and bitset kernels rebuild.  Codes and the packing width are
         untouched -- the alphabet only ever changes through :meth:`intern`
-        and :meth:`compact_alphabet`.  Returns the invalidated indices.
+        and :meth:`compact_alphabet` -- so the shared pair table, whose keys
+        carry both endpoints' labels and codes, survives any mutation.
+        Returns the invalidated indices.
         """
         if tuple(graph.nodes) != self.nodes:
             raise ValueError("rewire requires the same node set in the same order")
-        old_uniform = self._uniform_labels
-        old_label0 = self.labels[0] if self.labels else ""
         dirty_set = self._lower(graph, ids, dirty)
         self.generation += 1
-
-        label0 = self.labels[0] if self.labels else ""
-        if self._uniform_labels != old_uniform or (
-            self._uniform_labels and label0 != old_label0
-        ):
-            # Uniform-mode pair keys pack the two codes only (no labels), so
-            # entries could alias across a label change; non-uniform keys
-            # carry the labels and survive any mutation.
-            self._pair_table.clear()
         for u in dirty_set:
             dropped = len(self.memo_nodes[u])
             if dropped:
@@ -472,13 +460,16 @@ class CompiledInstance:
     # Bitset kernel and canonical ball memoization
     # ------------------------------------------------------------------
     def bitset_kernel(self) -> Optional[BitsetKernel]:
-        """The bitset leaf kernel for this instance's rule (``None`` if unruled).
+        """The bitset leaf kernel of this instance's pairwise rule.
 
-        Kernels snapshot the alphabet and packing generation; a stale one is
+        ``None`` unless the rule is a
+        :class:`~repro.machines.rules.PairwiseRule`: star rules and
+        rule-less machines take the generic memoized search.  Kernels
+        snapshot the alphabet and packing generation; a stale one is
         rebuilt here, so callers get masks that always match the current
         interning (cheap compare on the warm path).
         """
-        if self.rule is None:
+        if not self._rule_is_pairwise:
             return None
         kernel = self._bitset_kernel
         if kernel is None or not kernel.fresh():
@@ -637,27 +628,6 @@ class CompiledInstance:
         alphabet = self.alphabet
         own_label = labels[u]
         indptr, indices = self.adj_indptr, self.adj_indices
-        if self._uniform_labels:
-            # All labels equal: the pair key packs the two codes into one
-            # int (cleared on rebase, since the width rides on ``shift``).
-            own_part = (own_code + 1) << (self.shift + 1)
-            for w in indices[indptr[u] : indptr[u + 1]]:
-                neighbor_code = codes[w] if codes is not None else -1
-                pair_key = own_part | (neighbor_code + 1)
-                ok = pair_table.get(pair_key)
-                if ok is None:
-                    ok = bool(
-                        pair_ok(
-                            own_label,
-                            alphabet[own_code] if own_code >= 0 else None,
-                            labels[w],
-                            alphabet[neighbor_code] if neighbor_code >= 0 else None,
-                        )
-                    )
-                    pair_table[pair_key] = ok
-                if not ok:
-                    return False
-            return True
         for w in indices[indptr[u] : indptr[u + 1]]:
             neighbor_code = codes[w] if codes is not None else -1
             pair_key = (own_label, own_code, labels[w], neighbor_code)
@@ -1027,7 +997,7 @@ class CompiledGameEngine:
     but every internal structure is coded: candidate certificates are
     integer codes materialized from the spaces, level enumeration is a
     delta odometer on a :class:`CodedState`, the innermost level is solved
-    by pruned search (bitset masks where a rule allows, packed-key memo
+    by pruned search (bitset masks for pairwise rules, packed-key memo
     lookups otherwise), and the transposition cache is keyed by packed
     per-level code integers.
     """
@@ -1057,8 +1027,8 @@ class CompiledGameEngine:
         ]
         #: Per level, per node: the candidate codes as one packed bitmask;
         #: plus the vacuity tables gating the quantifier collapse.  Built
-        #: lazily on the first bitset dispatch -- rule-less instances never
-        #: read them.
+        #: lazily on first use -- only the pairwise mask searches read the
+        #: masks, and only ruled instances the vacuity tables.
         self._candidate_masks: Optional[List[List[int]]] = None
         self._level_has_empty: Optional[List[bool]] = None
         self._nonempty_below: Optional[List[bool]] = None
@@ -1257,13 +1227,10 @@ class CompiledGameEngine:
         rule = compiled._usable_rule(self._state.levels)
         if rule is not None and rule.level == level:
             kernel = compiled.bitset_kernel()
-            if kernel is not None and kernel.pairwise:
+            if kernel is not None:
                 if quantifier is Quantifier.EXISTS:
                     return self._exists_bitset_pairwise(level, kernel)
                 return self._forall_bitset_pairwise(level, kernel)
-            if kernel is not None and quantifier is Quantifier.EXISTS:
-                return self._exists_bitset_star(level, kernel, 0)
-            # Star FORALL keeps the generic per-ball decomposition.
         if quantifier is Quantifier.EXISTS:
             return self._exists_accepting(level, 0)
         return self._forall_accepting(level)
@@ -1303,7 +1270,7 @@ class CompiledGameEngine:
         cand_masks = self._candidate_mask_table()[level]
         lower = self._lower_neighbor_lists()
         stats = self.stats
-        uniform = compiled._uniform_labels
+        uniform = kernel.uniform
         has_pair = kernel.has_pair
         pair_mask = kernel.pair_mask
         pair_uniform = kernel._pair_uniform
@@ -1362,7 +1329,7 @@ class CompiledGameEngine:
         labels = compiled.labels
         indptr, indices = compiled.adj_indptr, compiled.adj_indices
         has_pair = kernel.has_pair
-        uniform = compiled._uniform_labels
+        uniform = kernel.uniform
         for u in range(compiled.n):
             cand = cand_masks[u]
             if cand & ~own_masks[u]:
@@ -1403,36 +1370,6 @@ class CompiledGameEngine:
                 positions[i] += 1
         return True
 
-    def _exists_bitset_star(self, level: int, kernel, position: int) -> bool:
-        """Backtracking search with memoized slot masks (star rules).
-
-        Follows the reference schedule (a node is checked once its ball is
-        fully assigned), but each checkable node contributes a *bitmask*
-        over the position's candidate codes -- evaluated once per distinct
-        neighborhood configuration and cached on the kernel -- so repeated
-        configurations prune whole code-blocks with an ``&``.
-        """
-        compiled = self.compiled
-        if position == compiled.n:
-            return True
-        state = self._state
-        stats = self.stats
-        candidates = self._candidate_codes[level][position]
-        viable = self._candidate_mask_table()[level][position]
-        for u in self._checkable_at[position]:
-            viable &= kernel.star_slot_mask(u, position, state, candidates, stats)
-            if not viable:
-                stats.bitset_prunes += 1
-                return False
-        set_code = state.set_code
-        for code in candidates:
-            if not (viable >> code) & 1:
-                continue
-            set_code(level, position, code)
-            if self._exists_bitset_star(level, kernel, position + 1):
-                return True
-        return False
-
     def _exists_accepting(self, level: int, position: int) -> bool:
         """Backtracking search for an accepting assignment, one code at a time.
 
@@ -1440,7 +1377,7 @@ class CompiledGameEngine:
         as soon as all of a node's ball is assigned its verdict is checked,
         and the branch is pruned on the first rejection.  Each step is a
         single ``set_code`` delta plus packed-key memo lookups.  This is the
-        generic search for rule-less machines.
+        generic search, for star-rule and rule-less machines.
         """
         compiled = self.compiled
         if position == compiled.n:

@@ -146,11 +146,12 @@ class Resolver:
         """
         instances = self._scenario_list(name)
         keys: List[str] = []
+        fingerprints: Dict[int, str] = {}  # one per distinct machine, this call only
         for index, instance in enumerate(instances):
             with self._lock:
                 key = self._scenario_keys.get((name, index))
             if key is None:
-                key = game_instance_key(instance)
+                key = game_instance_key(instance, fingerprints)
                 with self._lock:
                     self._scenario_keys[(name, index)] = key
             keys.append(key)

@@ -239,7 +239,9 @@ def run_instances(
         keys: List[Optional[str]] = [None] * len(instances)
         verdicts: Dict[int, bool] = {}
         if store_obj is not None:
-            keys = [game_instance_key(instance) for instance in instances]
+            # Each distinct machine is fingerprinted once per call.
+            fingerprints: Dict[int, str] = {}
+            keys = [game_instance_key(instance, fingerprints) for instance in instances]
             # One bulk lookup instead of one round-trip per instance.
             found = store_obj.get_many(keys)
             verdicts = {

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 from types import CodeType, FunctionType, MethodType
-from typing import Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.hierarchy.certificate_spaces import CertificateSpace, materialize_space
@@ -164,16 +164,19 @@ def instance_key(
     ids: Mapping[Node, str],
     spaces: Sequence[CertificateSpace],
     prefix: Iterable[Quantifier],
+    machine_digest: Optional[str] = None,
 ) -> str:
     """The content-addressed store key of one game instance.
 
     Equal keys mean "same machine code and parameters, same graph, same
     identifiers, same per-node candidate certificates at every level, same
     quantifier prefix" -- everything the game value depends on.
+    *machine_digest* is ``machine_fingerprint(machine)`` when the caller
+    already has it.
     """
     payload = {
         "v": 1,
-        "machine": machine_fingerprint(machine),
+        "machine": machine_digest or machine_fingerprint(machine),
         "graph": graph_payload(graph),
         "ids": [ids[u] for u in graph.nodes],
         "spaces": [
@@ -186,8 +189,21 @@ def instance_key(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def game_instance_key(instance) -> str:
-    """:func:`instance_key` for a :class:`repro.engine.batch.GameInstance`."""
+def game_instance_key(instance, fingerprints: Optional[Dict[int, str]] = None) -> str:
+    """:func:`instance_key` for a :class:`repro.engine.batch.GameInstance`.
+
+    *fingerprints* memoizes machine fingerprints by ``id(machine)`` across
+    the calls that pass the same dict, so a batch fingerprints each distinct
+    machine once.  Keep one dict for one batch only: its instances hold
+    their machines (no id is recycled meanwhile), and a machine changed
+    after its fingerprint (say, by ``attach_rule``) would get a stale key.
+    """
+    machine = instance.machine
+    digest = None
+    if fingerprints is not None:
+        digest = fingerprints.get(id(machine))
+        if digest is None:
+            digest = fingerprints[id(machine)] = machine_fingerprint(machine)
     return instance_key(
-        instance.machine, instance.graph, instance.ids, instance.spaces, instance.prefix
+        machine, instance.graph, instance.ids, instance.spaces, instance.prefix, digest
     )

@@ -1,10 +1,12 @@
 """Bitset search equivalence: mask-pruned engine == exhaustive oracle.
 
-The vectorized search (``repro.engine.bitset`` plus the mask-pruned
+The vectorized search (``repro.engine.bitset`` plus the pairwise mask
 searches and quantifier collapse in ``CompiledGameEngine``) must be
 bit-identical to the exhaustive reference solver, across every builtin rule
 kind, identifier scheme, certificate space (including empty ones, which
-gate the collapse) and quantifier prefix.
+gate the collapse) and quantifier prefix.  Star rules have no bitset
+kernel; they take the generic memoized search, checked here on the same
+games.
 """
 
 import random
@@ -21,6 +23,7 @@ from repro.graphs.identifiers import (
     small_identifier_assignment,
 )
 from repro.hierarchy.certificate_spaces import (
+    CertificateSpace,
     bit_space,
     color_space,
     empty_space,
@@ -35,7 +38,7 @@ from repro.hierarchy.game import (
 )
 from repro.locality.proof_labeling import all_schemes
 from repro.machines import builtin
-from repro.machines.rules import PairwiseRule, rule_of
+from repro.machines.rules import PairwiseRule, StarRule, rule_of
 
 
 def _graph_pool():
@@ -77,6 +80,17 @@ def _id_schemes(graph, rng):
     yield sequential_identifier_assignment(graph)
     yield small_identifier_assignment(graph, 1)
     yield random_identifier_assignment(graph, 1, rng=random.Random(rng.randrange(100)))
+
+
+def _decoy_space(honest):
+    """Two candidates per node: a wrong certificate, then the honest one."""
+    values = sorted(set(honest.values()))
+
+    def candidates(graph, ids, node):
+        decoy = next((value for value in values if value != honest[node]), "")
+        return (decoy, honest[node])
+
+    return CertificateSpace(candidates=candidates, name="decoy-then-honest")
 
 
 def _engine(machine, graph, ids, spaces):
@@ -188,9 +202,19 @@ class TestBitsetEquivalence:
         bitset = _engine(machine, graph, ids, spaces).eve_wins(quantifiers)
         assert expected == bitset
 
-    def test_star_rules_through_bitset_search(self):
-        # Star verifiers (slot masks): honest certificate spaces must accept,
-        # arbitrary small spaces must agree with the oracle, both prefixes.
+    def test_star_rules_through_generic_search(self):
+        # Every scheme's verifier on arbitrary small spaces must agree with
+        # the oracle, both prefixes.  Star verifiers have no bitset kernel:
+        # on a yes-instance of each, a space offering a decoy before the
+        # honest certificate at every node makes the generic search
+        # backtrack, and Eve must still win.
+        yes_instances = {
+            "acyclic": generators.random_tree(6, seed=11),
+            "odd": generators.path_graph(5),
+            "non-2-colorable": generators.cycle_graph(5),
+            "automorphic": generators.cycle_graph(6),
+        }
+        star_schemes = 0
         for scheme in all_schemes():
             graph = generators.cycle_graph(5)
             ids = sequential_identifier_assignment(graph)
@@ -199,6 +223,19 @@ class TestBitsetEquivalence:
                     expected = eve_wins(scheme.verifier, graph, ids, spaces, prefix)
                     got = _engine(scheme.verifier, graph, ids, spaces).eve_wins(prefix)
                     assert expected == got, (scheme.property_name, prefix)
+            if not isinstance(rule_of(scheme.verifier), StarRule):
+                continue
+            star_schemes += 1
+            graph = yes_instances[scheme.property_name]
+            ids = sequential_identifier_assignment(graph)
+            spaces = [_decoy_space(scheme.prover(graph, ids))]
+            engine = _engine(scheme.verifier, graph, ids, spaces)
+            assert engine.compiled.bitset_kernel() is None
+            assert eve_wins(scheme.verifier, graph, ids, spaces, sigma_prefix(1)) is True
+            assert engine.eve_wins(sigma_prefix(1)) is True, scheme.property_name
+            expected = eve_wins(scheme.verifier, graph, ids, spaces, pi_prefix(1))
+            assert engine.eve_wins(pi_prefix(1)) == expected, scheme.property_name
+        assert star_schemes == len(yes_instances)
 
     def test_winning_first_move_parity(self):
         machine = builtin.three_colorability_verifier()
@@ -230,20 +267,6 @@ class TestPruningBehavior:
         assert engine.stats.bitset_prunes > 0
         # The pairwise mask search leaves no per-node memo trail at all.
         assert engine.compiled.memo_info()["size"] == 0
-
-    def test_star_masks_are_cached_across_backtracks(self):
-        scheme = [s for s in all_schemes() if s.property_name == "acyclic"][0]
-        graph = generators.random_tree(6, seed=3)
-        ids = sequential_identifier_assignment(graph)
-        engine = _engine(scheme.verifier, graph, ids, [bit_space()])
-        value = engine.eve_wins(sigma_prefix(1))
-        kernel = engine.compiled.bitset_kernel()
-        assert kernel.star_entries > 0
-        # Re-running answers from the transposition cache; the kernel's
-        # tables are still those of the first run.
-        evaluations = kernel.evaluations
-        assert engine.eve_wins(sigma_prefix(1)) == value
-        assert kernel.evaluations == evaluations
 
     def test_uniform_label_fast_path_matches_generic(self):
         machine = builtin.two_colorability_verifier()

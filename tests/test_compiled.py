@@ -317,6 +317,10 @@ class TestProofLabelingKernels:
         star_machine = [s for s in all_schemes() if s.property_name == "acyclic"][0].verifier
         star = CompiledInstance(star_machine, graph, ids)
         assert isinstance(star.rule, StarRule)
+        # Only pairwise rules get a bitset kernel; star rules take the
+        # generic memoized search.
+        assert pairwise.bitset_kernel() is not None
+        assert star.bitset_kernel() is None
         unruled = CompiledInstance(_parity_machine(), graph, ids)
         assert unruled.rule is None and unruled.direct
         simulated = CompiledInstance(
@@ -484,6 +488,55 @@ class TestIncrementalKeys:
         stats = EvaluatorStats()
         expected = execute(machine, graph, ids, [dict(assignments[0])]).accepts()
         assert instance.accepts_dicts(assignments, stats) == expected
+
+    def test_pair_table_survives_relabels(self):
+        # The shared pair table is keyed (label, code, label, code) and is
+        # never cleared by a rewire: relabels from uniform labels to mixed
+        # ones and back must keep accepts_dicts equal to the simulator.
+        # Selected ("1") nodes accept any bit; unselected ones need every
+        # neighbor to carry another bit, so the pair verdict of two equal
+        # codes differs between the all-"1" and all-"0" labelings.
+        def predicate(view):
+            certs = view.center_certificates()
+            if not certs or certs[0] not in ("0", "1"):
+                return False
+            if view.center_label() == "1":
+                return True
+            return all(
+                view.certificates_of(neighbor)[:1] != certs[:1]
+                for neighbor in view.neighbors_of(view.center)
+            )
+
+        machine = builtin.predicate_decider(
+            1,
+            predicate,
+            name="selected-or-2-colored",
+            rule=PairwiseRule(
+                own_ok=lambda label, degree, cert: cert in ("0", "1"),
+                pair_ok=lambda own_label, own_cert, nb_label, nb_cert: (
+                    own_label == "1" or nb_cert != own_cert
+                ),
+            ),
+        )
+        graph = generators.cycle_graph(4)
+        ids = sequential_identifier_assignment(graph)
+        nodes = graph.nodes
+        assignments = [
+            [{u: "0" for u in nodes}],
+            [{u: "01"[i % 2] for i, u in enumerate(nodes)}],
+            [{u: "0011"[i] for i, u in enumerate(nodes)}],
+        ]
+        instance = CompiledInstance(machine, graph.with_uniform_label("1"), ids)
+        verdicts = set()
+        for labels in ("1111", "0101", "1111", "0000", "1011", "1111", "0000"):
+            relabeled = graph.relabel(dict(zip(nodes, labels)))
+            instance.rewire(relabeled, ids)
+            for certificates in assignments:
+                expected = execute(machine, relabeled, ids, certificates).accepts()
+                got = instance.accepts_dicts(certificates, EvaluatorStats())
+                assert got == expected, (labels, certificates)
+                verdicts.add((labels, got))
+        assert ("1111", True) in verdicts and ("0000", False) in verdicts
 
     @pytest.mark.parametrize("kind", ["pairwise", "direct", "simulate"])
     def test_accepts_dicts_rebasing_while_loading_matches_simulator(self, kind):

@@ -153,6 +153,32 @@ class TestPersistentStore:
         assert again.cold_count == 0
         assert again.verdicts == [True]
 
+    def test_store_keys_fingerprint_each_machine_once(self, monkeypatch):
+        # A warm store-backed sweep only computes keys: it fingerprints each
+        # distinct machine once per call, and its keys equal the unmemoized
+        # game_instance_key's.
+        from repro.sweep import fingerprint
+
+        instances = build_instances("coloring-cycles")
+        expected = [fingerprint.game_instance_key(i) for i in instances]
+        fingerprinted = []
+        original = fingerprint.machine_fingerprint
+
+        def counting(machine):
+            fingerprinted.append(id(machine))
+            return original(machine)
+
+        monkeypatch.setattr(fingerprint, "machine_fingerprint", counting)
+        with SQLiteVerdictStore(":memory:") as store:
+            run_instances(instances, store=store)
+            fingerprinted.clear()
+            warm = run_instances(instances, store=store)
+        assert warm.cold_count == 0
+        assert [r.key for r in warm.results] == expected
+        machines = {id(i.machine) for i in instances}
+        assert len(instances) > len(machines)
+        assert sorted(fingerprinted) == sorted(machines)
+
     def test_store_object_reuse(self):
         with SQLiteVerdictStore(":memory:") as store:
             first = run_scenario("smoke", store=store)
