@@ -301,6 +301,7 @@ class MutableInstance:
         self._engine: Optional[CompiledGameEngine] = None
         self._verdict: Optional[bool] = None
         self._key: Optional[str] = None
+        self._machine_digest: Optional[str] = None
         self.mutations = 0
         self.noops = 0
         self.dirty_total = 0
@@ -350,11 +351,16 @@ class MutableInstance:
         Mutations change the graph payload, so the key changes with every
         effective delta -- which is exactly why the service's LRU/store
         tiers can never serve a pre-mutation verdict for a mutated game.
+        The machine never changes, so it is fingerprinted once per session.
         """
         if self._key is None:
-            from repro.sweep.fingerprint import game_instance_key
+            from repro.sweep.fingerprint import instance_key, machine_fingerprint
 
-            self._key = game_instance_key(self.as_game_instance())
+            if self._machine_digest is None:
+                self._machine_digest = machine_fingerprint(self.machine)
+            self._key = instance_key(
+                self.machine, self.graph, self._ids, self.spaces, self.prefix, self._machine_digest
+            )
         return self._key
 
     # ------------------------------------------------------------------

@@ -8,10 +8,9 @@ Figure 1 (3-round 3-colorability).
 
 from __future__ import annotations
 
+import heapq
 import random
 from typing import Dict, List, Mapping, Optional, Sequence
-
-import networkx as nx
 
 from repro.graphs.labeled_graph import LabeledGraph, Node
 
@@ -88,14 +87,30 @@ def grid_graph(rows: int, cols: int, labels: Optional[Mapping[Node, str]] = None
 
 
 def random_tree(size: int, seed: int = 0, labels: Optional[Sequence[str]] = None) -> LabeledGraph:
-    """A uniformly random labeled tree on *size* nodes (via networkx)."""
+    """A uniformly random labeled tree on *size* nodes.
+
+    The tree decodes a Prüfer sequence of ``size - 2`` draws from
+    ``random.Random(seed)``, so it has the edges of
+    ``networkx.random_labeled_tree(size, seed=seed)``.
+    """
     if size < 1:
         raise ValueError("a tree needs at least one node")
     if size == 1:
         return single_node(labels[0] if labels else "")
-    tree = nx.random_labeled_tree(size, seed=seed)
+    rng = random.Random(seed)
+    sequence = [rng.choice(range(size)) for _ in range(size - 2)]
+    degree = [1] * size
+    for v in sequence:
+        degree[v] += 1
+    leaves = [u for u in range(size) if degree[u] == 1]  # ascending, so already a heap
     nodes = [f"t{i}" for i in range(size)]
-    edges = [(f"t{u}", f"t{v}") for u, v in tree.edges]
+    edges = []
+    for v in sequence:  # join the smallest leaf to v; v may become a leaf
+        edges.append((nodes[heapq.heappop(leaves)], nodes[v]))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    edges.append((nodes[heapq.heappop(leaves)], nodes[heapq.heappop(leaves)]))
     return LabeledGraph(nodes, edges, _label_map(nodes, labels))
 
 
@@ -113,6 +128,8 @@ def random_regular_graph(
         raise ValueError("need 2 <= degree < size")
     if (degree * size) % 2 != 0:
         raise ValueError("degree * size must be even")
+    import networkx as nx
+
     for attempt in range(100):
         sample = nx.random_regular_graph(degree, size, seed=seed + attempt)
         if nx.is_connected(sample):

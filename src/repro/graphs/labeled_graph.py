@@ -9,9 +9,22 @@ finite, simple, undirected and connected.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -232,6 +245,8 @@ class LabeledGraph:
 
     def to_networkx(self) -> nx.Graph:
         """Export to a :class:`networkx.Graph` with ``label`` node attributes."""
+        import networkx as nx
+
         graph = nx.Graph()
         for u in self._nodes:
             graph.add_node(u, label=self._labels[u])
@@ -280,11 +295,53 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     def is_isomorphic_to(self, other: "LabeledGraph") -> bool:
         """Label-preserving graph isomorphism check (delegates to networkx)."""
+        import networkx as nx
+
         return nx.is_isomorphic(
             self.to_networkx(),
             other.to_networkx(),
             node_match=lambda a, b: a.get("label", "") == b.get("label", ""),
         )
+
+    def nontrivial_automorphism(self) -> Optional[Dict[Node, Node]]:
+        """The first label-preserving automorphism that is not the identity, or ``None``.
+
+        A backtracking search maps the nodes in :attr:`nodes` order and tries
+        their targets in that same order, so the answer is deterministic.  A
+        target must be unused, carry the node's label and degree, and be
+        adjacent to exactly the images of the node's mapped neighbors.
+        """
+        nodes, adjacency, labels = self._nodes, self._adjacency, self._labels
+        image: Dict[Node, Node] = {}
+
+        def targets(u: Node) -> Iterator[Node]:
+            used = set(image.values())
+            mapped = {image[w] for w in adjacency[u] if w in image}
+            for t in nodes:
+                around = adjacency[t]
+                if (
+                    t not in used
+                    and labels[t] == labels[u]
+                    and len(around) == len(adjacency[u])
+                    and around & used == mapped
+                ):
+                    yield t
+
+        # stack[d] yields the targets of nodes[d]; no recursion, so any size works.
+        stack: List[Iterator[Node]] = [targets(nodes[0])]
+        while stack:
+            u = nodes[len(stack) - 1]
+            image.pop(u, None)
+            for target in stack[-1]:
+                image[u] = target
+                if len(stack) < len(nodes):
+                    stack.append(targets(nodes[len(stack)]))
+                elif any(v != w for v, w in image.items()):
+                    return image
+                break
+            else:
+                stack.pop()
+        return None
 
     def is_single_node(self) -> bool:
         """Whether the graph lies in ``node`` (single-node graphs ~ strings)."""

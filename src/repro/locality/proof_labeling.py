@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
 from repro.boolsat.encoding import decode_text, encode_text
 from repro.graphs.identifiers import sequential_identifier_assignment
 from repro.graphs.labeled_graph import LabeledGraph, Node
@@ -454,16 +452,7 @@ def automorphism_scheme() -> ProofLabelingScheme:
     """
 
     def prover(graph: LabeledGraph, ids: Mapping[Node, str]) -> Optional[Dict[Node, str]]:
-        nx_graph = graph.to_networkx()
-        matcher = nx.algorithms.isomorphism.GraphMatcher(
-            nx_graph, nx_graph, node_match=lambda a, b: a.get("label", "") == b.get("label", "")
-        )
-        identity = {u: u for u in graph.nodes}
-        automorphism = None
-        for mapping in matcher.isomorphisms_iter():
-            if mapping != identity:
-                automorphism = mapping
-                break
+        automorphism = graph.nontrivial_automorphism()
         if automorphism is None:
             return None
         edges_text = ",".join(

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from itertools import permutations
 
-import networkx as nx
-
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.properties.base import GraphProperty, register_property
 
@@ -17,17 +15,7 @@ def automorphic(graph: LabeledGraph) -> bool:
     quadratic-size certificates; Figure 7 places it outside the locally
     bounded hierarchy.
     """
-    nx_graph = graph.to_networkx()
-    matcher = nx.algorithms.isomorphism.GraphMatcher(
-        nx_graph,
-        nx_graph,
-        node_match=lambda a, b: a.get("label", "") == b.get("label", ""),
-    )
-    identity = {u: u for u in graph.nodes}
-    for mapping in matcher.isomorphisms_iter():
-        if mapping != identity:
-            return True
-    return False
+    return graph.nontrivial_automorphism() is not None
 
 
 def prime_cardinality(graph: LabeledGraph) -> bool:

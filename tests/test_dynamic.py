@@ -377,6 +377,39 @@ class TestCacheFreshness:
         mutable.apply(EdgeDelete(u=nodes[0], v=nodes[2]))
         assert mutable.key() == original
 
+    def test_key_fingerprints_the_machine_once(self, monkeypatch):
+        """200 label flips, each followed by key(): one machine fingerprint,
+        and every key equals the one a fresh snapshot gets."""
+        import repro.sweep.fingerprint as fingerprint
+
+        graph = generators.cycle_graph(16)
+        mutable = MutableInstance(
+            builtin.two_colorability_verifier(),
+            graph,
+            sequential_identifier_assignment(graph),
+            [color_space(2)],
+            sigma_prefix(1),
+        )
+        calls = []
+        original = fingerprint.machine_fingerprint
+
+        def counting(machine):
+            calls.append(machine)
+            return original(machine)
+
+        monkeypatch.setattr(fingerprint, "machine_fingerprint", counting)
+        keys, snapshots = [], []
+        for step in range(200):
+            node = graph.nodes[step % 16]
+            label = "1" if (step // 16) % 2 == 0 else ""
+            assert mutable.apply(SetLabel(node=node, label=label)).changed
+            keys.append(mutable.key())
+            snapshots.append(mutable.as_game_instance())
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert len(set(keys)) > 16
+        assert keys == [game_instance_key(snapshot) for snapshot in snapshots]
+
     def test_warm_canonical_cache_survives_verdict_flips(self):
         """A chord flips 2-colorability; warm ball verdicts must not leak."""
         graph = generators.cycle_graph(8)

@@ -1,5 +1,6 @@
 """Tests for the labeled-graph substrate (Section 3 preliminaries)."""
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +133,60 @@ class TestEqualityAndIsomorphism:
         c = generators.path_graph(3, labels=["1", "0", "1"])
         assert a.is_isomorphic_to(c)
         assert not a.is_isomorphic_to(b)
+
+
+def _vf2_automorphisms(graph):
+    """networkx's label-preserving automorphisms of *graph*, in VF2 order."""
+    nx_graph = graph.to_networkx()
+    matcher = nx.algorithms.isomorphism.GraphMatcher(
+        nx_graph, nx_graph, node_match=lambda a, b: a["label"] == b["label"]
+    )
+    return matcher.isomorphisms_iter()
+
+
+@st.composite
+def small_labeled_graphs(draw):
+    """Connected labeled graphs of at most 7 nodes, listed in a drawn order."""
+    size = draw(st.integers(min_value=1, max_value=7))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, size)}
+    pairs = [(u, v) for v in range(size) for u in range(v)]
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    labels = draw(st.lists(st.sampled_from(["", "1"]), min_size=size, max_size=size))
+    order = draw(st.permutations(range(size)))
+    return LabeledGraph(order, edges, dict(enumerate(labels)))
+
+
+class TestNontrivialAutomorphism:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=small_labeled_graphs())
+    def test_agrees_with_networkx(self, graph):
+        identity = {u: u for u in graph.nodes}
+        expected = any(mapping != identity for mapping in _vf2_automorphisms(graph))
+        found = graph.nontrivial_automorphism()
+        assert (found is not None) == expected
+        if found is not None:
+            assert found != identity
+            assert set(found) == set(found.values()) == set(graph.nodes)
+            assert all(graph.label(found[u]) == graph.label(u) for u in graph.nodes)
+            assert {frozenset(found[u] for u in edge) for edge in graph.edges} == graph.edges
+
+    def test_first_map_on_cycles_is_vf2s(self):
+        """The automorphic scheme's certificates (and store keys) on cycles
+        name the same automorphism as networkx's first one."""
+        for length in range(3, 22):
+            cycle = generators.cycle_graph(length)
+            identity = {u: u for u in cycle.nodes}
+            first = next(m for m in _vf2_automorphisms(cycle) if m != identity)
+            assert cycle.nontrivial_automorphism() == first, length
+
+
+def test_random_tree_matches_networkx():
+    for size in range(2, 40):
+        for seed in range(25):
+            reference = nx.random_labeled_tree(size, seed=seed)
+            expected = {frozenset((f"t{u}", f"t{v}")) for u, v in reference.edges}
+            assert generators.random_tree(size, seed=seed).edges == expected, (size, seed)
 
 
 @settings(max_examples=25, deadline=None)
