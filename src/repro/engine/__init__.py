@@ -19,7 +19,7 @@ reaches the same values through three observations:
    enumeration.
 
 :mod:`repro.engine.compiled` implements all three on flat integer arrays:
-an instance is lowered once to CSR adjacency, interned certificate codes
+an instance is lowered once to index adjacency rows, interned certificate codes
 and dependency balls as index arrays, and the game runs on packed integer
 restriction keys maintained *incrementally* under assignment deltas, with
 table-driven leaf kernels for machines that declare a

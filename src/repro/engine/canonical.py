@@ -75,10 +75,10 @@ def node_ball_signature(instance, u: int) -> bytes:
     local = {v: i for i, v in enumerate(ball)}
     ids_list = instance.ids_list
     labels = instance.labels
-    indptr, indices = instance.adj_indptr, instance.adj_indices
+    adjacency = instance.adjacency
     edges: List[Tuple[int, int]] = []
     for i, v in enumerate(ball):
-        for w in indices[indptr[v] : indptr[v + 1]]:
+        for w in adjacency[v]:
             j = local.get(w)
             if j is not None and j > i:
                 edges.append((i, j))

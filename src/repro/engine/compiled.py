@@ -5,9 +5,10 @@ The certificate game is decided here, by the repository's one fast engine
 tested against).  A ``(machine, graph, ids)`` instance is lowered to flat
 integer form once and the whole game runs on it:
 
-* **CSR adjacency and balls.**  Nodes become indices ``0..n-1``; adjacency
-  and dependency balls are flat index arrays, so the inner loops touch
-  machine integers instead of hashing node objects.
+* **Index adjacency and balls.**  Nodes become indices ``0..n-1``; each
+  node's neighbors and dependency ball are sorted index tuples, so the
+  inner loops touch machine integers instead of hashing node objects, and
+  a mutation re-lowers only the nodes it dirties.
 * **Integer-coded certificates.**  Certificate strings are interned into a
   per-instance alphabet; a game position is a small-int array ``kappa[level][v]
   ∈ range(k)`` instead of dicts of strings.
@@ -24,7 +25,7 @@ integer form once and the whole game runs on it:
   plus a shared ``(label, code, label, code)`` pair table; star rules are
   evaluated on a thin :class:`~repro.machines.rules.StarView` without any
   LocalView reconstruction.  Gather machines without a usable rule run
-  their ``compute`` on a view rebuilt off the CSR arrays: straight from
+  their ``compute`` on a view rebuilt off the index tuples: straight from
   the ball when identifiers are unique in the gather horizon (the direct
   path), else from a per-node replay of the gather's identifier-keyed
   knowledge tables (the fixpoint path).  Only other machines fall back to
@@ -80,14 +81,14 @@ _CANDIDATE_CACHE_LIMIT = 128
 class CompiledInstance:
     """A ``(machine, graph, ids)`` instance lowered to flat integer arrays.
 
-    Construction performs the whole lowering: node indexing, CSR adjacency,
+    Construction performs the whole lowering: node indexing, adjacency rows,
     dependency balls and their inverse (the *dependents* of each node, with
     precomputed packed-key shift amounts), the direct/fixpoint decision,
     and kernel selection from the machine's declarative rule, if any.
 
     Plain :class:`~repro.machines.local_algorithm.NeighborhoodGatherAlgorithm`
     machines never run the simulator: memo misses apply ``compute`` to the
-    local view rebuilt off the CSR arrays.  The *direct* path, the only one
+    local view rebuilt off the adjacency rows.  The *direct* path, the only one
     that trusts a declared rule, is taken when identifiers are pairwise
     distinct inside every radius-``(r + 1)`` ball -- the *gather horizon*: the simulated gather
     runs ``r + 1`` communication rounds, so its identifier-keyed knowledge
@@ -120,8 +121,21 @@ class CompiledInstance:
         self.nodes: Tuple[Node, ...] = nodes
         self.index: Dict[Node, int] = {u: i for i, u in enumerate(nodes)}
         n = self.n = len(nodes)
+        #: The lowered graph (the previous one while :meth:`_lower` runs).
+        self.graph: Optional[LabeledGraph] = None
+        self.ids: Dict[Node, str] = dict(ids)
+        #: Per node index, filled by :meth:`_lower`: the label, identifier,
+        #: sorted neighbor indices and degree, and the dependency ball (sorted
+        #: indices) with its size.  ``dependents[v]`` maps each node ``u``
+        #: whose ball holds ``v`` to ``v``'s position in that ball.
+        self.labels: List[str] = [""] * n
+        self.ids_list: List[Optional[str]] = [None] * n
+        self.adjacency: List[Optional[Tuple[int, ...]]] = [None] * n
+        self.degrees: List[int] = [0] * n
         self.balls: List[Tuple[int, ...]] = [()] * n
         self.ball_sizes: List[int] = [0] * n
+        self.dependents: List[Dict[int, int]] = [{} for _ in range(n)]
+        self._dep_shifts: List[List[Tuple[Tuple[int, int], ...]]] = []
         #: Plain gather machines are evaluated by ``compute`` on a rebuilt
         #: view (direct or fixpoint path); every other machine is simulated.
         self._gather = type(machine) is NeighborhoodGatherAlgorithm
@@ -186,25 +200,46 @@ class CompiledInstance:
     ) -> Set[int]:
         """Lower ``(graph, ids)`` onto this instance's node indexing.
 
-        Builds the labels, identifiers and CSR adjacency, takes the
-        direct/fixpoint decision and the rule, recomputes the balls of
-        the *dirty* node indices (every node when *dirty* is ``None`` or
-        the decision flips, since it sets the dependency radius) and
-        rebuilds the dependents table.  Returns the recomputed indices.
+        Only the *dirty* node indices are read (every node when *dirty* is
+        ``None``, as on construction): their label, identifier and neighbor
+        row.  The direct/fixpoint decision and the rule are re-taken only
+        when an identifier or a row changed, balls are re-extracted only
+        when a row changed (or the decision flipped, which sets the
+        dependency radius, so then every ball), and ``dependents`` moves
+        only for the nodes whose ball changed.  Returns the dirty indices,
+        every index after a flip.
         """
-        self.graph = graph
-        self.ids: Dict[Node, str] = dict(ids)
+        previous, self.graph = self.graph, graph
         nodes, index, n = self.nodes, self.index, self.n
-        self.ids_list: List[str] = [self.ids[u] for u in nodes]
-        self.labels: List[str] = [graph.label(u) for u in nodes]
-        indptr = [0]
-        indices: List[int] = []
-        for u in nodes:
-            indices.extend(sorted(index[v] for v in graph.neighbors(u)))
-            indptr.append(len(indices))
-        self.adj_indptr: List[int] = indptr
-        self.adj_indices: List[int] = indices
-        self.degrees: List[int] = [indptr[i + 1] - indptr[i] for i in range(n)]
+        if dirty is None:
+            dirty_set = set(range(n))
+        else:
+            dirty_set = {u for u in dirty if 0 <= u < n}
+        labels, ids_list, adjacency, degrees = (
+            self.labels, self.ids_list, self.adjacency, self.degrees
+        )
+        own_ids = self.ids
+        ids_changed = False
+        moved_rows: List[int] = []
+        for u in dirty_set:
+            node = nodes[u]
+            labels[u] = graph.label(node)
+            identifier = ids[node]
+            if identifier != ids_list[u]:
+                ids_list[u] = own_ids[node] = identifier
+                ids_changed = True
+            neighbors = graph.neighbors(node)
+            # A derived graph shares the neighbor sets it did not change,
+            # and an unchanged set means an unchanged row.
+            if previous is not None and neighbors is previous.neighbors(node):
+                continue
+            row = tuple(sorted(map(index.__getitem__, neighbors)))
+            if row != adjacency[u]:
+                adjacency[u] = row
+                degrees[u] = len(row)
+                moved_rows.append(u)
+        if not (ids_changed or moved_rows):
+            return dirty_set
 
         machine = self.machine
         old_direct = self.direct
@@ -218,21 +253,32 @@ class CompiledInstance:
             else None
         )
         self._rule_is_pairwise = isinstance(self.rule, PairwiseRule)
-
-        if dirty is None or direct != old_direct:
+        if old_direct is not None and direct != old_direct:
             dirty_set = set(range(n))
+            extract: Iterable[int] = dirty_set
+        elif not moved_rows:
+            return dirty_set
         else:
-            dirty_set = {u for u in dirty if 0 <= u < n}
-        for u in dirty_set:
+            # A radius-1 ball is the closed neighborhood: only a node whose
+            # own row moved can have a new one.
+            extract = moved_rows if self.radius == 1 else dirty_set
+
+        balls, sizes, dependents = self.balls, self.ball_sizes, self.dependents
+        moved = False
+        for u in extract:
             ball = self._ball_indices(u)
-            self.balls[u] = ball
-            self.ball_sizes[u] = len(ball)
-        dependents: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        for u in range(n):
-            for position, v in enumerate(self.balls[u]):
-                dependents[v].append((u, position))
-        self.dependents: List[Tuple[Tuple[int, int], ...]] = [tuple(d) for d in dependents]
-        self._dep_shifts: List[List[Tuple[Tuple[int, int], ...]]] = []
+            old = balls[u]
+            if ball == old:
+                continue
+            for v in old:
+                del dependents[v][u]
+            balls[u] = ball
+            sizes[u] = len(ball)
+            for position, v in enumerate(ball):
+                dependents[v][u] = position
+            moved = True
+        if moved:
+            self._dep_shifts = []
         return dirty_set
 
     def _ids_unique_in_horizon(self, horizon: int) -> bool:
@@ -250,13 +296,12 @@ class CompiledInstance:
     def _ball_indices(self, source: int) -> Tuple[int, ...]:
         """*source*'s dependency ball as sorted node indices."""
         if self.radius == 1:  # the common case: the closed neighborhood
-            indptr, indices = self.adj_indptr, self.adj_indices
-            return tuple(sorted([source, *indices[indptr[source] : indptr[source + 1]]]))
+            return tuple(sorted([source, *self.adjacency[source]]))
         return tuple(sorted(self._ball_distances(source)))
 
     def _ball_distances(self, source: int) -> Dict[int, int]:
         """Hop distance from *source* to each node of its dependency ball."""
-        indptr, indices = self.adj_indptr, self.adj_indices
+        adjacency = self.adjacency
         distance = {source: 0}
         frontier = [source]
         depth = 0
@@ -264,7 +309,7 @@ class CompiledInstance:
             depth += 1
             next_frontier = []
             for u in frontier:
-                for w in indices[indptr[u] : indptr[u + 1]]:
+                for w in adjacency[u]:
                     if w not in distance:
                         distance[w] = depth
                         next_frontier.append(w)
@@ -361,7 +406,7 @@ class CompiledInstance:
                 [
                     tuple(
                         (u, (position + built_level * sizes[u]) * shift)
-                        for u, position in self.dependents[v]
+                        for u, position in self.dependents[v].items()
                     )
                     for v in range(self.n)
                 ]
@@ -392,7 +437,9 @@ class CompiledInstance:
         restriction keys and canonical signatures still name the identical
         computation.  If the direct/fixpoint decision flips (identifier
         churn breaking horizon-uniqueness changes the dependency radius with
-        it), everything is invalidated regardless of *dirty*.
+        it), everything is invalidated regardless of *dirty*.  Only the
+        dirty nodes are re-read (:meth:`_lower`), so a repair costs work in
+        proportion to *dirty*, not to the graph.
 
         The generation is bumped, so live :class:`CodedState` objects
         resynchronize, transposition entries (which embed the generation)
@@ -627,8 +674,7 @@ class CompiledInstance:
         labels = self.labels
         alphabet = self.alphabet
         own_label = labels[u]
-        indptr, indices = self.adj_indptr, self.adj_indices
-        for w in indices[indptr[u] : indptr[u + 1]]:
+        for w in self.adjacency[u]:
             neighbor_code = codes[w] if codes is not None else -1
             pair_key = (own_label, own_code, labels[w], neighbor_code)
             ok = pair_table.get(pair_key)
@@ -653,13 +699,9 @@ class CompiledInstance:
         if statics is None:
             statics = []
             ids_list, labels = self.ids_list, self.labels
-            indptr, indices = self.adj_indptr, self.adj_indices
             for v in range(self.n):
                 neighbors = tuple(
-                    sorted(
-                        (ids_list[w], labels[w], w)
-                        for w in indices[indptr[v] : indptr[v + 1]]
-                    )
+                    sorted((ids_list[w], labels[w], w) for w in self.adjacency[v])
                 )
                 statics.append((ids_list[v], labels[v], len(neighbors), neighbors))
             self._star_statics = statics
@@ -725,14 +767,14 @@ class CompiledInstance:
         """
         ids_list = self.ids_list
         ball = self.balls[u]
-        indptr, indices = self.adj_indptr, self.adj_indices
+        adjacency = self.adjacency
         inside = set(ball)
         return (
             frozenset(ids_list[v] for v in ball),
             frozenset(
                 frozenset((ids_list[v], ids_list[w]))
                 for v in ball
-                for w in indices[indptr[v] : indptr[v + 1]]
+                for w in adjacency[v]
                 if w > v and w in inside
             ),
             tuple(sorted((ids_list[v], self.labels[v]) for v in ball)),
@@ -757,7 +799,7 @@ class CompiledInstance:
         """
         horizon = self.machine.radius + 1
         ids_list = self.ids_list
-        indptr, indices = self.adj_indptr, self.adj_indices
+        adjacency = self.adjacency
         reach = [(x, d) for x, d in self._ball_distances(u).items() if d <= horizon]
         # Per node: (distance by identifier, source by identifier, edges).
         tables = {x: ({ids_list[x]: 0}, {ids_list[x]: x}, frozenset()) for x, _ in reach}
@@ -769,10 +811,7 @@ class CompiledInstance:
                 distance, source, edges = tables[x]
                 distance, source, edges = dict(distance), dict(source), set(edges)
                 own = ids_list[x]
-                order = sorted(
-                    indices[indptr[x] : indptr[x + 1]],
-                    key=lambda w: identifier_key(ids_list[w]),
-                )
+                order = sorted(adjacency[x], key=lambda w: identifier_key(ids_list[w]))
                 for v in order:
                     v_distance, v_source, v_edges = tables[v]
                     edges.add(frozenset((own, ids_list[v])))
@@ -1238,12 +1277,7 @@ class CompiledGameEngine:
     def _lower_neighbor_lists(self) -> List[List[int]]:
         lower = self._lower_neighbors
         if lower is None:
-            compiled = self.compiled
-            indptr, indices = compiled.adj_indptr, compiled.adj_indices
-            lower = [
-                [w for w in indices[indptr[u] : indptr[u + 1]] if w < u]
-                for u in range(compiled.n)
-            ]
+            lower = [[w for w in row if w < u] for u, row in enumerate(self.compiled.adjacency)]
             self._lower_neighbors = lower
         return lower
 
@@ -1327,7 +1361,7 @@ class CompiledGameEngine:
         cand_masks = self._candidate_mask_table()[level]
         own_masks = kernel.own_masks
         labels = compiled.labels
-        indptr, indices = compiled.adj_indptr, compiled.adj_indices
+        adjacency = compiled.adjacency
         has_pair = kernel.has_pair
         uniform = kernel.uniform
         for u in range(compiled.n):
@@ -1336,7 +1370,7 @@ class CompiledGameEngine:
                 return False
             if not has_pair:
                 continue
-            neighbors = indices[indptr[u] : indptr[u + 1]]
+            neighbors = adjacency[u]
             if not neighbors:
                 continue
             label = labels[u]

@@ -20,18 +20,32 @@ four delta kinds:
 * :class:`SetLabel` -- flip one node's bit-string label,
 * :class:`SetIdentifier` -- identifier churn at one node.
 
-Each delta is intersected with the dependency balls to compute the **dirty
-set**: the nodes whose ball membership, ball content (labels, identifiers)
-or ball-internal edges may have changed.  For a label or identifier delta
-at ``v`` that is exactly ``ball(v, r)`` (by symmetry, the nodes whose ball
-contains ``v``); for an edge delta ``{u, v}`` it is the union of the balls
-of both endpoints in the *old* and the *new* adjacency (a shortest path
-can only change by crossing the toggled edge, so any node whose ball
-gains, loses or rewires a member lies in one of the four balls).  The
-compiled instance is then :meth:`~repro.engine.compiled.CompiledInstance.rewire`-d
-in place: dirty nodes lose their memoized verdicts and canonical
-signatures, clean nodes keep them, and the next :meth:`MutableInstance.verdict`
-re-evaluates only what the mutation actually touched.
+Each state's graph derives from the previous one
+(:meth:`~repro.graphs.labeled_graph.LabeledGraph.relabel`,
+:meth:`~repro.graphs.labeled_graph.LabeledGraph.with_edge`,
+:meth:`~repro.graphs.labeled_graph.LabeledGraph.without_edge`): it shares
+every part the delta does not change and checks only what the delta can
+break.  Each delta is intersected with the dependency balls to compute
+the **dirty set**: the nodes whose ball membership, ball content (labels,
+identifiers) or ball-internal edges may have changed.  For a label or
+identifier delta at ``v`` that is exactly ``ball(v, r)`` (by symmetry,
+the nodes whose ball contains ``v``); for an edge delta ``{u, v}`` it is
+the union of the balls of both endpoints in the *old* and the *new* graph
+(a shortest path can only change by crossing the toggled edge, so any
+node whose ball gains, loses or rewires a member lies in one of the four
+balls).  The compiled instance is then
+:meth:`~repro.engine.compiled.CompiledInstance.rewire`-d in place: only
+the dirty nodes' labels, identifiers, neighbor rows, balls and
+dependents are re-derived, dirty nodes lose their memoized verdicts and
+canonical signatures, clean nodes keep them, and the next
+:meth:`MutableInstance.verdict` re-evaluates only what the mutation
+actually touched.
+
+So a delta's Python work is proportional to its dirty set.  Three steps
+stay O(n) on purpose: the shallow C copies of the graph's adjacency dict,
+edge frozenset and label dict; the connectivity search of an edge delete;
+and, when identifiers are not globally unique, the horizon-uniqueness
+re-check of identifier and edge deltas (one search per node).
 
 The repair claim -- every repaired verdict equals a full recompute equals
 the exhaustive oracle -- is enforced by the hypothesis-driven differential
@@ -60,7 +74,7 @@ from typing import (
 
 from repro.engine.batch import GameInstance
 from repro.engine.compiled import CompiledGameEngine, CompiledInstance
-from repro.graphs.labeled_graph import LabeledGraph, Node, _check_bitstring
+from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.hierarchy.certificate_spaces import CertificateSpace, materialize_space
 from repro.hierarchy.game import Quantifier
 
@@ -188,25 +202,8 @@ class RepairReport:
 # ----------------------------------------------------------------------
 # The mutable layer
 # ----------------------------------------------------------------------
-def _ball_nodes(adjacency: Mapping[Node, Set[Node]], source: Node, radius: int) -> Set[Node]:
-    """BFS ball of *source* in a dict-of-sets adjacency."""
-    seen = {source}
-    frontier = [source]
-    for _ in range(radius):
-        if not frontier:
-            break
-        next_frontier: List[Node] = []
-        for u in frontier:
-            for w in adjacency[u]:
-                if w not in seen:
-                    seen.add(w)
-                    next_frontier.append(w)
-        frontier = next_frontier
-    return seen
-
-
 def _insert_id_clash(
-    adjacency: Mapping[Node, Set[Node]],
+    graph: LabeledGraph,
     ids: Mapping[Node, str],
     u: Node,
     v: Node,
@@ -221,35 +218,23 @@ def _insert_id_clash(
     if ids[u] == ids[v]:
         return ids[u]
     for a, b in ((u, v), (v, u)):
-        for w in adjacency[b]:
+        for w in graph.neighbors(b):
             if w != a and ids[w] == ids[a]:
                 return ids[a]
     return None
 
 
-def _connected_without(
-    adjacency: Mapping[Node, Set[Node]], u: Node, v: Node
-) -> bool:
-    """Whether the graph stays connected after removing the edge ``{u, v}``.
-
-    It suffices to check that *v* is still reachable from *u*: the edge is
-    a bridge exactly when it is not.
-    """
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        next_frontier: List[Node] = []
-        for x in frontier:
-            for w in adjacency[x]:
-                if x == u and w == v:
-                    continue
-                if w == v:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    next_frontier.append(w)
-        frontier = next_frontier
-    return False
+def _next_graph(graph: LabeledGraph, delta: Delta) -> LabeledGraph:
+    """The graph after *delta*, derived from *graph* (an identifier delta
+    keeps it: identifiers are not part of the graph).  The graph's own
+    checks raise ``TypeError``/``ValueError`` when the delta does not fit."""
+    if isinstance(delta, SetLabel):
+        return graph.relabel({delta.node: delta.label})
+    if isinstance(delta, EdgeInsert):
+        return graph.with_edge(delta.u, delta.v)
+    if isinstance(delta, EdgeDelete):
+        return graph.without_edge(delta.u, delta.v)
+    return graph
 
 
 class MutableInstance:
@@ -285,13 +270,11 @@ class MutableInstance:
         self.spaces: List[CertificateSpace] = list(spaces)
         self.prefix: Tuple[Quantifier, ...] = tuple(prefix)
         self.name = name
+        #: The current graph; each effective delta replaces it with one
+        #: derived from it.  Identifiers live beside it in ``_ids``.
         self.graph = graph
         self._nodes: Tuple[Node, ...] = graph.nodes
         self._index: Dict[Node, int] = {u: i for i, u in enumerate(self._nodes)}
-        self._adjacency: Dict[Node, Set[Node]] = {
-            u: set(graph.neighbors(u)) for u in self._nodes
-        }
-        self._labels: Dict[Node, str] = {u: graph.label(u) for u in self._nodes}
         self._ids: Dict[Node, str] = dict(ids)
         # A private compiled instance -- never the shared compile_instance
         # registry, which hands the same object to unrelated engines.
@@ -371,11 +354,12 @@ class MutableInstance:
 
         Raises :class:`DeltaError` when the delta does not fit the current
         state (unknown node, duplicate edge, bridge deletion, malformed
-        label); the state is unchanged in that case.
+        label); the state is unchanged in that case, because the next
+        graph is derived and checked before anything is assigned.
         """
         start = time.perf_counter()
-        dirty_nodes = self._validate_and_dirty(delta)
-        if dirty_nodes is None:
+        step = self._step(delta)
+        if step is None:
             # No-op delta (same label/identifier): nothing to repair.
             self.noops += 1
             return RepairReport(
@@ -385,12 +369,9 @@ class MutableInstance:
                 changed=False,
                 seconds=time.perf_counter() - start,
             )
-        self._mutate_state(delta)
-        graph = LabeledGraph(
-            self._nodes,
-            [tuple(edge) for edge in self._edge_set()],
-            labels=self._labels,
-        )
+        graph, dirty_nodes = step
+        if isinstance(delta, SetIdentifier):
+            self._ids[delta.node] = delta.identifier
         self.graph = graph
         dirty_indices = {self._index[u] for u in dirty_nodes}
         invalidated = self.compiled.rewire(graph, self._ids, dirty_indices)
@@ -426,7 +407,7 @@ class MutableInstance:
             return EdgeInsert(u=delta.u, v=delta.v)
         if isinstance(delta, SetLabel):
             self._require_node(delta.node)
-            return SetLabel(node=delta.node, label=self._labels[delta.node])
+            return SetLabel(node=delta.node, label=self.graph.label(delta.node))
         if isinstance(delta, SetIdentifier):
             self._require_node(delta.node)
             return SetIdentifier(node=delta.node, identifier=self._ids[delta.node])
@@ -438,10 +419,11 @@ class MutableInstance:
         The service's ``mutate`` op promises all-or-nothing batches; the
         rollback replays recorded inverse deltas in reverse order, which
         always succeeds because it only retraces states the graph was
-        just in.
+        just in.  A rolled-back batch counts no mutations.
         """
         reports: List[RepairReport] = []
         undo: List[Delta] = []
+        counts = (self.mutations, self.noops)
         try:
             for delta in deltas:
                 inverse = self.inverse_of(delta)
@@ -450,43 +432,29 @@ class MutableInstance:
         except DeltaError:
             for inverse in reversed(undo):
                 self.apply(inverse)
+            self.mutations, self.noops = counts
             raise
         return reports
-
-    def _edge_set(self) -> Set[frozenset]:
-        return {
-            frozenset((u, v))
-            for u, neighbors in self._adjacency.items()
-            for v in neighbors
-        }
 
     def _require_node(self, node: Node) -> None:
         if node not in self._index:
             raise DeltaError(f"unknown node {node!r}")
 
-    def _validate_and_dirty(self, delta: Delta) -> Optional[Set[Node]]:
-        """Validate *delta* and return its dirty node set (``None`` = no-op).
+    def _step(self, delta: Delta) -> Optional[Tuple[LabeledGraph, Set[Node]]]:
+        """Validate *delta* and return the next graph and the dirty node set
+        (``None`` = no-op), changing nothing.
 
         For label/identifier deltas at ``v`` the dirty set is ``ball(v, r)``:
         by symmetry those are exactly the nodes whose ball contains ``v``.
         For an edge delta ``{u, v}`` it is the union of both endpoints'
-        balls in the old *and* the new adjacency: any changed shortest path
+        balls in the old *and* the new graph: any changed shortest path
         crosses the toggled edge, so every node whose ball membership or
         ball-internal edges change lies within ``r`` of an endpoint before
         or after.  If the mutation flips the direct/fixpoint decision,
         :meth:`CompiledInstance.rewire` widens to a full rebuild on its own.
         """
+        graph = self.graph
         radius = self.compiled.radius
-        adjacency = self._adjacency
-        if isinstance(delta, SetLabel):
-            self._require_node(delta.node)
-            try:
-                _check_bitstring(delta.label)
-            except ValueError as error:
-                raise DeltaError(str(error)) from error
-            if self._labels[delta.node] == delta.label:
-                return None
-            return _ball_nodes(adjacency, delta.node, radius)
         if isinstance(delta, SetIdentifier):
             self._require_node(delta.node)
             if not isinstance(delta.identifier, str):
@@ -495,68 +463,48 @@ class MutableInstance:
                 return None
             # The paper requires 1-locally-unique identifiers (distinct
             # within distance 2); the simulator's views depend on it.
-            for other in _ball_nodes(adjacency, delta.node, 2):
+            for other in graph.ball(delta.node, 2):
                 if other != delta.node and self._ids[other] == delta.identifier:
                     raise DeltaError(
                         f"identifier {delta.identifier!r} already used by {other!r} "
                         f"within distance 2 of {delta.node!r} "
                         "(identifiers must stay 1-locally unique)"
                     )
-            return _ball_nodes(adjacency, delta.node, radius)
-        if isinstance(delta, (EdgeInsert, EdgeDelete)):
-            u, v = delta.u, delta.v
-            self._require_node(u)
-            self._require_node(v)
-            if u == v:
-                raise DeltaError("self-loops are not allowed (graphs are simple)")
-            present = v in adjacency[u]
-            if isinstance(delta, EdgeInsert):
-                if present:
-                    raise DeltaError(f"edge ({u!r}, {v!r}) already exists")
-                # The only pairs an insert pulls within distance 2 are
-                # (u, v) and endpoint-vs-other-endpoint's-neighbors, so
-                # 1-local uniqueness reduces to these checks.
-                clash = _insert_id_clash(adjacency, self._ids, u, v)
-                if clash is not None:
-                    raise DeltaError(
-                        f"inserting edge ({u!r}, {v!r}) would place equal "
-                        f"identifiers {clash!r} within distance 2 "
-                        "(identifiers must stay 1-locally unique)"
-                    )
-            if isinstance(delta, EdgeDelete):
-                if not present:
-                    raise DeltaError(f"edge ({u!r}, {v!r}) does not exist")
-                if not _connected_without(adjacency, u, v):
-                    raise DeltaError(
-                        f"deleting edge ({u!r}, {v!r}) would disconnect the graph"
-                    )
-            dirty = _ball_nodes(adjacency, u, radius) | _ball_nodes(adjacency, v, radius)
-            # Toggle, take the new-adjacency balls, toggle back: validation
-            # must not commit anything.
-            self._toggle_edge(u, v)
-            try:
-                dirty |= _ball_nodes(adjacency, u, radius)
-                dirty |= _ball_nodes(adjacency, v, radius)
-            finally:
-                self._toggle_edge(u, v)
-            return dirty
-        raise DeltaError(f"unknown delta {delta!r}")
-
-    def _toggle_edge(self, u: Node, v: Node) -> None:
-        if v in self._adjacency[u]:
-            self._adjacency[u].discard(v)
-            self._adjacency[v].discard(u)
-        else:
-            self._adjacency[u].add(v)
-            self._adjacency[v].add(u)
-
-    def _mutate_state(self, delta: Delta) -> None:
+            return graph, graph.ball(delta.node, radius)
         if isinstance(delta, SetLabel):
-            self._labels[delta.node] = delta.label
-        elif isinstance(delta, SetIdentifier):
-            self._ids[delta.node] = delta.identifier
-        else:
-            self._toggle_edge(delta.u, delta.v)
+            self._require_node(delta.node)
+            if graph.label(delta.node) == delta.label:
+                return None
+            return self._derive(delta), graph.ball(delta.node, radius)
+        if not isinstance(delta, (EdgeInsert, EdgeDelete)):
+            raise DeltaError(f"unknown delta {delta!r}")
+        after = self._derive(delta)
+        u, v = delta.u, delta.v
+        if isinstance(delta, EdgeInsert):
+            # The only pairs an insert pulls within distance 2 are (u, v)
+            # and endpoint-vs-other-endpoint's-neighbors, so 1-local
+            # uniqueness reduces to these checks.
+            clash = _insert_id_clash(graph, self._ids, u, v)
+            if clash is not None:
+                raise DeltaError(
+                    f"inserting edge ({u!r}, {v!r}) would place equal "
+                    f"identifiers {clash!r} within distance 2 "
+                    "(identifiers must stay 1-locally unique)"
+                )
+        # An insert only shortens distances, so the old balls lie inside
+        # the new ones, and a delete is the mirror image: the union of the
+        # four balls is the two balls in whichever graph has the edge.
+        joined = after if isinstance(delta, EdgeInsert) else graph
+        return after, joined.ball(u, radius) | joined.ball(v, radius)
+
+    def _derive(self, delta: Delta) -> LabeledGraph:
+        """The graph after a label or edge delta; the graph's checks
+        (bit string, endpoints, edge present or absent, no bridge) raise
+        :class:`DeltaError`."""
+        try:
+            return _next_graph(self.graph, delta)
+        except (TypeError, ValueError) as error:
+            raise DeltaError(str(error)) from error
 
     # ------------------------------------------------------------------
     # Verdicts
@@ -669,8 +617,6 @@ def random_trace(
     drawn kind fall back to a label flip.
     """
     rng = random.Random(seed)
-    adjacency: Dict[Node, Set[Node]] = {u: set(graph.neighbors(u)) for u in graph.nodes}
-    labels_now: Dict[Node, str] = {u: graph.label(u) for u in graph.nodes}
     ids_now: Dict[Node, str] = dict(ids) if ids is not None else {}
     all_nodes = list(graph.nodes)
     churn_nodes = list(hot_nodes) if hot_nodes is not None else all_nodes
@@ -678,9 +624,10 @@ def random_trace(
     if "id" in kinds and (ids is None or not id_pool):
         raise ValueError("id churn requires both ids= and a nonempty id_pool=")
 
+    # The moves read ``graph``, which the loop below advances each step.
     def label_move() -> Optional[Delta]:
         node = rng.choice(churn_nodes)
-        choices = [value for value in labels if value != labels_now[node]]
+        choices = [value for value in labels if value != graph.label(node)]
         if not choices:
             return None
         return SetLabel(node=node, label=rng.choice(choices))
@@ -688,20 +635,19 @@ def random_trace(
     def edge_move() -> Optional[Delta]:
         for _ in range(32):
             u, v = rng.sample(all_nodes, 2)
-            if v in adjacency[u]:
-                if _connected_without(adjacency, u, v):
-                    return EdgeDelete(u=u, v=v)
-            elif not ids_now or _insert_id_clash(adjacency, ids_now, u, v) is None:
+            if graph.has_edge(u, v):
+                try:
+                    graph.without_edge(u, v)
+                except ValueError:  # a bridge
+                    continue
+                return EdgeDelete(u=u, v=v)
+            if not ids_now or _insert_id_clash(graph, ids_now, u, v) is None:
                 return EdgeInsert(u=u, v=v)
         return None
 
     def id_move() -> Optional[Delta]:
         node = rng.choice(churn_nodes)
-        taken = {
-            ids_now[other]
-            for other in _ball_nodes(adjacency, node, 2)
-            if other != node
-        }
+        taken = {ids_now[other] for other in graph.ball(node, 2) if other != node}
         choices = [
             value
             for value in id_pool
@@ -719,15 +665,8 @@ def random_trace(
             delta = label_move()
         if delta is None:
             break
-        if isinstance(delta, SetLabel):
-            labels_now[delta.node] = delta.label
-        elif isinstance(delta, SetIdentifier):
+        if isinstance(delta, SetIdentifier):
             ids_now[delta.node] = delta.identifier
-        elif isinstance(delta, EdgeInsert):
-            adjacency[delta.u].add(delta.v)
-            adjacency[delta.v].add(delta.u)
-        else:
-            adjacency[delta.u].discard(delta.v)
-            adjacency[delta.v].discard(delta.u)
+        graph = _next_graph(graph, delta)
         trace.append(delta)
     return trace

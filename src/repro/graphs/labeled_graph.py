@@ -193,17 +193,20 @@ class LabeledGraph:
         """The set of nodes at distance at most *radius* from *center*."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        dist = {center: 0}
-        queue = deque([center])
-        while queue:
-            u = queue.popleft()
-            if dist[u] == radius:
-                continue
-            for v in self._adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return set(dist)
+        adjacency = self._adjacency
+        seen = {center}
+        frontier = [center]
+        for _ in range(radius):
+            next_frontier: List[Node] = []
+            for u in frontier:
+                for v in adjacency[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        next_frontier.append(v)
+            if not next_frontier:
+                break
+            frontier = next_frontier
+        return seen
 
     def neighborhood(self, center: Node, radius: int) -> "LabeledGraph":
         """The *r*-neighborhood ``N^G_r(u)``: induced subgraph of the ball."""
@@ -230,6 +233,21 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
+    # A derived graph shares every part it does not change with this one
+    # (graphs are immutable) and checks only what its change can break.
+    def _derived(
+        self,
+        adjacency: Optional[Dict[Node, FrozenSet[Node]]] = None,
+        edges: Optional[FrozenSet[FrozenSet[Node]]] = None,
+        labels: Optional[Dict[Node, str]] = None,
+    ) -> "LabeledGraph":
+        graph = object.__new__(LabeledGraph)
+        graph._nodes = self._nodes
+        graph._adjacency = self._adjacency if adjacency is None else adjacency
+        graph._edges = self._edges if edges is None else edges
+        graph._labels = self._labels if labels is None else labels
+        return graph
+
     def relabel(self, labels: Mapping[Node, str]) -> "LabeledGraph":
         """Return a copy with the labels of the given nodes replaced."""
         new_labels = dict(self._labels)
@@ -237,7 +255,43 @@ class LabeledGraph:
             if u not in self._adjacency:
                 raise ValueError(f"unknown node {u!r}")
             new_labels[u] = _check_bitstring(lab)
-        return LabeledGraph(self._nodes, (tuple(e) for e in self._edges), new_labels)
+        return self._derived(labels=new_labels)
+
+    def _check_pair(self, u: Node, v: Node) -> None:
+        if u not in self._adjacency or v not in self._adjacency:
+            raise ValueError(f"edge ({u!r}, {v!r}) refers to unknown node")
+        if u == v:
+            raise ValueError(f"self-loop at node {u!r} is not allowed (graphs are simple)")
+
+    def with_edge(self, u: Node, v: Node) -> "LabeledGraph":
+        """Return a copy with the new edge ``{u, v}`` inserted."""
+        self._check_pair(u, v)
+        if v in self._adjacency[u]:
+            raise ValueError(f"edge ({u!r}, {v!r}) already exists")
+        adjacency = dict(self._adjacency)
+        adjacency[u] = adjacency[u] | {v}
+        adjacency[v] = adjacency[v] | {u}
+        return self._derived(adjacency, self._edges | {frozenset((u, v))})
+
+    def without_edge(self, u: Node, v: Node) -> "LabeledGraph":
+        """Return a copy with the edge ``{u, v}`` deleted; it must not be a bridge."""
+        self._check_pair(u, v)
+        if v not in self._adjacency[u]:
+            raise ValueError(f"edge ({u!r}, {v!r}) does not exist")
+        adjacency = dict(self._adjacency)
+        adjacency[u] = adjacency[u] - {v}
+        adjacency[v] = adjacency[v] - {u}
+        # The graph stays connected exactly when v is still reachable from u.
+        seen = {u}
+        queue = deque([u])
+        while queue:
+            for w in adjacency[queue.popleft()]:
+                if w == v:
+                    return self._derived(adjacency, self._edges - {frozenset((u, v))})
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        raise ValueError(f"deleting edge ({u!r}, {v!r}) would disconnect the graph")
 
     def with_uniform_label(self, label: str) -> "LabeledGraph":
         """Return a copy in which every node carries *label*."""

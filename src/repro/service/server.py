@@ -737,10 +737,12 @@ class VerdictService:
     # ------------------------------------------------------------------
     #: Largest graph, in nodes plus edges, on which the event loop applies
     #: a mutate itself, and then only a batch of at most one delta.  The
-    #: repair grows with the graph: on a 2-vCPU x86 box one delta takes
-    #: 0.2-0.3 ms at this size (a 12-node session with 40 edges: 0.17 ms),
-    #: 0.5 ms on a 64-node cycle and 5 ms on K64, and 256 deltas on a
-    #: 64-node cycle take ~140 ms.
+    #: repair grows with the delta's dirty set, plus a few C-speed copies
+    #: that grow with the graph: on a 2-vCPU x86 box one delta takes
+    #: 0.02-0.05 ms in-process on a 12-, 32- or 64-node cycle and 0.2 ms
+    #: on K64, and 256 deltas on a 64-node cycle take ~10 ms (~25 ms in
+    #: the daemon).  At this size a loop-side mutate spends 0.3-0.4 ms in
+    #: the daemon at p50, most of it outside the repair.
     LOOP_MUTATE_SIZE = 64
 
     async def _mutate(self, request: MutateRequest) -> Dict[str, Any]:

@@ -28,7 +28,6 @@ from repro.engine.dynamic import (
     MutableInstance,
     SetIdentifier,
     SetLabel,
-    _connected_without,
     _insert_id_clash,
     delta_from_wire,
     delta_to_wire,
@@ -41,6 +40,7 @@ from repro.graphs.identifiers import (
     sequential_identifier_assignment,
     small_identifier_assignment,
 )
+from repro.graphs.labeled_graph import LabeledGraph
 from repro.hierarchy.certificate_spaces import bit_space, color_space
 from repro.hierarchy.game import eve_wins, pi_prefix, sigma_prefix
 from repro.machines import builtin
@@ -93,20 +93,23 @@ _ID_POOL = tuple(format(value, "b") for value in range(16, 24))
 def _valid_moves(mutable: MutableInstance):
     """Every delta applicable to the current state (the generator's menu)."""
     moves = []
-    adjacency = mutable._adjacency
+    graph = mutable.graph
     ids = mutable._ids
     nodes = mutable.nodes
     for node in nodes:
-        current = mutable.graph.label(node)
+        current = graph.label(node)
         moves.extend(
             SetLabel(node=node, label=label) for label in _LABELS if label != current
         )
     for i, u in enumerate(nodes):
         for v in nodes[i + 1 :]:
-            if v in adjacency[u]:
-                if _connected_without(adjacency, u, v):
-                    moves.append(EdgeDelete(u=u, v=v))
-            elif _insert_id_clash(adjacency, ids, u, v) is None:
+            if graph.has_edge(u, v):
+                try:
+                    graph.without_edge(u, v)
+                except ValueError:  # a bridge
+                    continue
+                moves.append(EdgeDelete(u=u, v=v))
+            elif _insert_id_clash(graph, ids, u, v) is None:
                 moves.append(EdgeInsert(u=u, v=v))
     for node in nodes:
         taken = {ids[w] for w in nodes if w != node}
@@ -122,16 +125,24 @@ def _assert_structurally_fresh(mutable: MutableInstance) -> None:
     """The repaired compiled instance must equal a from-scratch compile."""
     repaired = mutable.compiled
     fresh = CompiledInstance(mutable.machine, mutable.graph, mutable._ids)
-    assert repaired.adj_indptr == fresh.adj_indptr
-    assert repaired.adj_indices == fresh.adj_indices
+    assert repaired.adjacency == fresh.adjacency
     assert repaired.degrees == fresh.degrees
     assert repaired.labels == fresh.labels
     assert repaired.ids_list == fresh.ids_list
+    assert repaired.ids == fresh.ids
     assert repaired.direct == fresh.direct
     assert repaired.radius == fresh.radius
+    assert repaired.rule is fresh.rule
     assert repaired.balls == fresh.balls
     assert repaired.ball_sizes == fresh.ball_sizes
-    assert [set(d) for d in repaired.dependents] == [set(d) for d in fresh.dependents]
+    assert repaired.dependents == fresh.dependents
+    # A stale dep-shift table corrupts packed keys without raising, so
+    # every table the repaired instance holds must equal a fresh build.
+    fresh.shift = repaired.shift
+    for level, table in enumerate(repaired._dep_shifts):
+        assert [set(pairs) for pairs in table] == [
+            set(pairs) for pairs in fresh.dep_shifts(level)
+        ], level
 
 
 class TestDifferentialRepair:
@@ -191,6 +202,24 @@ class TestDifferentialRepair:
         )
         mutable.apply_all(trace)  # DeltaError here = generator bug
         assert mutable.verdict() == recompute_verdict(mutable.as_game_instance())
+
+    def test_radius_two_balls_follow_edge_deltas(self):
+        """A chord moves the radius-2 balls of nodes whose own rows stay."""
+        graph = generators.cycle_graph(10)
+        machine = NeighborhoodGatherAlgorithm(2, _parity_machine().compute, name="parity-2")
+        mutable = MutableInstance(
+            machine, graph, sequential_identifier_assignment(graph), [bit_space()], pi_prefix(1)
+        )
+        assert mutable.compiled.radius == 2
+        nodes = graph.nodes
+        for delta in (
+            EdgeInsert(u=nodes[0], v=nodes[5]),
+            EdgeDelete(u=nodes[0], v=nodes[1]),
+            SetLabel(node=nodes[3], label="1"),
+        ):
+            mutable.apply(delta)
+            _assert_structurally_fresh(mutable)
+            assert mutable.verdict() == recompute_verdict(mutable.as_game_instance()), delta
 
     def test_two_level_prefix_differential(self):
         """Repair stays correct for a two-quantifier game."""
@@ -297,6 +326,26 @@ class TestMutationValidation:
         assert mutable.key() == key
         assert mutable.verdict() == recompute_verdict(mutable.as_game_instance())
 
+    def test_apply_batch_rolls_back_a_mistyped_label(self):
+        """A non-string label is a DeltaError, so the batch before it rolls
+        back: labels, ids, the mutation count and the key all stay."""
+        mutable = self._mutable()
+        nodes = mutable.nodes
+        key = mutable.key()
+        labels_before = mutable.graph.labels
+        ids_before = mutable.ids
+        mutations = mutable.info()["mutations"]
+        with pytest.raises(DeltaError):
+            mutable.apply_batch(
+                [SetLabel(node=nodes[0], label="1"), SetLabel(node=nodes[1], label=5)]
+            )
+        assert mutable.graph.labels == labels_before
+        assert mutable.ids == ids_before
+        assert mutable.info()["mutations"] == mutations
+        assert mutable.key() == key
+        with pytest.raises(DeltaError):
+            mutable.apply(SetLabel(node=nodes[1], label=5))
+
     def test_full_rebuild_on_direct_flip(self):
         """Identifier churn breaking horizon-uniqueness widens to everything."""
         graph = generators.cycle_graph(12)
@@ -317,6 +366,70 @@ class TestMutationValidation:
         assert report.full_rebuild
         assert len(report.dirty) == len(nodes)
         assert mutable.verdict() == recompute_verdict(mutable.as_game_instance())
+
+
+class TestRepairCost:
+    """A delta does work in proportion to its dirty set, not to the graph."""
+
+    def test_delta_reads_only_dirty_nodes(self, monkeypatch):
+        graph = generators.cycle_graph(256)
+        mutable = MutableInstance(
+            builtin.two_colorability_verifier(),  # a pairwise rule
+            graph,
+            sequential_identifier_assignment(graph),
+            [color_space(2)],
+            sigma_prefix(1),
+        )
+        calls = {"init": 0, "reads": 0}
+
+        def counting(method, counter):
+            def wrapped(*args, **kwargs):
+                calls[counter] += 1
+                return method(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(LabeledGraph, "__init__", counting(LabeledGraph.__init__, "init"))
+        for name in ("neighbors", "label"):
+            monkeypatch.setattr(LabeledGraph, name, counting(getattr(LabeledGraph, name), "reads"))
+        nodes = graph.nodes
+        for delta in (
+            SetLabel(node=nodes[7], label="1"),
+            EdgeInsert(u=nodes[100], v=nodes[102]),
+        ):
+            calls.update(init=0, reads=0)
+            report = mutable.apply(delta)
+            assert 0 < len(report.dirty) <= 6, delta
+            assert calls["init"] == 0, delta  # derived, not rebuilt and re-validated
+            assert calls["reads"] <= 5 * len(report.dirty), (delta, calls)
+        monkeypatch.undo()
+        _assert_structurally_fresh(mutable)
+        assert mutable.verdict() == recompute_verdict(mutable.as_game_instance())
+
+    def test_dep_shift_tables_track_repairs(self):
+        """Tables built before a delta survive it only while every ball
+        does, and always equal a fresh build."""
+        graph = generators.cycle_graph(6)
+        mutable = MutableInstance(
+            _parity_machine(),  # rule-less: its search assigns through dep shifts
+            graph,
+            sequential_identifier_assignment(graph),
+            [bit_space()],
+            pi_prefix(1),
+        )
+        compiled = mutable.compiled
+        nodes = graph.nodes
+        mutable.verdict()
+        assert compiled._dep_shifts
+        tables = compiled._dep_shifts
+        mutable.apply(SetLabel(node=nodes[0], label="1"))  # no ball moves
+        assert compiled._dep_shifts is tables
+        _assert_structurally_fresh(mutable)
+        mutable.apply(EdgeInsert(u=nodes[0], v=nodes[3]))  # balls move
+        assert compiled._dep_shifts == []
+        assert mutable.verdict() == recompute_verdict(mutable.as_game_instance())
+        assert compiled._dep_shifts
+        _assert_structurally_fresh(mutable)
 
 
 class TestWireDeltas:

@@ -181,6 +181,75 @@ class TestNontrivialAutomorphism:
             assert cycle.nontrivial_automorphism() == first, length
 
 
+def _assert_same_graph(derived, built):
+    """*derived* equals the constructor's graph on every public part."""
+    assert derived == built
+    assert hash(derived) == hash(built)
+    assert derived.nodes == built.nodes
+    assert derived.edges == built.edges
+    assert derived.labels == built.labels
+    assert all(derived.neighbors(u) == built.neighbors(u) for u in built.nodes)
+
+
+def _pairs(graph):
+    return [(tuple(edge)[0], tuple(edge)[1]) for edge in graph.edges]
+
+
+class TestDerivedGraphs:
+    """relabel / with_edge / without_edge derive a graph from the current
+    one; each must equal the constructor's graph on the same parts and
+    reject what the constructor (or the change) rejects."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=small_labeled_graphs())
+    def test_derived_graphs_equal_constructed_ones(self, graph):
+        nodes, labels = graph.nodes, graph.labels
+        for node in nodes:
+            relabeled = graph.relabel({node: "01"})
+            _assert_same_graph(
+                relabeled, LabeledGraph(nodes, _pairs(graph), {**labels, node: "01"})
+            )
+        for i, u in enumerate(nodes):
+            for v in nodes[i + 1 :]:
+                if not graph.has_edge(u, v):
+                    built = LabeledGraph(nodes, _pairs(graph) + [(u, v)], labels)
+                    _assert_same_graph(graph.with_edge(u, v), built)
+                    continue
+                rest = [pair for pair in _pairs(graph) if set(pair) != {u, v}]
+                try:
+                    built = LabeledGraph(nodes, rest, labels)
+                except ValueError:  # the edge is a bridge
+                    with pytest.raises(ValueError, match="disconnect"):
+                        graph.without_edge(u, v)
+                    continue
+                _assert_same_graph(graph.without_edge(u, v), built)
+        # Deriving never changes the graph it derives from.
+        assert graph.labels == labels
+
+    def test_rejections(self):
+        graph = generators.path_graph(3)
+        a, b, c = graph.nodes
+        with pytest.raises(ValueError):
+            graph.relabel({a: "2"})  # not a bit string
+        with pytest.raises(TypeError):
+            graph.relabel({a: 5})  # not a string
+        with pytest.raises(ValueError):
+            graph.relabel({"zz": "1"})  # unknown node
+        for derive in (graph.with_edge, graph.without_edge):
+            with pytest.raises(ValueError):
+                derive(a, "zz")  # unknown node
+            with pytest.raises(ValueError):
+                derive(a, a)  # self-loop
+        with pytest.raises(ValueError, match="already exists"):
+            graph.with_edge(a, b)  # duplicate insert
+        with pytest.raises(ValueError, match="does not exist"):
+            graph.without_edge(a, c)  # missing edge
+        with pytest.raises(ValueError, match="disconnect"):
+            graph.without_edge(a, b)  # a bridge
+        closed = graph.with_edge(a, c)
+        _assert_same_graph(closed.without_edge(a, b), LabeledGraph(graph.nodes, [(b, c), (a, c)]))
+
+
 def test_random_tree_matches_networkx():
     for size in range(2, 40):
         for seed in range(25):
