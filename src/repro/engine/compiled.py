@@ -46,7 +46,9 @@ strings); when it outgrows the packing width the instance *rebases* --
 doubles ``shift``, bumps its ``generation`` and drops the packed-key memo.
 Generations are part of every engine's transposition key and live
 :class:`CodedState` objects resynchronize lazily, so a rebase can never
-cause a stale or aliased cache hit.
+cause a stale or aliased cache hit.  The alphabet only grows: codes never
+change meaning, so no code-keyed table is ever cleared to renumber (a
+dynamic session that strands most of its codes recompiles instead).
 """
 
 from __future__ import annotations
@@ -148,12 +150,6 @@ class CompiledInstance:
         self.code_of: Dict[str, int] = {"": 0}
         self.shift = 4
         self.generation = 0
-        #: Pre-compaction alphabet snapshots, keyed by the generation the
-        #: compaction produced: a :class:`CodedState` older than a shrink
-        #: decodes its stale codes through the snapshot and re-interns the
-        #: strings in :meth:`CodedState.sync`.  Snapshots are tiny (the
-        #: alphabet is a handful of short strings) and compactions rare.
-        self._compaction_alphabets: Dict[int, List[str]] = {}
 
         #: Per-node verdict memos, keyed by ``(packed key << 5) | levels``
         #: (int keys hash faster than tuples on the hot path).  Bounded as a
@@ -444,8 +440,8 @@ class CompiledInstance:
         The generation is bumped, so live :class:`CodedState` objects
         resynchronize, transposition entries (which embed the generation)
         die, and bitset kernels rebuild.  Codes and the packing width are
-        untouched -- the alphabet only ever changes through :meth:`intern`
-        and :meth:`compact_alphabet` -- so the shared pair table, whose keys
+        untouched -- the alphabet only grows, through :meth:`intern`, so a
+        code never changes meaning -- and the shared pair table, whose keys
         carry both endpoints' labels and codes, survives any mutation.
         Returns the invalidated indices.
         """
@@ -467,41 +463,6 @@ class CompiledInstance:
         self._bitset_kernel = None
         self._candidate_cache.clear()
         return tuple(sorted(dirty_set))
-
-    def compact_alphabet(self, keep: Iterable[str]) -> int:
-        """Shrink the interned alphabet to ``{""} | keep``, re-packing tightly.
-
-        The inverse of runtime growth: mutations strand interned
-        certificates (an identifier-derived candidate that no longer occurs
-        after churn), and neither the alphabet nor the packing width ever
-        shrinks on its own.  Dropping codes renumbers the survivors, so
-        every code- or packed-key-addressed structure is invalidated and the
-        generation bumped; the pre-compaction alphabet is snapshotted so
-        live :class:`CodedState` objects re-intern the certificate *strings*
-        they still carry on their next :meth:`CodedState.sync` -- a stale
-        code or packed key can never survive a shrink.  Returns the number
-        of dropped certificates.
-        """
-        keep_set = set(keep)
-        survivors = [""] + [
-            certificate for certificate in self.alphabet[1:] if certificate in keep_set
-        ]
-        dropped = len(self.alphabet) - len(survivors)
-        if dropped == 0:
-            return 0
-        snapshot = self.alphabet
-        self.alphabet = survivors
-        self.code_of = {certificate: code for code, certificate in enumerate(survivors)}
-        self.shift = max(4, (len(survivors) - 1).bit_length() + 1)
-        self.generation += 1
-        self._compaction_alphabets[self.generation] = snapshot
-        self._dep_shifts = []
-        self._pair_table.clear()
-        self._own_tables = [{} for _ in range(self.n)]
-        self._bitset_kernel = None
-        self._candidate_cache.clear()
-        self.clear_memo()
-        return dropped
 
     # ------------------------------------------------------------------
     # Bitset kernel and canonical ball memoization
@@ -949,32 +910,14 @@ class CodedState:
         return self.full
 
     def sync(self) -> None:
-        """Resynchronize after an instance rebase, rewire or compaction.
+        """Resynchronize after an instance rebase or rewire.
 
-        Growth rebases and rewires keep codes valid, so only the packed
-        keys are recomputed.  A *compaction* renumbers (and may drop)
-        codes: the state first decodes its codes through the pre-compaction
-        alphabet snapshot and re-interns the strings -- the semantics
-        (which certificate each node carries) survive the shrink while the
-        stale integers do not.
+        An instance's codes never change meaning, so only the packed keys
+        are recomputed.
         """
         instance = self.instance
         if self.generation == instance.generation:
             return
-        snapshots = instance._compaction_alphabets
-        if snapshots:
-            newer = [g for g in snapshots if g > self.generation]
-            if newer:
-                # Growth between this state's generation and the first
-                # compaction kept codes stable, so the earliest snapshot
-                # still decodes them; re-interning yields codes valid for
-                # the *current* alphabet even across several compactions.
-                snapshot = snapshots[min(newer)]
-                intern = instance.intern
-                for codes in self.codes:
-                    for v, code in enumerate(codes):
-                        if code:
-                            codes[v] = intern(snapshot[code])
         self.generation = instance.generation
         self.deps = None
         shift = instance.shift

@@ -78,10 +78,10 @@ from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.hierarchy.certificate_spaces import CertificateSpace, materialize_space
 from repro.hierarchy.game import Quantifier
 
-#: Compact the interned alphabet only when it exceeds this multiple of the
-#: live candidate alphabet (compaction clears every memo, so it must stay
-#: rare under ordinary churn; identifier-heavy candidate spaces are the
-#: workload that actually strands codes).
+#: Recompile a session's instance only when its interned alphabet exceeds
+#: this multiple of the live candidate alphabet (its memos restart cold, so
+#: this must stay rare under ordinary churn; identifier-heavy candidate
+#: spaces are the workload that actually strands codes).
 _COMPACT_FACTOR = 4
 _COMPACT_SLACK = 8
 
@@ -538,21 +538,26 @@ class MutableInstance:
         return self._engine
 
     def _maybe_compact(self) -> None:
-        """Compact the alphabet when churn stranded most of its codes.
+        """Recompile the instance when churn stranded most of its codes.
 
-        Compaction clears every memo (codes are renumbered), so it runs
-        only when the interned alphabet dwarfs the live candidate alphabet;
-        steady-state label flips never trigger it.
+        The fresh instance interns only the live candidates, keeps the
+        canonical cache and takes a generation above the old one's, so a
+        session's generation never falls.  Its memos start cold and
+        :meth:`info`'s memo counters restart, so this runs only when the
+        interned alphabet dwarfs the live candidate alphabet.
         """
-        compiled = self.compiled
-        if len(compiled.alphabet) <= _COMPACT_SLACK:
+        old = self.compiled
+        if len(old.alphabet) <= _COMPACT_SLACK:
             return
         live: Set[str] = set()
         for space in self.spaces:
             live.update(materialize_space(space, self.graph, self._ids).alphabet)
-        if len(compiled.alphabet) > _COMPACT_FACTOR * (len(live) + 1) + _COMPACT_SLACK:
-            if compiled.compact_alphabet(live):
-                self.compactions += 1
+        if len(old.alphabet) > _COMPACT_FACTOR * (len(live) + 1) + _COMPACT_SLACK:
+            fresh = CompiledInstance(self.machine, self.graph, self._ids)
+            fresh.generation = old.generation + 1
+            fresh.attach_canonical(old.canonical)
+            self.compiled = fresh  # last: the daemon reads its generation unlocked
+            self.compactions += 1
 
     def info(self) -> Dict[str, Any]:
         """Mutation/repair counters, for stats endpoints and tests."""

@@ -49,8 +49,8 @@ class LabeledGraph:
     nodes:
         Iterable of hashable node identities.  Must be nonempty.
     edges:
-        Iterable of 2-element node pairs.  Self-loops and duplicate edges are
-        rejected.  The resulting graph must be connected.
+        Iterable of 2-element node pairs (a pair repeated in either order
+        is one edge).  Self-loops are rejected; the graph must be connected.
     labels:
         Mapping from node to bit-string label.  Nodes absent from the mapping
         receive the empty label ``""``.

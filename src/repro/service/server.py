@@ -742,7 +742,8 @@ class VerdictService:
     #: 0.02-0.05 ms in-process on a 12-, 32- or 64-node cycle and 0.2 ms
     #: on K64, and 256 deltas on a 64-node cycle take ~10 ms (~25 ms in
     #: the daemon).  At this size a loop-side mutate spends 0.3-0.4 ms in
-    #: the daemon at p50, most of it outside the repair.
+    #: the daemon at p50, most of it outside the repair; hopping to a worker
+    #: thread made its p50 round trip 1.7-3x (0.14-0.33 ms) longer.
     LOOP_MUTATE_SIZE = 64
 
     async def _mutate(self, request: MutateRequest) -> Dict[str, Any]:

@@ -15,12 +15,15 @@ counterexample.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.compiled import CompiledGameEngine, CompiledInstance
 from repro.engine.canonical import CanonicalVerdictCache
+from repro.engine import dynamic
 from repro.engine.dynamic import (
     DeltaError,
     EdgeDelete,
@@ -41,7 +44,12 @@ from repro.graphs.identifiers import (
     small_identifier_assignment,
 )
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.hierarchy.certificate_spaces import bit_space, color_space
+from repro.hierarchy.certificate_spaces import (
+    CertificateSpace,
+    bit_space,
+    color_space,
+    materialize_space,
+)
 from repro.hierarchy.game import eve_wins, pi_prefix, sigma_prefix
 from repro.machines import builtin
 from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
@@ -61,14 +69,31 @@ def _parity_machine():
     return NeighborhoodGatherAlgorithm(1, compute, name="cert-parity")
 
 
+def _id_derived_space():
+    """Each node may carry its identifier, or its identifier and a 1: an
+    identifier change strands the codes of the node's old candidates."""
+    return CertificateSpace(
+        candidates=lambda graph, ids, node: (ids[node], ids[node] + "1"),
+        name="id-derived",
+    )
+
+
+def _eager_rebuilds():
+    """Lower the recompile trigger: a session then recompiles once its
+    interned alphabet outgrows ``""`` plus its live candidates."""
+    return mock.patch.multiple(dynamic, _COMPACT_FACTOR=1, _COMPACT_SLACK=0)
+
+
 #: (machine factory, spaces factory, prefix) combinations for the
 #: differential sweep: rule kernels, the label-sensitive decider and a
-#: rule-less machine, over both quantifiers.
+#: rule-less machine, over both quantifiers, and the rule-less machine
+#: over identifier-derived candidates, whose churn recompiles the session.
 _GAME_POOL = [
     (builtin.two_colorability_verifier, lambda: [color_space(2)], sigma_prefix(1)),
     (builtin.three_colorability_verifier, lambda: [color_space(3)], sigma_prefix(1)),
     (builtin.all_selected_decider, lambda: [bit_space()], pi_prefix(1)),
     (_parity_machine, lambda: [bit_space()], pi_prefix(1)),
+    (_parity_machine, lambda: [_id_derived_space()], sigma_prefix(1)),
 ]
 
 _GRAPH_POOL = [
@@ -148,8 +173,9 @@ def _assert_structurally_fresh(mutable: MutableInstance) -> None:
 class TestDifferentialRepair:
     """repair == full recompute == exhaustive oracle, on random traces."""
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=50, deadline=None)
     @given(data=st.data())
+    @_eager_rebuilds()
     def test_random_trace_differential(self, data):
         game_index = data.draw(
             st.integers(min_value=0, max_value=len(_GAME_POOL) - 1), label="game"
@@ -622,110 +648,67 @@ class TestCacheFreshness:
 
 
 class TestAlphabetCompaction:
-    """CodedState rebase under *shrinking* alphabets (the PR-6 fix)."""
-
-    def _instance(self):
-        graph = generators.cycle_graph(4)
-        ids = sequential_identifier_assignment(graph)
-        return CompiledInstance(builtin.two_colorability_verifier(), graph, ids)
-
-    def test_compaction_renumbers_and_snapshots(self):
-        instance = self._instance()
-        for value in range(6):
-            instance.intern(format(value, "03b"))
-        keep = {"000", "011"}
-        generation = instance.generation
-        dropped = instance.compact_alphabet(keep)
-        assert dropped == 4
-        assert instance.alphabet == ["", "000", "011"]
-        assert instance.generation == generation + 1
-        assert instance.generation in instance._compaction_alphabets
-        # Codes are dense again and the pair table / memo were cleared.
-        assert instance.code_of == {"": 0, "000": 1, "011": 2}
-        assert instance.memo_entries == 0
-
-    def test_stale_state_reinterns_through_snapshot(self):
-        instance = self._instance()
-        codes = [instance.intern(s) for s in ("000", "001", "010", "011")]
-        state = instance.new_state(1)
-        carried = ["011", "001", "010", "000"]
-        for v, certificate in enumerate(carried):
-            state.set_code(0, v, instance.code_of[certificate])
-        stale_keys = list(state.keys)
-        instance.compact_alphabet({"001", "011"})  # drops 000 and 010
-        state.sync()
-        # The *strings* survive: dropped certificates were re-interned.
-        decoded = [instance.alphabet[code] for code in state.codes[0]]
-        assert decoded == carried
-        # The packed keys equal a from-scratch state carrying the same
-        # certificates -- stale integers cannot have leaked through.
-        fresh = instance.new_state(1)
-        for v, certificate in enumerate(carried):
-            fresh.set_code(0, v, instance.code_of[certificate])
-        assert state.keys == fresh.keys
-        assert state.keys != stale_keys or instance.shift == 4
-
-    @settings(max_examples=30, deadline=None)
-    @given(data=st.data())
-    def test_shrink_rebase_property(self, data):
-        """Hypothesis pin: compaction never corrupts a live CodedState."""
-        instance = self._instance()
-        universe = ["0", "1", "00", "01", "10", "11", "000", "111"]
-        interned = data.draw(
-            st.lists(st.sampled_from(universe), min_size=1, max_size=8, unique=True),
-            label="interned",
-        )
-        for certificate in interned:
-            instance.intern(certificate)
-        carried = data.draw(
-            st.lists(
-                st.sampled_from([""] + interned),
-                min_size=instance.n,
-                max_size=instance.n,
-            ),
-            label="carried",
-        )
-        state = instance.new_state(1)
-        for v, certificate in enumerate(carried):
-            state.set_code(0, v, instance.code_of[certificate])
-        keep = set(
-            data.draw(
-                st.lists(st.sampled_from(interned), max_size=len(interned)),
-                label="keep",
-            )
-        )
-        instance.compact_alphabet(keep)
-        state.sync()
-        decoded = [instance.alphabet[code] for code in state.codes[0]]
-        assert decoded == carried
-        fresh = instance.new_state(1)
-        for v, certificate in enumerate(carried):
-            fresh.set_code(0, v, instance.code_of[certificate])
-        assert state.keys == fresh.keys
-        assert state.generation == instance.generation
+    """Stranded codes are dropped by recompiling the session's instance;
+    within an instance, codes never change meaning."""
 
     def test_mutable_instance_compacts_stranded_codes(self):
-        """Once churn strands most codes, the next repair compacts -- and
-        the verdict is unchanged (compaction is semantics-preserving)."""
+        """Once churn strands most codes, the next verdict recompiles the
+        session's instance -- and the verdict is unchanged."""
         graph = generators.cycle_graph(6)
         ids = sequential_identifier_assignment(graph)
+        space = color_space(2)
         mutable = MutableInstance(
             builtin.two_colorability_verifier(),
             graph,
             ids,
-            [color_space(2)],
+            [space],
             sigma_prefix(1),
+            canonical=CanonicalVerdictCache(),
         )
         before = mutable.verdict()
+        old = mutable.compiled
         # Strand a pile of codes, the way an identifier-dependent candidate
         # space does after heavy id churn (its old alphabets stay interned).
         for value in range(64):
-            mutable.compiled.intern(format(value, "07b"))
+            old.intern(format(value, "07b"))
+        old_alphabet = list(old.alphabet)
         node = graph.nodes[0]
         mutable.apply(SetLabel(node=node, label="1"))
-        after = mutable.verdict()  # repair path: compaction happens here
+        generation = old.generation
+        after = mutable.verdict()  # the rebuild happens here
         assert mutable.info()["compactions"] == 1
-        assert len(mutable.compiled.alphabet) <= len(["", "0", "1"])
+        fresh = mutable.compiled
+        assert fresh is not old
+        live = materialize_space(space, mutable.graph, mutable._ids).alphabet
+        assert sorted(fresh.alphabet) == sorted({""} | set(live))
+        assert fresh.generation > generation
+        assert old.canonical is not None
+        assert fresh.canonical is old.canonical
+        assert old.alphabet == old_alphabet
         assert after == recompute_verdict(mutable.as_game_instance())
         mutable.apply(SetLabel(node=node, label=""))
         assert mutable.verdict() == before
+
+    def test_identifier_churn_rebuilds_with_rising_generations(self):
+        """Over a fixed churn trace the session recompiles, and its
+        generation never falls: it rises across each rebuild."""
+        graph = generators.cycle_graph(6)
+        ids = sequential_identifier_assignment(graph)
+        mutable = MutableInstance(
+            _parity_machine(), graph, ids, [_id_derived_space()], sigma_prefix(1)
+        )
+        mutable.verdict()
+        nodes = graph.nodes
+        trace = [SetIdentifier(node=nodes[i], identifier=_ID_POOL[i]) for i in range(4)]
+        trace += [SetIdentifier(node=nodes[i], identifier=ids[nodes[i]]) for i in range(4)]
+        generations = [mutable.compiled.generation]
+        with _eager_rebuilds():
+            for delta in trace:
+                mutable.apply(delta)
+                generation, compactions = mutable.compiled.generation, mutable.compactions
+                assert mutable.verdict() == recompute_verdict(mutable.as_game_instance())
+                if mutable.compactions > compactions:
+                    assert mutable.compiled.generation > generation, delta
+                generations += [generation, mutable.compiled.generation]
+        assert mutable.compactions >= 1
+        assert generations == sorted(generations)

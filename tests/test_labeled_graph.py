@@ -21,6 +21,16 @@ class TestConstruction:
         with pytest.raises(ValueError):
             LabeledGraph(["a", "b"], [("a", "a"), ("a", "b")])
 
+    def test_repeated_edges_merge_into_one(self):
+        once = LabeledGraph(["a", "b"], [("a", "b")])
+        twice = LabeledGraph(["a", "b"], [("a", "b"), ("b", "a")])
+        assert len(twice.edges) == 1
+        assert twice == once
+        assert hash(twice) == hash(once)
+        assert twice.edges == once.edges
+        assert twice.neighbors("a") == once.neighbors("a") == {"b"}
+        assert twice.neighbors("b") == once.neighbors("b") == {"a"}
+
     def test_rejects_disconnected_graphs(self):
         with pytest.raises(ValueError):
             LabeledGraph(["a", "b", "c"], [("a", "b")])
