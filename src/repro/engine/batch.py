@@ -24,7 +24,7 @@ from repro.machines.interface import NodeMachine
 class IdentityKey:
     """A hashable identity key that keeps its referents alive.
 
-    Earlier versions keyed the engine registry by ``id(machine)`` and
+    Earlier versions keyed engine sharing by ``id(machine)`` and
     ``id(space)``.  Raw ``id`` values may alias: once an object is garbage
     collected its address can be handed to a brand-new object, so a caller
     that builds instances lazily (letting machines or spaces die between
@@ -80,18 +80,22 @@ class GameInstance:
     name: str = ""
 
 
-def engine_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, LabeledGraph, Tuple[str, ...]]:
+def engine_sharing_key(
+    instance: GameInstance,
+) -> Tuple[IdentityKey, LabeledGraph, Tuple[Tuple[Node, str], ...]]:
     """The key under which instances share a single game engine.
 
     Instances with equal keys agree on ``(machine, graph, ids, spaces)`` and
     may share one engine (and hence its transposition cache).  The machine
     and the spaces are compared by identity through :class:`IdentityKey`,
     which pins them in memory so the key cannot alias after garbage
-    collection.
+    collection.  The identifiers are listed with their nodes, in node
+    order: graphs compare equal whatever their node order, but an engine
+    is positional in ``graph.nodes``, so the same identifier tuple in
+    another node order is another input.
     """
-    ids_key = tuple(instance.ids[u] for u in instance.graph.nodes)
     return (
         IdentityKey(instance.machine, *instance.spaces),
         instance.graph,
-        ids_key,
+        tuple((u, instance.ids[u]) for u in instance.graph.nodes),
     )

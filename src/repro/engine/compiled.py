@@ -58,7 +58,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 from repro.graphs.identifiers import identifier_key
 from repro.graphs.labeled_graph import LabeledGraph, Node
-from repro.registry import SharedRegistry
 from repro.hierarchy.certificate_spaces import CertificateSpace, materialize_space
 from repro.hierarchy.game import Quantifier, pi_prefix, sigma_prefix
 from repro.machines.interface import NodeMachine, verdict_of
@@ -74,10 +73,6 @@ from repro.engine.canonical import node_ball_signature, verdict_key
 DEFAULT_LEAF_MEMO_CAP = 1 << 20
 #: Default bound on a compiled engine's transposition cache.
 DEFAULT_TRANSPOSITION_CAP = 1 << 18
-
-#: Bound on the per-instance coded-candidate cache (each entry pins one
-#: MaterializedSpace, so the cache must not grow with the number of games).
-_CANDIDATE_CACHE_LIMIT = 128
 
 
 class CompiledInstance:
@@ -166,9 +161,6 @@ class CompiledInstance:
         #: Shared evaluation order with the last-reject-first heuristic.
         self.order: List[int] = list(range(n))
 
-        #: Coded per-node candidate lists, cached per materialized space
-        #: (id-keyed; the entry pins the space so ids cannot alias).
-        self._candidate_cache: Dict[int, tuple] = {}
         # Lazy kernel helpers.
         self._own_tables: List[Dict[int, bool]] = [{} for _ in range(n)]
         self._pair_table: Dict[Tuple[str, int, str, int], bool] = {}
@@ -331,29 +323,18 @@ class CompiledInstance:
         return code
 
     def candidate_codes(self, materialized) -> List[List[int]]:
-        """Per-node candidate code lists for a materialized space (cached).
+        """Per-node candidate code lists for a materialized space.
 
         The alphabet is interned once; per-node lists are then plain dict
-        lookups.  Results are cached per materialized space, so engines on
-        one instance that share a space also share the coded candidates.
+        lookups.
         """
-        cached = self._candidate_cache.get(id(materialized))
-        if cached is not None and cached[0] is materialized:
-            return cached[1]
         for certificate in materialized.alphabet:
             self.intern(certificate)
         code_of = self.code_of
-        coded = [
+        return [
             [code_of[certificate] for certificate in candidates]
             for candidates in materialized.per_node
         ]
-        # The key is the id; the tuple pins the object so the id cannot be
-        # recycled while the entry lives.  Bounded like every other cache:
-        # beyond the cap the oldest entry (and its pin) is dropped.
-        while len(self._candidate_cache) >= _CANDIDATE_CACHE_LIMIT:
-            del self._candidate_cache[next(iter(self._candidate_cache))]
-        self._candidate_cache[id(materialized)] = (materialized, coded)
-        return coded
 
     def _rebase(self) -> None:
         """Double the per-slot packing width after alphabet growth.
@@ -461,7 +442,6 @@ class CompiledInstance:
             self._ball_subgraphs[u] = None
         self._star_statics = None
         self._bitset_kernel = None
-        self._candidate_cache.clear()
         return tuple(sorted(dirty_set))
 
     # ------------------------------------------------------------------
@@ -1027,20 +1007,6 @@ class CompiledGameEngine:
         self._lower_neighbors: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def for_game(
-        cls,
-        machine: NodeMachine,
-        graph: LabeledGraph,
-        ids: Mapping[Node, str],
-        spaces: Sequence[CertificateSpace],
-    ) -> "CompiledGameEngine":
-        """An engine backed by the process-wide shared compiled instance."""
-        return cls(machine, graph, ids, spaces, instance=compile_instance(machine, graph, ids))
-
-    # ------------------------------------------------------------------
     # Game values (the exhaustive solver's API)
     # ------------------------------------------------------------------
     def eve_wins(
@@ -1430,23 +1396,14 @@ class CompiledGameEngine:
         )
 
 
-# ----------------------------------------------------------------------
-# Instance sharing
-# ----------------------------------------------------------------------
-#: (machine, (graph, (node, identifier) pairs)) -> CompiledInstance, bounded
-#: as a whole (FIFO eviction), so long sweeps over many machines and graphs
-#: do not grow memory without limit.
-_INSTANCES = SharedRegistry(limit=64)
-
-
 def compile_instance(
     machine: NodeMachine, graph: LabeledGraph, ids: Mapping[Node, str]
 ) -> CompiledInstance:
-    """A :class:`CompiledInstance` shared process-wide per ``(machine, graph, ids)``.
+    """A fresh :class:`CompiledInstance` of ``(machine, graph, ids)``.
 
-    Unhashable machines get a fresh instance each time.  The key lists the
-    nodes with their identifiers: graphs compare equal whatever their node
-    order, but an instance is positional in ``graph.nodes``.
+    Nothing is shared behind the caller's back: a caller that wants several
+    games to share one per-node verdict memo holds the instance and passes
+    it to each engine (``CompiledGameEngine(..., instance=...)``), as
+    :func:`repro.sweep.executor.evaluate_timed` does per sharing group.
     """
-    key = (graph, tuple((u, ids[u]) for u in graph.nodes))
-    return _INSTANCES.get_or_build(machine, key, lambda: CompiledInstance(machine, graph, ids))
+    return CompiledInstance(machine, graph, ids)

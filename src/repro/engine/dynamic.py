@@ -10,9 +10,8 @@ name a node's computation by nothing but its local neighborhood, and the
 generation counter already makes every cache rebase-safe.
 
 :class:`MutableInstance` is the mutable layer on top.  It owns a private
-compiled instance (never the shared :func:`~repro.engine.compiled.compile_instance`
-registry -- mutation in place must not leak into other games) and applies
-four delta kinds:
+compiled instance (mutation in place must not leak into other games, so
+only the session's own engines run on it) and applies four delta kinds:
 
 * :class:`EdgeInsert` / :class:`EdgeDelete` -- toggle one edge (deletions
   that would disconnect the graph are rejected; labeled graphs are
@@ -276,8 +275,7 @@ class MutableInstance:
         self._nodes: Tuple[Node, ...] = graph.nodes
         self._index: Dict[Node, int] = {u: i for i, u in enumerate(self._nodes)}
         self._ids: Dict[Node, str] = dict(ids)
-        # A private compiled instance -- never the shared compile_instance
-        # registry, which hands the same object to unrelated engines.
+        # A private compiled instance: rewire mutates it in place.
         self.compiled = CompiledInstance(machine, graph, ids)
         if canonical is not None:
             self.compiled.attach_canonical(canonical)

@@ -105,15 +105,14 @@ class ArbiterSpec:
     ) -> "CompiledGameEngine":
         """A :class:`~repro.engine.compiled.CompiledGameEngine` for this spec on *graph*.
 
-        The engine's compiled instance (and its per-node verdict memo) is
-        shared process-wide across games on the same ``(machine, graph,
-        ids)`` instance.
+        The engine compiles its own instance, so its per-node verdict memo
+        starts cold and serves every query made on this engine.
         """
         from repro.engine import CompiledGameEngine
 
         if ids is None:
             ids = small_identifier_assignment(graph, self.identifier_radius)
-        return CompiledGameEngine.for_game(self.machine, graph, ids, list(self.spaces))
+        return CompiledGameEngine(self.machine, graph, ids, list(self.spaces))
 
     def certificates_bounded(self, graph: LabeledGraph, ids: Mapping[Node, str]) -> bool:
         """Whether every candidate certificate respects the ``(r, p)`` bound."""

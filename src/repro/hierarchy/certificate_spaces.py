@@ -18,7 +18,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence, 
 from repro.graphs.certificates import Polynomial, is_rp_bounded, neighborhood_information
 from repro.graphs.identifiers import IdentifierAssignment
 from repro.graphs.labeled_graph import LabeledGraph, Node
-from repro.registry import SharedRegistry
 
 CandidateFunction = Callable[[LabeledGraph, Mapping[Node, str], Node], Sequence[str]]
 
@@ -88,9 +87,9 @@ class MaterializedSpace:
     graph node order, preserving each node's enumeration order) plus the
     sorted alphabet of distinct candidate strings.  The compiled engine
     core interns exactly these strings into its integer alphabet, and the
-    sweep store's fingerprints hash exactly these lists -- both consumers
-    share one materialization instead of re-invoking the candidate function
-    per node per use.
+    sweep store's fingerprints hash exactly these lists.  Each consumer
+    materializes for itself: a materialization is cheap next to the game
+    it feeds (a few microseconds on a dozen nodes).
     """
 
     space_name: str
@@ -105,32 +104,17 @@ class MaterializedSpace:
         return count
 
 
-#: (space, (graph, (node, identifier) pairs)) -> MaterializedSpace, bounded
-#: as a whole (FIFO eviction).
-_MATERIALIZED = SharedRegistry(limit=128)
-
-
 def materialize_space(
     space: CertificateSpace, graph: LabeledGraph, ids: Mapping[Node, str]
 ) -> MaterializedSpace:
-    """The (cached) :class:`MaterializedSpace` of *space* on ``(graph, ids)``.
+    """The :class:`MaterializedSpace` of *space* on ``(graph, ids)``, built afresh.
 
-    Candidate functions are deterministic by contract, so the result is
-    cached per ``(space, graph, ids)``; unhashable spaces are materialized
-    afresh each call.
+    ``per_node`` is positional in ``graph.nodes``, so equal graphs listed
+    in different node orders materialize differently.
     """
-
-    def build() -> MaterializedSpace:
-        per_node = tuple(
-            tuple(space.node_candidates(graph, ids, u)) for u in graph.nodes
-        )
-        alphabet = tuple(sorted({c for candidates in per_node for c in candidates}))
-        return MaterializedSpace(space_name=space.name, per_node=per_node, alphabet=alphabet)
-
-    # Node order is part of the key: equal graphs may list their nodes in
-    # different orders, and ``per_node`` is positional in ``graph.nodes``.
-    key = (graph, tuple((u, ids[u]) for u in graph.nodes))
-    return _MATERIALIZED.get_or_build(space, key, build)
+    per_node = tuple(tuple(space.node_candidates(graph, ids, u)) for u in graph.nodes)
+    alphabet = tuple(sorted({c for candidates in per_node for c in candidates}))
+    return MaterializedSpace(space_name=space.name, per_node=per_node, alphabet=alphabet)
 
 
 def enumerated_space(strings: Sequence[str], name: str = "") -> CertificateSpace:

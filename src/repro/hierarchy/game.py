@@ -119,7 +119,7 @@ def sigma_membership(
     """
     from repro.engine import CompiledGameEngine
 
-    return CompiledGameEngine.for_game(arbiter, graph, ids, spaces).sigma_value()
+    return CompiledGameEngine(arbiter, graph, ids, spaces).sigma_value()
 
 
 def pi_membership(
@@ -135,7 +135,7 @@ def pi_membership(
     """
     from repro.engine import CompiledGameEngine
 
-    return CompiledGameEngine.for_game(arbiter, graph, ids, spaces).pi_value()
+    return CompiledGameEngine(arbiter, graph, ids, spaces).pi_value()
 
 
 def winning_first_move(
@@ -158,4 +158,4 @@ def winning_first_move(
     """
     from repro.engine import CompiledGameEngine
 
-    return CompiledGameEngine.for_game(arbiter, graph, ids, spaces).winning_first_move(prefix)
+    return CompiledGameEngine(arbiter, graph, ids, spaces).winning_first_move(prefix)

@@ -67,10 +67,9 @@ class ProofLabelingScheme:
                ids: Optional[Mapping[Node, str]] = None) -> bool:
         """Run only the verifier on the given certificates.
 
-        Routed through the engine's shared
-        :class:`~repro.engine.compiled.CompiledInstance`, so sweeps that try
-        many certificate assignments on one graph (e.g. the soundness tests)
-        reuse each node's cached verdicts instead of re-simulating.
+        Each call compiles a fresh
+        :class:`~repro.engine.compiled.CompiledInstance` and reads every
+        node's verdict off it; no verdict is shared between calls.
         """
         from repro.engine import EvaluatorStats, compile_instance
 

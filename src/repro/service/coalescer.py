@@ -13,16 +13,17 @@ multiplying compute:
   lands -- answered or failed -- everything queued leaves together as the
   next batch.  No timer guesses how long to wait: a batch grows exactly
   as long as the previous one kept the compute thread busy, and the
-  daemon's ``max_pending`` admission bound caps it.  Within a batch,
-  :func:`~repro.sweep.executor.evaluate_timed` and the compute tier's
-  persistent caches share one
-  :class:`~repro.engine.compiled.CompiledInstance` (and its verdict memo)
-  per ``(machine, graph, ids)`` instance.
+  daemon's ``max_pending`` admission bound caps it.  The instances of
+  one ``(machine, graph, ids)`` share one
+  :class:`~repro.engine.compiled.CompiledInstance` (and its verdict
+  memo); that sharing is owned by
+  :func:`~repro.sweep.executor.evaluate_timed`'s group caches, which the
+  compute tier keeps across batches.
 
-Batches run on one worker thread (machines close over plain functions
-and are not picklable, so the process-pool path the sweep uses for named
-scenarios is not available for arbitrary online queries); the event loop
-stays free to admit, answer and reject traffic while a batch computes.
+Batches run on one worker thread: evaluation is pure Python under the
+compute tier's one lock, so more threads would not decide a batch any
+sooner.  The event loop stays free to admit, answer and reject traffic
+while a batch computes.
 """
 
 from __future__ import annotations

@@ -109,18 +109,19 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
-def evaluator_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, object, Tuple[str, ...]]:
+def evaluator_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, object, Tuple[tuple, ...]]:
     """The key under which instances share one compiled instance.
 
     Coarser than :func:`~repro.engine.batch.engine_sharing_key`: the
     certificate spaces are *not* part of it, because the per-node verdict
     cache depends only on ``(machine, graph, ids)`` -- Sigma and Pi games,
     and sweeps of many certificate spaces over one instance, all reuse it.
+    Like that key, it lists each identifier with its node, in node order.
     """
     return (
         IdentityKey(instance.machine),
         instance.graph,
-        tuple(instance.ids[u] for u in instance.graph.nodes),
+        tuple((u, instance.ids[u]) for u in instance.graph.nodes),
     )
 
 
@@ -136,8 +137,8 @@ def evaluate_timed(
     sharing group (same ``(machine, graph, ids)``), so every engine
     of the group -- across certificate spaces and prefixes -- runs on the
     same interned certificate alphabet and shares the per-node verdict
-    memo.  The per-call caches keep the group's compiled form pinned for
-    the batch's lifetime regardless of global-registry eviction.
+    memo.  The group caches below are the only place a compiled instance
+    is shared between engines.
 
     *compiled_cache* and *engine_cache* accept any ``get(key, default)`` /
     ``put(key, value)`` mapping (e.g. :class:`repro.engine.caching.LRUCache`);

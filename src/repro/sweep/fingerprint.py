@@ -19,11 +19,9 @@ folded into a SHA-256 digest instead:
 * each **certificate space** contributes its *materialized* per-node
   candidate lists on the instance's ``(graph, ids)`` -- the semantics of the
   space on this instance, independent of how the space object is
-  implemented.  The materialization is the same cached
-  :class:`~repro.hierarchy.certificate_spaces.MaterializedSpace` the
-  compiled engine core interns into its integer alphabet, so fingerprinting
-  a swept instance reuses the coded form instead of re-running the
-  candidate functions.
+  implemented.  It is the same
+  :class:`~repro.hierarchy.certificate_spaces.MaterializedSpace` form the
+  compiled engine core interns into its integer alphabet.
 * the **prefix** contributes its quantifier string (e.g. ``"EA"``).
 
 Bytecode is version-specific, so stores are effectively partitioned by

@@ -5,13 +5,13 @@ to the exhaustive reference solver ``repro.hierarchy.game.eve_wins`` on
 every machine kind (table-driven pairwise rules, star rules, the generic
 direct path, the knowledge fixpoint, ball simulation), every identifier
 scheme (globally unique, locally unique, colliding), every quantifier
-prefix and every certificate space -- both on a fresh instance and on the
-process-wide shared one that ``CompiledGameEngine.for_game`` reuses across
-games.  These tests assert that three-way equivalence on randomized
+prefix and every certificate space -- both on a fresh instance and on one
+instance held across several games, as ``evaluate_timed``'s sharing groups
+hold it.  These tests assert that three-way equivalence on randomized
 instances, the fixpoint's node verdicts against the simulator's, plus the
 compiled-specific machinery: incremental packed restriction keys, alphabet
-rebase, memo bounds and counters, kernel selection and the bounded
-instance registry.
+rebase, memo bounds and counters, kernel selection, positional sharing
+keys, and that compiling pins nothing process-wide.
 """
 
 import gc
@@ -179,15 +179,23 @@ class TestThreeWayEquivalence:
     @pytest.mark.parametrize("level", [0, 1])
     def test_randomized_equivalence(self, level):
         rng = random.Random(40 + level)
+        # Pools drawn once, so a (machine, graph, ids) triple can recur
+        # across trials with other spaces: its one held instance then
+        # serves every game played on it.
+        graphs, machines, space_pool = _graph_pool(), _machine_pool(), _space_pool()
+        held = {}
         for trial in range(10):
-            graph = rng.choice(_graph_pool())
-            machine = rng.choice(_machine_pool())
-            spaces = [rng.choice(_space_pool()) for _ in range(level)]
+            graph = rng.choice(graphs)
+            machine = rng.choice(machines)
+            spaces = [rng.choice(space_pool) for _ in range(level)]
             for ids in _id_schemes(graph, rng):
+                triple = (machine, graph, tuple((u, ids[u]) for u in graph.nodes))
+                if triple not in held:
+                    held[triple] = CompiledInstance(machine, graph, ids)
                 for prefix in (sigma_prefix(level), pi_prefix(level)):
                     expected = eve_wins(machine, graph, ids, spaces, prefix)
-                    shared = CompiledGameEngine.for_game(
-                        machine, graph, ids, spaces
+                    shared = CompiledGameEngine(
+                        machine, graph, ids, spaces, instance=held[triple]
                     ).eve_wins(prefix)
                     compiled = CompiledGameEngine(
                         machine, graph, ids, spaces,
@@ -256,10 +264,11 @@ class TestThreeWayEquivalence:
         machine = builtin.three_colorability_verifier()
         for graph in (generators.cycle_graph(3), generators.complete_graph(4)):
             ids = sequential_identifier_assignment(graph)
+            held = CompiledInstance(machine, graph, ids)
             for prefix in (sigma_prefix(1), pi_prefix(1)):
                 expected = winning_first_move(machine, graph, ids, [color_space(3)], prefix)
-                shared = CompiledGameEngine.for_game(
-                    machine, graph, ids, [color_space(3)]
+                shared = CompiledGameEngine(
+                    machine, graph, ids, [color_space(3)], instance=held
                 ).winning_first_move(prefix)
                 compiled = CompiledGameEngine(
                     machine, graph, ids, [color_space(3)],
@@ -693,29 +702,22 @@ class TestBoundsAndCounters:
 
 
 class TestSharingAndIntegration:
-    def test_for_game_returns_compiled_engine(self):
-        machine = builtin.three_colorability_verifier()
-        graph = generators.cycle_graph(3)
-        ids = sequential_identifier_assignment(graph)
-        engine = CompiledGameEngine.for_game(machine, graph, ids, [color_space(3)])
-        assert engine.compiled is compile_instance(machine, graph, ids)
+    def test_spec_game_engine_returns_compiled_engine(self):
         from repro.hierarchy.arbiters import three_colorability_spec
 
-        spec_engine = three_colorability_spec().game_engine(graph)
+        spec = three_colorability_spec()
+        graph = generators.cycle_graph(3)
+        spec_engine = spec.game_engine(graph)
         assert isinstance(spec_engine, CompiledGameEngine)
+        assert spec_engine.sigma_value() is True
 
-    def test_compile_instance_registry_shares(self):
-        machine = builtin.eulerian_decider()
-        graph = generators.cycle_graph(4)
-        ids = sequential_identifier_assignment(graph)
-        assert compile_instance(machine, graph, ids) is compile_instance(machine, graph, ids)
-
-    def test_registries_keep_equal_graphs_with_other_node_orders_apart(self):
+    def test_equal_graphs_with_other_node_orders_stay_apart(self):
         # Graphs compare equal whatever their node order, but compiled
         # instances and materialized spaces are positional in graph.nodes:
         # the same identifier tuple in another node order is another input.
         from repro.graphs.labeled_graph import LabeledGraph
         from repro.hierarchy.certificate_spaces import CertificateSpace
+        from repro.sweep.executor import run_instances
 
         machine = builtin.two_colorability_verifier()
         forward = LabeledGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -731,59 +733,54 @@ class TestSharingAndIntegration:
         assert materialize_space(named, backward, backward_ids).per_node == (
             ("c",), ("b",), ("a",),
         )
+        # One batch holding both orders: their identifier tuples coincide
+        # (10, 0, 1), so a sharing key without the nodes gives both one
+        # engine.  Only node a is labelled 1, and the arbiter accepts iff
+        # the node with identifier 10 is.
+        id_ten_is_labelled_one = NeighborhoodGatherAlgorithm(
+            0,
+            lambda view: view.center_label() if view.center == "10" else "1",
+            name="id-10-labelled-1",
+        )
+        games = [
+            GameInstance(
+                id_ten_is_labelled_one,
+                LabeledGraph(
+                    order, [("a", "b"), ("b", "c")], labels={"a": "1", "b": "0", "c": "0"}
+                ),
+                dict(zip(order, ("10", "0", "1"))),
+                [],
+                (),
+            )
+            for order in (["a", "b", "c"], ["c", "b", "a"])
+        ]
+        expected = [
+            eve_wins(game.machine, game.graph, game.ids, game.spaces, game.prefix)
+            for game in games
+        ]
+        assert expected == [True, False]
+        for batch, oracle in ((games, expected), (games[::-1], expected[::-1])):
+            assert evaluate_timed(batch)[0] == oracle
+            assert run_instances(batch).verdicts == oracle
 
-    def test_compile_instance_registry_releases_dropped_machines(self):
-        # Each compiled instance references its machine, so only the
-        # registry's bound can release one: compiling past the limit pushes
-        # the oldest entries out, and their machines die with them.
-        from repro.engine.compiled import _INSTANCES
-
+    def test_compiling_pins_no_machine_or_space(self):
+        # Compiling, materializing and playing a game keep nothing alive
+        # past the caller's own references: no process-wide cache may pin
+        # a machine or a space.
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
-        machines = []
-        for _ in range(_INSTANCES.limit + 10):
+        machines, spaces = [], []
+        for index in range(8):
             machine = _parity_machine()
+            space = enumerated_space(("", "1"), name=f"maybe-one-{index}")
             compile_instance(machine, graph, ids)
+            materialize_space(space, graph, ids)
+            assert CompiledGameEngine(machine, graph, ids, [space]).sigma_value() is True
             machines.append(weakref.ref(machine))
-        del machine
+            spaces.append(weakref.ref(space))
+        del machine, space
         gc.collect()
-        assert sum(ref() is None for ref in machines) >= 10
-
-    def test_shared_registry_evicts_safely_across_threads(self):
-        # Four threads keep missing one limit-2 registry, with an owner
-        # whose hash yields the GIL so their lookups, evictions and inserts
-        # interleave.  Two unlocked evictions could pick the same oldest
-        # entry, and the second ``del`` raised KeyError.
-        import threading
-        import time
-
-        from repro.registry import SharedRegistry
-
-        class YieldingOwner:
-            def __hash__(self):
-                time.sleep(0)
-                return object.__hash__(self)
-
-        registry = SharedRegistry(limit=2)
-        errors = []
-
-        def run(worker):
-            owner = YieldingOwner()
-            try:
-                for key in range(300):
-                    built = registry.get_or_build(owner, key, lambda: (worker, key))
-                    assert built == (worker, key)
-            except Exception as error:  # noqa: BLE001 -- reported below
-                errors.append(error)
-
-        threads = [threading.Thread(target=run, args=(worker,)) for worker in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert "entries=2," in repr(registry)
+        assert [ref() for ref in machines + spaces] == [None] * 16
 
     def test_leaf_evaluator_shares_instance_memo_with_engine(self):
         # Dict-facing leaf queries and engines on one instance share the
@@ -818,11 +815,12 @@ class TestSharingAndIntegration:
         assert values == [True, False, True]
 
     def test_materialized_space_is_cached_and_coded(self):
+        # Each call builds afresh; the same input materializes equally.
         space = color_space(3)
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
         first = materialize_space(space, graph, ids)
-        assert materialize_space(space, graph, ids) is first
+        assert materialize_space(space, graph, ids) == first
         assert first.alphabet == ("00", "01", "10")
         assert all(candidates == ("00", "01", "10") for candidates in first.per_node)
 

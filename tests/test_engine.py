@@ -20,7 +20,6 @@ from repro.engine import (
     EvaluatorStats,
     GameInstance,
     LRUCache,
-    compile_instance,
 )
 from repro.graphs import generators
 from repro.graphs.identifiers import (
@@ -412,21 +411,6 @@ class TestBatchAPI:
         assert pi_value is False
         assert sigma_again is True
         assert len(engines) == 1
-
-    def test_shared_evaluator_is_reused(self):
-        """Verifier runs share one compiled instance (and its verdict memo)."""
-        from repro.locality.proof_labeling import all_schemes
-
-        scheme = [s for s in all_schemes() if s.property_name == "eulerian"][0]
-        graph = generators.cycle_graph(4)
-        ids = sequential_identifier_assignment(graph)
-        certificates = scheme.prover(graph, ids)
-        assert scheme.verify(graph, certificates, ids) is True
-        instance = compile_instance(scheme.verifier, graph, ids)
-        assert compile_instance(scheme.verifier, graph, ids) is instance
-        misses = instance.memo_info()["misses"]
-        assert scheme.verify(graph, certificates, ids) is True
-        assert instance.memo_info()["misses"] == misses
 
 
 class TestSpecIntegration:
