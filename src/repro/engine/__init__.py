@@ -48,7 +48,7 @@ Every path is checked against the oracle by randomized tests
 """
 
 from repro.engine.bitset import BitsetKernel
-from repro.engine.caching import EvaluatorStats, LRUCache
+from repro.engine.caching import LRUCache
 from repro.engine.canonical import CanonicalVerdictCache, node_ball_signature
 from repro.engine.compiled import (
     CodedState,
@@ -76,7 +76,6 @@ __all__ = [
     "BitsetKernel",
     "CanonicalVerdictCache",
     "node_ball_signature",
-    "EvaluatorStats",
     "LRUCache",
     "CodedState",
     "CompiledGameEngine",

@@ -23,10 +23,10 @@ packed-key maintenance and no memo traffic at all.  Star rules do not
 decompose over edges; they take the engine's generic memoized search.
 
 Masks are valid for one ``(generation, alphabet length)`` snapshot of the
-compiled instance; the engine refreshes the kernel (cheap compare) before
-each innermost search, so alphabet growth or a packing rebase can never
-serve a stale mask.  ``tests/test_bitset.py`` checks the mask searches
-against the exhaustive oracle.
+compiled instance; the instance rebuilds the kernel when either moves
+(a cheap compare before each innermost search), so alphabet growth or a
+packing rebase can never serve a stale mask.  ``tests/test_bitset.py``
+checks the mask searches against the exhaustive oracle.
 """
 
 from __future__ import annotations
@@ -40,14 +40,17 @@ class BitsetKernel:
     """Packed-int acceptance masks for one compiled instance's pairwise rule.
 
     A kernel is a *snapshot*: it is built against the instance's current
-    certificate alphabet and packing generation, and must be discarded
-    (``fresh()`` is False) once either moves.  The engine obtains kernels
-    through :meth:`repro.engine.compiled.CompiledInstance.bitset_kernel`,
-    which rebuilds on staleness.
+    certificate alphabet and packing generation, and must be discarded once
+    either moves.  The engine obtains kernels through
+    :meth:`repro.engine.compiled.CompiledInstance.bitset_kernel`, which
+    rebuilds on staleness.  The kernel keeps the instance's alphabet list
+    (append-only) but no reference to the instance itself, so an instance
+    and its kernel form no reference cycle and are freed as soon as their
+    last holder drops them.
     """
 
     __slots__ = (
-        "instance",
+        "alphabet",
         "rule",
         "generation",
         "alphabet_len",
@@ -63,10 +66,9 @@ class BitsetKernel:
         rule = instance.rule
         if not isinstance(rule, PairwiseRule):
             raise ValueError("bitset kernels require a compiled pairwise rule")
-        self.instance = instance
         self.rule = rule
         self.generation = instance.generation
-        alphabet = instance.alphabet
+        alphabet = self.alphabet = instance.alphabet
         self.alphabet_len = len(alphabet)
         labels = instance.labels
         degrees = instance.degrees
@@ -84,14 +86,6 @@ class BitsetKernel:
         #: neighbor's code (``None`` = not built yet).
         self._pair_uniform: List[Optional[int]] = [None] * self.alphabet_len
 
-    def fresh(self) -> bool:
-        """Whether the masks still describe the instance's alphabet/packing."""
-        instance = self.instance
-        return (
-            self.generation == instance.generation
-            and self.alphabet_len == len(instance.alphabet)
-        )
-
     def pair_mask(self, label_a: str, label_b: str, code_b: int) -> int:
         """Mutually acceptable codes of an ``a``--``b`` edge (cached).
 
@@ -102,7 +96,7 @@ class BitsetKernel:
         key = (label_a, label_b, code_b)
         mask = self._pair.get(key)
         if mask is None:
-            alphabet = self.instance.alphabet
+            alphabet = self.alphabet
             mask = self.rule.mutual_pair_mask(
                 label_a, label_b, alphabet[code_b], alphabet
             )

@@ -1,11 +1,10 @@
-"""Bounded caches and shared counters for the engine layer.
+"""Bounded caches for the engine layer.
 
 Every cache in the engine used to be an unbounded dict: fine for one game,
 a slow leak across a long sweep touching thousands of instances.  This
 module provides the one primitive they all share now -- a small LRU cache
 built directly on the insertion order of ``dict`` (a hit deletes and
-re-inserts its key, eviction pops the oldest key) -- plus the counter
-dataclass the leaf layer reports through.
+re-inserts its key, eviction pops the oldest key).
 
 The cache exposes hit/miss/eviction counters so tests and benchmarks can
 assert reuse instead of guessing at it.
@@ -13,7 +12,6 @@ assert reuse instead of guessing at it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
 
 #: Sentinel distinguishing "cached False" from "not cached".
@@ -112,34 +110,3 @@ class LRUCache:
             f"LRUCache(size={len(self.data)}, maxsize={self.maxsize}, "
             f"hits={self.hits}, misses={self.misses}, evictions={self.evictions})"
         )
-
-
-@dataclass
-class EvaluatorStats:
-    """Counters exposed for tests and benchmarks.
-
-    Attributes
-    ----------
-    leaves:
-        Number of leaf (full-assignment) evaluations requested.
-    node_hits, node_misses:
-        Per-node verdict cache hits and misses.
-    simulator_runs:
-        Number of times the round-by-round simulator actually ran (zero on
-        the direct and table-driven paths).
-    bitset_prunes:
-        Search positions killed outright by an empty viability mask in the
-        pairwise bitset search (whole code-blocks discarded before
-        descending).
-    """
-
-    leaves: int = 0
-    node_hits: int = 0
-    node_misses: int = 0
-    simulator_runs: int = 0
-    bitset_prunes: int = 0
-
-    def hit_rate(self) -> float:
-        """Fraction of node-verdict requests answered from cache."""
-        total = self.node_hits + self.node_misses
-        return self.node_hits / total if total else 0.0

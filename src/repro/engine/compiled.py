@@ -66,7 +66,7 @@ from repro.machines.rules import PairwiseRule, rule_of
 from repro.machines.simulator import execute
 
 from repro.engine.bitset import BitsetKernel, mask_of_codes
-from repro.engine.caching import EvaluatorStats, LRUCache, MISSING
+from repro.engine.caching import LRUCache, MISSING
 from repro.engine.canonical import node_ball_signature, verdict_key
 
 #: Default bound on the shared per-node verdict memo of a compiled instance.
@@ -158,6 +158,8 @@ class CompiledInstance:
         self.memo_evictions = 0
         #: Entries dropped by :meth:`rewire` (mutation repair, not pressure).
         self.memo_invalidations = 0
+        #: Simulator runs that filled memo misses (the ``simulate`` path only).
+        self.simulator_runs = 0
         #: Shared evaluation order with the last-reject-first heuristic.
         self.order: List[int] = list(range(n))
 
@@ -460,7 +462,11 @@ class CompiledInstance:
         if not self._rule_is_pairwise:
             return None
         kernel = self._bitset_kernel
-        if kernel is None or not kernel.fresh():
+        if (
+            kernel is None
+            or kernel.generation != self.generation
+            or kernel.alphabet_len != len(self.alphabet)
+        ):
             kernel = BitsetKernel(self)
             self._bitset_kernel = kernel
         return kernel
@@ -493,7 +499,7 @@ class CompiledInstance:
     # ------------------------------------------------------------------
     # Leaf evaluation on coded state (the engine's hot path)
     # ------------------------------------------------------------------
-    def node_verdict_state(self, u: int, state: "CodedState", stats: EvaluatorStats) -> bool:
+    def node_verdict_state(self, u: int, state: "CodedState") -> bool:
         """The memoized verdict of node index *u* under *state*.
 
         The memo key packs the levels count into the low bits of the packed
@@ -505,10 +511,8 @@ class CompiledInstance:
         memo_key = (state.keys[u] << 5) | levels
         verdict = self.memo_nodes[u].get(memo_key, MISSING)
         if verdict is not MISSING:
-            stats.node_hits += 1
             self.memo_hits += 1
             return verdict
-        stats.node_misses += 1
         self.memo_misses += 1
         rule = self._usable_rule(levels)
         if rule is not None:
@@ -530,7 +534,7 @@ class CompiledInstance:
                 if self._gather:
                     verdict = verdict_of(self.machine.compute(self._local_view(u, state)))
                 else:
-                    verdict = self._simulate(u, state, stats)
+                    verdict = self._simulate(u, state)
                 if canonical is not None:
                     canonical.put(canonical_key, verdict)
         cap = self.memo_cap
@@ -545,9 +549,8 @@ class CompiledInstance:
             self._memo_put(u, memo_key, verdict)
         return verdict
 
-    def accepts_state(self, state: "CodedState", stats: EvaluatorStats) -> bool:
+    def accepts_state(self, state: "CodedState") -> bool:
         """Unanimity over all nodes, short-circuiting with last-reject-first."""
-        stats.leaves += 1
         order = self.order
         memo_nodes = self.memo_nodes
         keys = state.keys
@@ -555,9 +558,8 @@ class CompiledInstance:
         for position, u in enumerate(order):
             verdict = memo_nodes[u].get((keys[u] << 5) | levels, MISSING)
             if verdict is MISSING:
-                verdict = self.node_verdict_state(u, state, stats)
+                verdict = self.node_verdict_state(u, state)
             else:
-                stats.node_hits += 1
                 self.memo_hits += 1
             if not verdict:
                 if position:
@@ -565,9 +567,7 @@ class CompiledInstance:
                 return False
         return True
 
-    def accepts_dicts(
-        self, assignments: Sequence[Mapping[Node, str]], stats: EvaluatorStats
-    ) -> bool:
+    def accepts_dicts(self, assignments: Sequence[Mapping[Node, str]]) -> bool:
         """Unanimity under per-level certificate dicts (one-off verifier runs).
 
         A thin loader: the certificates are interned into a fresh
@@ -576,7 +576,7 @@ class CompiledInstance:
         state = self.new_state(len(assignments))
         for level, assignment in enumerate(assignments):
             state.load_level(level, assignment)
-        return self.accepts_state(state, stats)
+        return self.accepts_state(state)
 
     # ------------------------------------------------------------------
     # Kernels
@@ -779,7 +779,7 @@ class CompiledInstance:
             tuple(sorted((identifier, source[identifier]) for identifier in in_range)),
         )
 
-    def _simulate(self, u: int, state: "CodedState", stats: EvaluatorStats) -> bool:
+    def _simulate(self, u: int, state: "CodedState") -> bool:
         """Node *u*'s verdict from a simulator run on its induced ball subgraph.
 
         Nothing beyond the ball can reach *u* within the machine's round
@@ -787,7 +787,7 @@ class CompiledInstance:
         is the whole graph, the one run decides every node: all verdicts
         are harvested into the memo (and the canonical cache).
         """
-        stats.simulator_runs += 1
+        self.simulator_runs += 1
         ball = self.balls[u]
         nodes = self.nodes
         whole = len(ball) == self.n
@@ -980,7 +980,9 @@ class CompiledGameEngine:
         compiled = instance if instance is not None else compile_instance(machine, graph, ids)
         self.compiled = compiled
         self.nodes: List[Node] = list(graph.nodes)
-        self.stats = EvaluatorStats()
+        #: Search positions the pairwise bitset search killed outright with
+        #: an empty viability mask (whole code-blocks discarded at once).
+        self.bitset_prunes = 0
         #: Per level, per node index: candidate certificate codes, in the
         #: reference solver's enumeration order.
         self._candidate_codes: List[List[List[int]]] = [
@@ -1085,7 +1087,7 @@ class CompiledGameEngine:
 
     def _value(self, prefix: Tuple[Quantifier, ...], depth: int) -> bool:
         if depth == len(prefix):
-            return self.compiled.accepts_state(self._state, self.stats)
+            return self.compiled.accepts_state(self._state)
 
         state = self._state
         frozen = tuple(state.ensure_full()[:depth]) if depth else ()
@@ -1160,7 +1162,7 @@ class CompiledGameEngine:
             return self._innermost(quantifier, depth)
         if self._vacuity_tables()[0][depth]:
             return quantifier is Quantifier.FORALL
-        return self.compiled.accepts_state(self._state, self.stats)
+        return self.compiled.accepts_state(self._state)
 
     # ------------------------------------------------------------------
     # Innermost level: pruned search on coded state
@@ -1212,7 +1214,6 @@ class CompiledGameEngine:
         own_masks = kernel.own_masks
         cand_masks = self._candidate_mask_table()[level]
         lower = self._lower_neighbor_lists()
-        stats = self.stats
         uniform = kernel.uniform
         has_pair = kernel.has_pair
         pair_mask = kernel.pair_mask
@@ -1247,7 +1248,7 @@ class CompiledGameEngine:
                             if not viable:
                                 break
                 if not viable:
-                    stats.bitset_prunes += 1
+                    self.bitset_prunes += 1
                 masks[position] = viable
             else:
                 position -= 1
@@ -1326,7 +1327,6 @@ class CompiledGameEngine:
         if position == compiled.n:
             return True
         state = self._state
-        stats = self.stats
         checkable = self._checkable_at[position]
         memo_nodes = compiled.memo_nodes
         keys = state.keys
@@ -1339,9 +1339,8 @@ class CompiledGameEngine:
                 # Inlined memo fast path (node_verdict_state, minus a call).
                 verdict = memo_nodes[u].get((keys[u] << 5) | levels, MISSING)
                 if verdict is MISSING:
-                    verdict = compiled.node_verdict_state(u, state, stats)
+                    verdict = compiled.node_verdict_state(u, state)
                 else:
-                    stats.node_hits += 1
                     compiled.memo_hits += 1
                 if not verdict:
                     accepted = False
@@ -1362,7 +1361,6 @@ class CompiledGameEngine:
         """
         compiled = self.compiled
         state = self._state
-        stats = self.stats
         candidates = self._candidate_codes[level]
         for u in range(compiled.n):
             ball = compiled.balls[u]
@@ -1371,7 +1369,7 @@ class CompiledGameEngine:
             for slot, v in enumerate(ball):
                 state.set_code(level, v, ball_candidates[slot][0])
             while True:
-                if not compiled.node_verdict_state(u, state, stats):
+                if not compiled.node_verdict_state(u, state):
                     return False
                 slot = len(ball) - 1
                 while slot >= 0 and positions[slot] == len(ball_candidates[slot]) - 1:

@@ -71,12 +71,12 @@ class ProofLabelingScheme:
         :class:`~repro.engine.compiled.CompiledInstance` and reads every
         node's verdict off it; no verdict is shared between calls.
         """
-        from repro.engine import EvaluatorStats, compile_instance
+        from repro.engine import compile_instance
 
         if ids is None:
             ids = sequential_identifier_assignment(graph)
         instance = compile_instance(self.verifier, graph, ids)
-        return instance.accepts_dicts([dict(certificates)], EvaluatorStats())
+        return instance.accepts_dicts([dict(certificates)])
 
     def max_certificate_length(self, graph: LabeledGraph, ids: Optional[Mapping[Node, str]] = None) -> int:
         """The longest certificate the prover assigns on *graph* (0 if it cannot prove)."""

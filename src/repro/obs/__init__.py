@@ -38,8 +38,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    REGISTRY,
-    get_registry,
 )
 from repro.obs.prof import SamplingProfiler
 from repro.obs.trace import (
@@ -62,10 +60,8 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
     "SamplingProfiler",
     "StructuredLogger",
-    "get_registry",
     "RequestTrace",
     "SpanRecord",
     "TraceLog",

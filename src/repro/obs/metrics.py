@@ -3,11 +3,12 @@
 Every layer of the serving stack used to keep its own hand-rolled counter
 dicts (``request_counts`` in the daemon, ``store_hits`` ints in the tiered
 cache, ``memo_hits`` in the compiled core) that only the ``stats`` request
-could see.  This module is the shared replacement: a process-wide (or
-per-daemon) :class:`MetricsRegistry` of named, optionally labelled
-instruments that any layer can create cheaply and any surface -- the
-``stats`` wire response, the HTTP console's ``/metrics`` page,
-``python -m repro top`` -- can read uniformly.
+could see.  This module is the shared replacement: a
+:class:`MetricsRegistry` of named, optionally labelled instruments that
+any layer can create cheaply and any surface -- the ``stats`` wire
+response, the HTTP console's ``/metrics`` page, ``python -m repro top`` --
+can read uniformly.  There is no process-wide registry: each daemon, pool
+and tier owns the registry it is given or creates.
 
 Four instrument kinds, all thread-safe:
 
@@ -311,9 +312,8 @@ class EventLog:
 class MetricsRegistry:
     """Named instruments, get-or-create, one exposition surface.
 
-    The module-level :data:`REGISTRY` is the process-wide default for
-    ad-hoc instrumentation; each :class:`~repro.service.server.VerdictService`
-    owns a private registry instead, so several daemons in one test
+    Each :class:`~repro.service.server.VerdictService` owns a private
+    registry and hands it to its tiers, so several daemons in one test
     process never share counters.
     """
 
@@ -489,11 +489,3 @@ class MetricsRegistry:
                     f"{_render_labels(instrument.labels)} {instrument.dropped}"
                 )
         return "\n".join(lines) + "\n"
-
-
-#: The process-wide default registry (daemons own private ones instead).
-REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY

@@ -11,17 +11,18 @@ through the coalescer, which batches concurrent misses.
 
 Every tier keeps hit/miss/latency counters, surfaced by the ``stats``
 request so operators can see where queries are being answered.  The
-compute tier additionally aggregates the engine-core telemetry -- the
-per-instance verdict-memo counters (``memo_info``) and per-engine
-transposition-cache counters (``transposition_info``) introduced with the
-compiled core -- across every live cached engine.
+compute tier additionally counts its verdicts by the engine path that
+produced them (rule kernel, direct view, knowledge fixpoint or ball
+simulation) and the simulator runs they took.  It keeps no engine between
+batches: a game's verdict depends only on what its store key digests, and
+tiers 1 and 2 already remember every verdict under that key.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.batch import GameInstance
 from repro.engine.caching import LRUCache, MISSING
@@ -35,10 +36,6 @@ from repro.sweep.store import VerdictStore, WouldBlock
 #: Bound on the compute tier's in-memory canonical ball cache (the daemon
 #: is long-lived; sweeps use unbounded per-run caches instead).
 CANONICAL_CACHE_ENTRIES = 1 << 18
-
-#: Bounds on the compute tier's long-lived compiled-instance and engine caches.
-MAX_COMPILED = 64
-MAX_ENGINES = 256
 
 
 class TieredVerdictCache:
@@ -93,19 +90,6 @@ class TieredVerdictCache:
             buckets=LATENCY_BUCKETS_SECONDS,
             help="tier-2 store lookup latency (single and bulk)",
         )
-
-    def lookup(self, key: str) -> Optional[Tuple[bool, str]]:
-        """``(verdict, tier)`` when some tier knows *key*; ``None`` on full miss.
-
-        Blocking convenience for synchronous callers; the daemon instead
-        checks :meth:`lookup_lru` and :meth:`lookup_store_nowait` on the
-        event loop, and ships :meth:`lookup_store` (possibly a busy-timeout
-        wait) to a worker thread only when the store would wait.
-        """
-        hit = self.lookup_lru(key)
-        if hit is not None:
-            return hit
-        return self.lookup_store(key)
 
     def lookup_lru(self, key: str) -> Optional[Tuple[bool, str]]:
         """Tier 1 only: the in-process LRU (microseconds, loop-safe)."""
@@ -231,31 +215,17 @@ class TieredVerdictCache:
         }
 
 
-def _aggregate_infos(infos: Iterable[Dict[str, Optional[int]]]) -> Dict[str, int]:
-    """Sum hit/miss/eviction/size counters over many cache ``info()`` dicts."""
-    totals = {"size": 0, "hits": 0, "misses": 0, "evictions": 0, "caches": 0}
-    for info in infos:
-        totals["caches"] += 1
-        for field in ("size", "hits", "misses", "evictions"):
-            value = info.get(field)
-            if isinstance(value, int):
-                totals[field] += value
-    return totals
-
-
 class ComputeTier:
-    """Tier 3: the compiled engine, with persistent engine caches.
+    """Tier 3: the compiled engine, one batch at a time.
 
     Batches are dispatched through the sweep executor's
-    :func:`~repro.sweep.executor.evaluate_timed`, handing it two *long-lived*
-    LRU caches: compiled instances keyed by their ``(machine, graph, ids)``
-    group, and game engines keyed by the full engine sharing key.  Unlike a
-    sweep -- whose caches die with it -- the daemon's engines survive
-    across batches, so a miss on a previously seen ``(machine, graph,
-    ids)`` group reuses the interned alphabet, the per-node verdict memo and
-    the transposition cache from earlier traffic.
+    :func:`~repro.sweep.executor.evaluate_timed`, which shares one compiled
+    instance per ``(machine, graph, ids)`` group and one engine per
+    engine-sharing key *within* the batch -- Sigma and Pi misses of one game
+    coalesced into a batch share a verdict memo -- and drops them all when
+    the batch returns.  Only the canonical ball cache outlives a batch.
 
-    Evaluation is serialized by a lock: the engines' memo state is not
+    Evaluation is serialized by a lock: the canonical cache is not
     thread-safe, and the workload is pure Python (GIL-bound), so worker
     concurrency buys nothing for a single batch anyway.
     """
@@ -272,12 +242,6 @@ class ComputeTier:
         #: Optional fault injector (the daemon wires it): the
         #: ``compute-error`` failpoint.
         self.faults = faults
-        self._compiled = LRUCache(MAX_COMPILED).bind_metrics(
-            self.registry, "repro_compute_compiled_cache"
-        )
-        self._engines = LRUCache(MAX_ENGINES).bind_metrics(
-            self.registry, "repro_compute_engine_cache"
-        )
         #: Canonical ball cache shared by every compiled instance the tier
         #: ever touches; store-backed when the daemon has a store, so the
         #: compute tier starts warm on neighborhoods any sweep ever solved.
@@ -290,8 +254,17 @@ class ComputeTier:
         self._batches = self.registry.counter(
             "repro_compute_batches_total", help="batches dispatched to the engine tier"
         )
-        self._computed = self.registry.counter(
-            "repro_compute_verdicts_total", help="verdicts computed by the engine tier"
+        self._verdicts = {
+            path: self.registry.counter(
+                "repro_compute_verdicts_total",
+                labels={"path": path},
+                help="verdicts computed by the engine tier, by engine path",
+            )
+            for path in ("kernel", "direct", "fixpoint", "simulate")
+        }
+        self._simulator_runs = self.registry.counter(
+            "repro_compute_simulator_runs_total",
+            help="simulator runs taken by the engine tier's games",
         )
         self._batch_seconds = self.registry.histogram(
             "repro_compute_batch_seconds",
@@ -307,7 +280,6 @@ class ComputeTier:
             "repro_compute_canonical_flush_failures_total",
             help="canonical-cache store flushes that failed (verdicts unaffected)",
         )
-        self._snapshot = self._build_stats(stale=False)
 
     # Registry-backed counters, exposed as the plain ints they replaced.
     @property
@@ -316,15 +288,17 @@ class ComputeTier:
 
     @property
     def computed(self) -> int:
-        return self._computed.value
+        return sum(counter.value for counter in self._verdicts.values())
 
     def evaluate(self, instances: Sequence[GameInstance]) -> Tuple[List[bool], List[float]]:
-        """Verdicts and per-instance solve times, sharing cached engines.
+        """Verdicts and per-instance solve times of one batch.
 
         Each batch records a ``compute-batch`` trace (one ``engine`` span
-        per instance, plus ``compile`` spans for cold groups) into the
-        daemon's trace log -- the coalescer serves many requests from one
-        batch, so batch-level traces are where the engine time is visible.
+        per instance, plus ``compile`` spans for each compiled group) into
+        the daemon's trace log -- the coalescer serves many requests from
+        one batch, so batch-level traces are where the engine time is
+        visible.  The verdict and simulator-run counters are summed from
+        the batch's ``engine`` spans.
         """
         if self.faults is not None:
             # The chaos harness's engine failpoint: fires *before* the
@@ -338,12 +312,7 @@ class ComputeTier:
         )
         with self._lock:
             with active(batch_trace):
-                verdicts, seconds = evaluate_timed(
-                    instances,
-                    compiled_cache=self._compiled,
-                    engine_cache=self._engines,
-                    canonical=self.canonical,
-                )
+                verdicts, seconds = evaluate_timed(instances, canonical=self.canonical)
             # Fresh node verdicts reach the store inside the batch (the
             # caller already runs evaluation off the event loop).  The
             # verdicts are already computed: a failed or breaker-shed flush
@@ -355,63 +324,36 @@ class ComputeTier:
             except Exception:  # noqa: BLE001 -- persistence is best-effort
                 self._flush_failures.inc()
             self._batches.inc()
-            self._computed.inc(len(verdicts))
+            for record in batch_trace.spans:
+                if record.name == "engine":
+                    self._verdicts[record.meta["path"]].inc()
+                    self._simulator_runs.inc(record.meta["simulator_runs"])
             self._batch_seconds.observe(time.perf_counter() - start)
             for spent in seconds:
                 self._solve_seconds.observe(spent)
-            self._snapshot = self._build_stats(stale=False)
         batch_trace.annotate(instances=len(instances))
         if self.trace_log is not None:
             self.trace_log.record(batch_trace)
         return verdicts, seconds
 
-    def _build_stats(self, stale: bool) -> Dict[str, object]:
-        """Aggregate telemetry (caller holds the lock, or no batch has run)."""
-        compiled = list(self._compiled.data.values())
-        engines = list(self._engines.data.values())
-        memo = _aggregate_infos(instance.memo_info() for instance in compiled)
-        transposition = _aggregate_infos(
-            engine.transposition_info() for engine in engines
-        )
-        # Republish the engine-core aggregates as gauges so /metrics shows
-        # them without a stats request (the hot loop keeps plain ints).
-        for field in ("size", "hits", "misses", "evictions"):
-            self.registry.gauge(f"repro_engine_memo_{field}").set(memo[field])
-            self.registry.gauge(f"repro_engine_transposition_{field}").set(
-                transposition[field]
-            )
-        paths = dict.fromkeys(("kernel", "direct", "fixpoint", "simulate"), 0)
-        for instance in compiled:
-            paths[instance.path] += 1
+    def engine_stats(self) -> Dict[str, object]:
+        """The tier's counters: batches, verdicts per engine path, simulator
+        runs and the canonical ball cache.
+
+        Reads registry instruments and the canonical cache's counters only,
+        never the batch lock: a ``stats`` request is handled on the daemon's
+        event loop, and a batch can hold the lock for a whole cold
+        evaluation.
+        """
+        paths = {path: counter.value for path, counter in self._verdicts.items()}
         return {
             "batches": self.batches,
-            "computed": self.computed,
+            "computed": sum(paths.values()),
             "seconds": round(self._batch_seconds.sum, 6),
             "flush_failures": self._flush_failures.value,
-            "compiled_instances": len(compiled),
-            # How the cached instances fill memo misses, and how often a
-            # cached engine ran the simulator to do it.
+            # How each computed verdict's memo misses were filled, and how
+            # often its game ran the simulator to do it.
             "paths": paths,
-            "simulator_runs": sum(engine.stats.simulator_runs for engine in engines),
-            "engines": len(engines),
-            "memo": memo,
-            "transposition": transposition,
+            "simulator_runs": self._simulator_runs.value,
             "canonical": self.canonical.info(),
-            "stale": stale,
         }
-
-    def engine_stats(self) -> Dict[str, object]:
-        """Aggregated engine-core telemetry across every live cached engine.
-
-        Never blocks: a ``stats`` request is handled on the daemon's event
-        loop, and the batch lock can be held for a whole cold evaluation.
-        If a batch is in flight, the snapshot taken at the end of the last
-        batch is returned with ``stale: true`` instead of waiting.
-        """
-        if self._lock.acquire(blocking=False):
-            try:
-                self._snapshot = self._build_stats(stale=False)
-            finally:
-                self._lock.release()
-            return self._snapshot
-        return {**self._snapshot, "stale": True}

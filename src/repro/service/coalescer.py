@@ -14,11 +14,10 @@ multiplying compute:
   next batch.  No timer guesses how long to wait: a batch grows exactly
   as long as the previous one kept the compute thread busy, and the
   daemon's ``max_pending`` admission bound caps it.  The instances of
-  one ``(machine, graph, ids)`` share one
+  one ``(machine, graph, ids)`` in a batch share one
   :class:`~repro.engine.compiled.CompiledInstance` (and its verdict
   memo); that sharing is owned by
-  :func:`~repro.sweep.executor.evaluate_timed`'s group caches, which the
-  compute tier keeps across batches.
+  :func:`~repro.sweep.executor.evaluate_timed` and ends with the batch.
 
 Batches run on one worker thread: evaluation is pure Python under the
 compute tier's one lock, so more threads would not decide a batch any

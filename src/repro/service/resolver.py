@@ -12,8 +12,10 @@ Resolution is cached aggressively, and deliberately by *object identity*
 where the engine layer shares by identity: one scenario's instance list is
 built once and reused, inline specs are canonicalized and memoized, and
 arbiter specs are constructed once per name.  Repeated queries therefore
-hand the compute tier the *same* machine/graph/space objects, so its
-engine caches (keyed by identity) actually hit.
+hand the compute tier the *same* machine/graph/space objects, so coalesced
+Sigma and Pi misses of one game share one compiled instance within a batch
+(:func:`~repro.sweep.executor.evaluate_timed` groups by machine identity),
+and :meth:`Resolver.scenario_keys` fingerprints each machine once per call.
 """
 
 from __future__ import annotations

@@ -127,8 +127,6 @@ def evaluator_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, object, 
 
 def evaluate_timed(
     instances: Sequence[GameInstance],
-    compiled_cache=None,
-    engine_cache=None,
     canonical=None,
 ) -> Tuple[List[bool], List[float]]:
     """Game values of *instances*, in order, with per-instance timing.
@@ -137,14 +135,16 @@ def evaluate_timed(
     sharing group (same ``(machine, graph, ids)``), so every engine
     of the group -- across certificate spaces and prefixes -- runs on the
     same interned certificate alphabet and shares the per-node verdict
-    memo.  The group caches below are the only place a compiled instance
-    is shared between engines.
+    memo, and instances with one :func:`~repro.engine.batch.engine_sharing_key`
+    share one engine.  Both are shared within this call only: every
+    compiled instance and engine it builds is garbage once it returns,
+    and a verdict worth keeping is kept under its store key by the caller.
 
-    *compiled_cache* and *engine_cache* accept any ``get(key, default)`` /
-    ``put(key, value)`` mapping (e.g. :class:`repro.engine.caching.LRUCache`);
-    a long-lived caller -- the online verdict service's compute tier -- passes
-    persistent caches so engines and their memo/transposition state survive
-    across batches, and fresh per-call unbounded caches are used otherwise.
+    Under an active trace, each instance records an ``engine`` span with
+    the path that filled its memo misses
+    (:attr:`~repro.engine.compiled.CompiledInstance.path`)
+    and the simulator runs its game took; the daemon's compute tier counts
+    verdicts per path from these spans.
 
     *canonical*, when given, is a
     :class:`~repro.engine.canonical.CanonicalVerdictCache` attached to every
@@ -152,12 +152,11 @@ def evaluate_timed(
     one verdict across nodes *and* across the batch's instances (and, when
     the cache is store-backed, across sessions).
     """
-    from repro.engine.caching import LRUCache
-    from repro.engine.compiled import CompiledGameEngine, compile_instance
+    from repro.engine.compiled import CompiledGameEngine, CompiledInstance, compile_instance
     from repro.obs.trace import current_trace
 
-    compiled_by_group = compiled_cache if compiled_cache is not None else LRUCache(None)
-    engines = engine_cache if engine_cache is not None else LRUCache(None)
+    compiled_by_group: Dict[tuple, CompiledInstance] = {}
+    engines: Dict[tuple, CompiledGameEngine] = {}
     trace = current_trace()
     verdicts: List[bool] = []
     seconds: List[float] = []
@@ -171,7 +170,7 @@ def evaluate_timed(
             if compiled is None:
                 compile_start = time.perf_counter()
                 compiled = compile_instance(instance.machine, instance.graph, instance.ids)
-                compiled_by_group.put(group_key, compiled)
+                compiled_by_group[group_key] = compiled
                 compiled_fresh = True
                 if trace is not None:
                     trace.add_span(
@@ -188,14 +187,21 @@ def evaluate_timed(
                 instance.spaces,
                 instance=compiled,
             )
-            engines.put(key, engine)
+            engines[key] = engine
+        compiled = engine.compiled
+        runs = compiled.simulator_runs
         start = time.perf_counter()
         verdicts.append(engine.eve_wins(instance.prefix))
         spent = time.perf_counter() - start
         seconds.append(spent)
         if trace is not None:
             trace.add_span(
-                "engine", spent, instance=instance.name, compiled=compiled_fresh
+                "engine",
+                spent,
+                instance=instance.name,
+                compiled=compiled_fresh,
+                path=compiled.path,
+                simulator_runs=compiled.simulator_runs - runs,
             )
     return verdicts, seconds
 

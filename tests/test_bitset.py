@@ -9,7 +9,9 @@ kernel; they take the generic memoized search, checked here on the same
 games.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -139,11 +141,29 @@ class TestMaskTables:
         ids = sequential_identifier_assignment(graph)
         instance = CompiledInstance(machine, graph, ids)
         kernel = instance.bitset_kernel()
-        assert isinstance(kernel, BitsetKernel) and kernel.fresh()
+        assert isinstance(kernel, BitsetKernel)
+        assert instance.bitset_kernel() is kernel  # still fresh: reused
         instance.intern("fresh-certificate")
-        assert not kernel.fresh()
         rebuilt = instance.bitset_kernel()
-        assert rebuilt is not kernel and rebuilt.fresh()
+        assert rebuilt is not kernel and instance.bitset_kernel() is rebuilt
+
+    def test_kernel_path_instance_is_freed_without_the_cycle_collector(self):
+        # The kernel keeps no reference back to its instance: a batch's
+        # instances die with their last holder instead of waiting for a
+        # cyclic collection.
+        machine = builtin.three_colorability_verifier()
+        graph = generators.cycle_graph(5)
+        ids = sequential_identifier_assignment(graph)
+        gc.disable()
+        try:
+            engine = _engine(machine, graph, ids, [color_space(3)])
+            assert engine.eve_wins(sigma_prefix(1)) is True
+            assert engine.compiled._bitset_kernel is not None
+            dead = weakref.ref(engine.compiled)
+            del engine
+            assert dead() is None
+        finally:
+            gc.enable()
 
     def test_unruled_instance_has_no_kernel(self):
         machine = builtin.predicate_decider(1, lambda view: True, name="bare")
@@ -264,7 +284,7 @@ class TestPruningBehavior:
         ids = sequential_identifier_assignment(graph)
         engine = _engine(machine, graph, ids, [color_space(3)])
         assert engine.eve_wins(sigma_prefix(1)) is False
-        assert engine.stats.bitset_prunes > 0
+        assert engine.bitset_prunes > 0
         # The pairwise mask search leaves no per-node memo trail at all.
         assert engine.compiled.memo_info()["size"] == 0
 

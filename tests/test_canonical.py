@@ -18,7 +18,6 @@ from repro.engine import (
     CompiledInstance,
     node_ball_signature,
 )
-from repro.engine.caching import EvaluatorStats
 from repro.graphs import generators
 from repro.graphs.identifiers import (
     cyclic_identifier_assignment,
@@ -168,13 +167,12 @@ class TestCacheBehavior:
         second = CanonicalVerdictCache(store=store)
         fresh = CompiledInstance(_simulated_two_colorability(), graph, ids)
         fresh.attach_canonical(second)
-        stats = EvaluatorStats()
         again = CompiledGameEngine(
             machine, graph, ids, [bit_space()], instance=fresh
         ).eve_wins(sigma_prefix(1))
         assert again == value
         assert second.store_hits > 0
-        assert stats.simulator_runs == 0
+        assert fresh.simulator_runs == 0
 
     def test_bounded_cache_evicts_oldest_half(self):
         store = SQLiteVerdictStore(":memory:")

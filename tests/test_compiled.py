@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.engine import CompiledGameEngine, CompiledInstance, compile_instance
 from repro.engine.batch import GameInstance
-from repro.engine.caching import EvaluatorStats, LRUCache
+from repro.engine.caching import LRUCache
 from repro.graphs import generators
 from repro.graphs.identifiers import (
     cyclic_identifier_assignment,
@@ -102,11 +102,11 @@ def _loaded_state(instance, assignments):
     return state
 
 
-def _node_verdicts(instance, assignments, stats):
+def _node_verdicts(instance, assignments):
     """Every node's verdict under certificate dicts (no short-circuit)."""
     state = _loaded_state(instance, assignments)
     return {
-        node: instance.node_verdict_state(u, state, stats)
+        node: instance.node_verdict_state(u, state)
         for u, node in enumerate(instance.nodes)
     }
 
@@ -240,7 +240,7 @@ class TestThreeWayEquivalence:
             expected = eve_wins(machine, graph, ids, spaces, prefix)
             engine = CompiledGameEngine(machine, graph, ids, spaces, instance=instance)
             assert engine.eve_wins(prefix) == expected
-            assert engine.stats.simulator_runs == 0
+            assert instance.simulator_runs == 0
 
     def test_fixed_prefix_equivalence(self):
         machine = builtin.three_colorability_verifier()
@@ -295,8 +295,7 @@ class TestProofLabelingKernels:
             certificates = scheme.prover(graph, ids)
             assert certificates is not None, scheme.property_name
             instance = CompiledInstance(scheme.verifier, graph, ids)
-            stats = EvaluatorStats()
-            got = instance.accepts_dicts([dict(certificates)], stats)
+            got = instance.accepts_dicts([dict(certificates)])
             expected = execute(scheme.verifier, graph, ids, [dict(certificates)]).accepts()
             assert got == expected is True, scheme.property_name
 
@@ -313,8 +312,7 @@ class TestProofLabelingKernels:
             victim = rng.choice(list(corrupted))
             corrupted[victim] = "10101010"
             instance = CompiledInstance(scheme.verifier, graph, ids)
-            stats = EvaluatorStats()
-            got = _node_verdicts(instance, [corrupted], stats)
+            got = _node_verdicts(instance, [corrupted])
             expected = execute(scheme.verifier, graph, ids, [corrupted]).verdicts()
             assert got == expected, scheme.property_name
 
@@ -350,9 +348,8 @@ class TestProofLabelingKernels:
         graph = generators.cycle_graph(6)
         ids = sequential_identifier_assignment(graph)
         instance = CompiledInstance(builtin.eulerian_decider(), graph, ids)
-        stats = EvaluatorStats()
-        assert instance.accepts_dicts([], stats) is True
-        assert stats.simulator_runs == 0
+        assert instance.accepts_dicts([]) is True
+        assert instance.simulator_runs == 0
         expected = execute(builtin.eulerian_decider(), graph, ids).accepts()
         assert expected is True
 
@@ -406,11 +403,10 @@ class TestKnowledgeFixpoint:
         machine, graph, ids, assignment_sets = case
         instance = CompiledInstance(machine, graph, ids)
         assert instance.path in ("direct", "fixpoint")
-        stats = EvaluatorStats()
         for assignments in assignment_sets:
             expected = execute(machine, graph, ids, assignments).verdicts()
-            assert _node_verdicts(instance, assignments, stats) == expected, assignments
-        assert stats.simulator_runs == 0
+            assert _node_verdicts(instance, assignments) == expected, assignments
+        assert instance.simulator_runs == 0
 
     def test_registered_colliding_instances_equal_the_simulator(self):
         from repro.sweep.scenarios import build_instances, scenario_names
@@ -423,7 +419,6 @@ class TestKnowledgeFixpoint:
                 if instance.path != "fixpoint":
                     continue
                 spaces = [materialize_space(s, game.graph, game.ids) for s in game.spaces]
-                stats = EvaluatorStats()
                 for _ in range(10):
                     assignments = [
                         {
@@ -433,9 +428,9 @@ class TestKnowledgeFixpoint:
                         for space in spaces
                     ]
                     expected = execute(game.machine, game.graph, game.ids, assignments)
-                    got = _node_verdicts(instance, assignments, stats)
+                    got = _node_verdicts(instance, assignments)
                     assert got == expected.verdicts(), (name, game.name, assignments)
-                assert stats.simulator_runs == 0
+                assert instance.simulator_runs == 0
                 checked += 1
         assert checked >= 8  # the periodic-identifier instances of the scenarios
 
@@ -494,9 +489,8 @@ class TestIncrementalKeys:
         for u in range(instance.n):
             assert state.keys[u] == _packed_key(instance, u, assignments)
         # Verdicts after the rebase still match the simulator.
-        stats = EvaluatorStats()
         expected = execute(machine, graph, ids, [dict(assignments[0])]).accepts()
-        assert instance.accepts_dicts(assignments, stats) == expected
+        assert instance.accepts_dicts(assignments) == expected
 
     def test_pair_table_survives_relabels(self):
         # The shared pair table is keyed (label, code, label, code) and is
@@ -542,7 +536,7 @@ class TestIncrementalKeys:
             instance.rewire(relabeled, ids)
             for certificates in assignments:
                 expected = execute(machine, relabeled, ids, certificates).accepts()
-                got = instance.accepts_dicts(certificates, EvaluatorStats())
+                got = instance.accepts_dicts(certificates)
                 assert got == expected, (labels, certificates)
                 verdicts.add((labels, got))
         assert ("1111", True) in verdicts and ("0000", False) in verdicts
@@ -568,7 +562,7 @@ class TestIncrementalKeys:
             instance = CompiledInstance(machine, graph, ids)
             assert len(nodes) >= 2 ** instance.shift
             generation = instance.generation
-            got = instance.accepts_dicts(assignments, EvaluatorStats())
+            got = instance.accepts_dicts(assignments)
             assert instance.generation > generation  # rebased while loading
             assert got == execute(machine, graph, ids, assignments).accepts(), assignments
             verdicts.add(got)
@@ -649,7 +643,6 @@ class TestBoundsAndCounters:
             instance = CompiledInstance(machine, graph, ids, memo_cap=memo_cap)
             assert not instance.direct  # simulation path, whole-graph balls
             state = instance.new_state(1)
-            stats = EvaluatorStats()
             zero, one = instance.intern(""), instance.intern("1")
             for bits in it.product((zero, one), repeat=instance.n):
                 for v, code in enumerate(bits):
@@ -659,7 +652,7 @@ class TestBoundsAndCounters:
                 }
                 expected = execute(machine, graph, ids, [assignment]).verdicts()
                 for u in range(instance.n):
-                    got = instance.node_verdict_state(u, state, stats)
+                    got = instance.node_verdict_state(u, state)
                     assert got == expected[instance.nodes[u]], (bits, u)
             info = instance.memo_info()
             live_entries = sum(len(memo) for memo in instance.memo_nodes)
@@ -667,7 +660,7 @@ class TestBoundsAndCounters:
             if memo_cap is None:
                 # Unbounded memo: one whole-graph run per assignment answers
                 # all five nodes, not one run per node.
-                assert stats.simulator_runs == 2 ** instance.n
+                assert instance.simulator_runs == 2 ** instance.n
             else:
                 assert info["evictions"] > 0
 
@@ -693,9 +686,8 @@ class TestBoundsAndCounters:
         simulated = _SubclassedGather(1, _parity_machine().compute, name="sub")
         for machine in (builtin.eulerian_decider(), simulated):
             instance = CompiledInstance(machine, graph, ids)
-            stats = EvaluatorStats()
-            instance.accepts_dicts([], stats)
-            instance.accepts_dicts([], stats)
+            instance.accepts_dicts([])
+            instance.accepts_dicts([])
             info = instance.memo_info()
             assert info["hits"] >= 1
             assert set(info) == {"size", "maxsize", "hits", "misses", "evictions", "invalidations"}
@@ -794,7 +786,7 @@ class TestSharingAndIntegration:
         assert engine.eve_wins(sigma_prefix(1)) is True
         all_zero = {u: "0" for u in graph.nodes}
         before = instance.memo_info()["misses"]
-        assert instance.accepts_dicts([all_zero], EvaluatorStats()) is True
+        assert instance.accepts_dicts([all_zero]) is True
         # The engine's search accepted this assignment first.
         assert instance.memo_info()["misses"] == before
 

@@ -17,9 +17,7 @@ import pytest
 from repro.engine import (
     CompiledGameEngine,
     CompiledInstance,
-    EvaluatorStats,
     GameInstance,
-    LRUCache,
 )
 from repro.graphs import generators
 from repro.graphs.identifiers import (
@@ -74,13 +72,13 @@ def _graph_pool():
     ]
 
 
-def _node_verdicts(instance, assignments, stats):
+def _node_verdicts(instance, assignments):
     """Every node's verdict under per-level certificate dicts (no short-circuit)."""
     state = instance.new_state(len(assignments))
     for level, assignment in enumerate(assignments):
         state.load_level(level, assignment)
     return {
-        node: instance.node_verdict_state(u, state, stats)
+        node: instance.node_verdict_state(u, state)
         for u, node in enumerate(instance.nodes)
     }
 
@@ -132,7 +130,7 @@ class TestLeafEquivalence:
             assert instance.direct
             certificates = {u: rng.choice(["", "0", "1", "11"]) for u in graph.nodes}
             expected = execute(machine, graph, ids, [certificates]).accepts()
-            assert instance.accepts_dicts([certificates], EvaluatorStats()) == expected
+            assert instance.accepts_dicts([certificates]) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_simulation_path_matches_simulator(self, seed):
@@ -146,7 +144,7 @@ class TestLeafEquivalence:
             assert not instance.direct
             certificates = {u: rng.choice(["", "0", "1"]) for u in graph.nodes}
             expected = execute(machine, graph, ids, [certificates]).accepts()
-            assert instance.accepts_dicts([certificates], EvaluatorStats()) == expected
+            assert instance.accepts_dicts([certificates]) == expected
 
     def test_turing_machine_path(self):
         machine = label_is_one_machine()
@@ -158,19 +156,18 @@ class TestLeafEquivalence:
             ids = sequential_identifier_assignment(graph)
             instance = CompiledInstance(machine, graph, ids)
             expected = execute(machine, graph, ids).accepts()
-            assert instance.accepts_dicts([], EvaluatorStats()) == expected
+            assert instance.accepts_dicts([]) == expected
 
     def test_memoization_hits_on_repeated_leaves(self):
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
         instance = CompiledInstance(builtin.three_colorability_verifier(), graph, ids)
-        stats = EvaluatorStats()
         certificates = {u: "00" for u in graph.nodes}
-        instance.accepts_dicts([certificates], stats)
-        misses = stats.node_misses
-        instance.accepts_dicts([certificates], stats)
-        assert stats.node_misses == misses
-        assert stats.node_hits > 0
+        instance.accepts_dicts([certificates])
+        misses = instance.memo_misses
+        instance.accepts_dicts([certificates])
+        assert instance.memo_misses == misses
+        assert instance.memo_hits > 0
 
     def test_id_collision_at_gather_horizon_forces_fallback(self):
         # Regression: two nodes sharing an identifier at distance radius + 1
@@ -193,7 +190,7 @@ class TestLeafEquivalence:
         instance = CompiledInstance(machine, graph, ids)
         assert not instance.direct
         expected = execute(machine, graph, ids).verdicts()
-        assert _node_verdicts(instance, [], EvaluatorStats()) == expected
+        assert _node_verdicts(instance, []) == expected
         for prefix in (sigma_prefix(1), pi_prefix(1)):
             oracle = eve_wins(machine, graph, ids, [bit_space()], prefix)
             assert _engine(machine, graph, ids, [bit_space()]).eve_wins(prefix) == oracle
@@ -233,7 +230,7 @@ class TestLeafEquivalence:
             ids = sequential_identifier_assignment(graph)
             instance = CompiledInstance(machine, graph, ids)
             expected = execute(machine, graph, ids).verdicts()
-            assert _node_verdicts(instance, [], EvaluatorStats()) == expected
+            assert _node_verdicts(instance, []) == expected
 
     def test_restriction_localizes_certificate_changes(self):
         # Changing one node's certificate must not invalidate nodes whose
@@ -241,15 +238,14 @@ class TestLeafEquivalence:
         graph = generators.path_graph(4)
         ids = sequential_identifier_assignment(graph)
         instance = CompiledInstance(builtin.eulerian_decider(), graph, ids)
-        stats = EvaluatorStats()
         nodes = list(graph.nodes)
         first = {u: "0" for u in nodes}
-        _node_verdicts(instance, [first], stats)
-        misses = stats.node_misses
+        _node_verdicts(instance, [first])
+        misses = instance.memo_misses
         changed = dict(first)
         changed[nodes[-1]] = "1"  # outside the balls of nodes[0] and nodes[1]
-        _node_verdicts(instance, [changed], stats)
-        assert stats.node_misses - misses <= 2
+        _node_verdicts(instance, [changed])
+        assert instance.memo_misses - misses <= 2
 
 
 class TestGameEquivalence:
@@ -339,11 +335,16 @@ class TestGameEquivalence:
         engine = _engine(machine, graph, ids, [color_space(3)])
         engine.eve_wins(sigma_prefix(1))
         hits = engine.transposition_info()["hits"]
-        stats = dict(vars(engine.stats))
+
+        def work():
+            compiled = engine.compiled
+            return compiled.memo_info(), compiled.simulator_runs, engine.bitset_prunes
+
+        before = work()
         engine.eve_wins(sigma_prefix(1))
         # The repeated query is answered from the transposition cache.
         assert engine.transposition_info()["hits"] == hits + 1
-        assert vars(engine.stats) == stats
+        assert work() == before
 
 
 class TestWinningMoves:
@@ -393,7 +394,17 @@ class TestBatchAPI:
         assert values == [spec.decide(graph) for graph in graphs]
         assert values == [spec.decide_naive(graph) for graph in graphs]
 
-    def test_batch_shares_engines_across_prefixes(self):
+    def test_batch_shares_engines_across_prefixes(self, monkeypatch):
+        from repro.engine import compiled
+
+        built = []
+
+        class CountingEngine(CompiledGameEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(compiled, "CompiledGameEngine", CountingEngine)
         machine = builtin.three_colorability_verifier()
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
@@ -403,14 +414,11 @@ class TestBatchAPI:
             GameInstance(machine, graph, ids, spaces, pi_prefix(1)),
             GameInstance(machine, graph, ids, spaces, sigma_prefix(1)),
         ]
-        engines = LRUCache(None)
-        (sigma_value, pi_value, sigma_again), _ = evaluate_timed(
-            instances, engine_cache=engines
-        )
+        (sigma_value, pi_value, sigma_again), _ = evaluate_timed(instances)
         assert sigma_value is True
         assert pi_value is False
         assert sigma_again is True
-        assert len(engines) == 1
+        assert len(built) == 1
 
 
 class TestSpecIntegration:

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from repro.engine import CompiledInstance, EvaluatorStats
+from repro.engine import CompiledInstance
 from repro.graphs import generators
 from repro.graphs.identifiers import sequential_identifier_assignment, small_identifier_assignment
 from repro.machines import builtin, execute
@@ -191,7 +191,7 @@ class TestNeighborhoodGathering:
                     NeighborhoodGatherAlgorithm(radius, record), graph, ids
                 )
                 assert instance.direct
-                assert instance.accepts_dicts([certificates], EvaluatorStats())
+                assert instance.accepts_dicts([certificates])
                 for node in graph.nodes:
                     expected = gather_view(graph, ids, node, radius, [certificates])
                     actual = observed[ids[node]]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import threading
+import weakref
+
 from repro.graphs import generators
 from repro.graphs.identifiers import sequential_identifier_assignment
 from repro.engine.batch import GameInstance
@@ -34,7 +38,8 @@ def _instances(sizes=(4, 5, 6)):
 class TestTieredVerdictCache:
     def test_full_miss_returns_none(self):
         cache = TieredVerdictCache(SQLiteVerdictStore(":memory:"))
-        assert cache.lookup("nope") is None
+        assert cache.lookup_lru("nope") is None
+        assert cache.lookup_store("nope") is None
         stats = cache.stats()
         assert stats["lru"]["misses"] == 1
         assert stats["store"]["misses"] == 1
@@ -42,7 +47,7 @@ class TestTieredVerdictCache:
     def test_insert_then_lru_hit(self):
         cache = TieredVerdictCache(SQLiteVerdictStore(":memory:"))
         cache.insert("k", True, name="x", seconds=0.1)
-        assert cache.lookup("k") == (True, "lru")
+        assert cache.lookup_lru("k") == (True, "lru")
         assert cache.stats()["lru"]["hits"] == 1
 
     def test_store_hit_is_promoted_into_lru(self):
@@ -51,8 +56,9 @@ class TestTieredVerdictCache:
         first.insert("k", False)
         # A fresh process (new LRU) over the same shared store.
         second = TieredVerdictCache(store)
-        assert second.lookup("k") == (False, "store")
-        assert second.lookup("k") == (False, "lru")
+        assert second.lookup_lru("k") is None
+        assert second.lookup_store("k") == (False, "store")
+        assert second.lookup_lru("k") == (False, "lru")
         stats = second.stats()
         assert stats["store"]["hits"] == 1
         assert stats["lru"]["hits"] == 1
@@ -62,13 +68,14 @@ class TestTieredVerdictCache:
         cache = TieredVerdictCache(store)
         cache.insert("k", True, persist=False)
         assert store.get("k") is None
-        assert cache.lookup("k") == (True, "lru")
+        assert cache.lookup_lru("k") == (True, "lru")
 
     def test_no_store_attached(self):
         cache = TieredVerdictCache(None)
-        assert cache.lookup("k") is None
+        assert cache.lookup_lru("k") is None
+        assert cache.lookup_store("k") is None
         cache.insert("k", True)
-        assert cache.lookup("k") == (True, "lru")
+        assert cache.lookup_lru("k") == (True, "lru")
         assert cache.stats()["store"]["attached"] is False
 
 
@@ -82,38 +89,45 @@ class TestComputeTier:
         assert len(seconds) == len(instances)
         assert all(s >= 0 for s in seconds)
 
-    def test_engines_persist_across_batches(self):
-        _, instances = _instances((5, 6))
+    def test_batch_engines_die_with_the_batch(self, monkeypatch):
+        # The tier keeps no engine between batches: every compiled instance
+        # and engine a batch builds is garbage once the batch has answered.
+        from repro.engine.compiled import CompiledGameEngine, CompiledInstance
+
+        spec, instances = _instances((5, 6))
+        expected = [spec.decide(inst.graph, inst.ids) for inst in instances]
+        built = []
+        for cls in (CompiledInstance, CompiledGameEngine):
+            def recording_init(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                built.append(weakref.ref(self))
+
+            monkeypatch.setattr(cls, "__init__", recording_init)
         tier = ComputeTier()
-        tier.evaluate(instances)
-        first = tier.engine_stats()
-        # Re-answering the same instances must hit the cached engines'
-        # transposition state instead of recompiling.
-        tier.evaluate(instances)
-        second = tier.engine_stats()
-        assert second["compiled_instances"] == first["compiled_instances"]
-        assert second["engines"] == first["engines"]
-        assert second["transposition"]["hits"] > first["transposition"]["hits"]
-        assert second["computed"] == first["computed"] + len(instances)
+        assert tier.evaluate(instances)[0] == expected
+        assert len(built) == 2 * len(instances)  # one instance, one engine each
+        gc.collect()
+        assert [ref() for ref in built] == [None] * len(built)
 
     def test_engine_stats_shape(self):
         _, instances = _instances((4,))
         tier = ComputeTier()
         tier.evaluate(instances)
         stats = tier.engine_stats()
-        for field in ("batches", "computed", "seconds", "compiled_instances", "engines"):
-            assert field in stats
-        for cache_info in (stats["memo"], stats["transposition"]):
-            for field in ("size", "hits", "misses", "evictions", "caches"):
-                assert isinstance(cache_info[field], int)
-        assert stats["memo"]["caches"] == stats["compiled_instances"]
-        assert stats["stale"] is False
+        assert set(stats) == {
+            "batches", "computed", "seconds", "flush_failures",
+            "paths", "simulator_runs", "canonical",
+        }
+        assert stats["paths"] == {"kernel": 1, "direct": 0, "fixpoint": 0, "simulate": 0}
+        assert stats["batches"] == stats["computed"] == 1
+        assert stats["simulator_runs"] == 0
 
     def test_engine_stats_count_paths_and_simulator_runs(self):
         # Kernel (sequential ids), fixpoint (periodic ids collide inside the
         # gather horizon) and simulate (a gather subclass, which the engine
-        # does not rebuild views for): each cached instance is counted under
-        # its path, and only the simulated one runs the simulator.
+        # does not rebuild views for): each computed verdict is counted
+        # under its path, once per batch that computes it, and only the
+        # simulated game runs the simulator.
         from repro.graphs.identifiers import cyclic_identifier_assignment
         from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
 
@@ -139,29 +153,38 @@ class TestComputeTier:
             name="2col|cycle6|subclassed",
         )
         tier = ComputeTier()
-        assert tier.evaluate([instances[0], colliding, simulated])[0] == [True] * 3
+        for _ in range(2):
+            assert tier.evaluate([instances[0], colliding, simulated])[0] == [True] * 3
         stats = tier.engine_stats()
-        assert stats["paths"] == {"kernel": 1, "direct": 0, "fixpoint": 1, "simulate": 1}
+        assert stats["paths"] == {"kernel": 2, "direct": 0, "fixpoint": 2, "simulate": 2}
+        assert sum(stats["paths"].values()) == stats["computed"] == 6
         assert stats["simulator_runs"] > 0
+        metrics = tier.registry.render_prometheus()
+        assert 'repro_compute_verdicts_total{path="simulate"} 2' in metrics
+        assert f"repro_compute_simulator_runs_total {stats['simulator_runs']}" in metrics
         fixpoint_only = ComputeTier()
         fixpoint_only.evaluate([colliding])
         assert fixpoint_only.engine_stats()["simulator_runs"] == 0
 
     def test_engine_stats_never_blocks_on_a_running_batch(self):
-        # A stats request during a cold evaluation must return the last
-        # snapshot immediately (marked stale) instead of waiting the batch out.
+        # A stats request during a cold evaluation reads the tier's counters
+        # at once instead of waiting for the batch lock.
         _, instances = _instances((4,))
         tier = ComputeTier()
         tier.evaluate(instances)
+        answered = {}
         with tier._lock:  # a batch is "in flight"
-            stats = tier.engine_stats()
-        assert stats["stale"] is True
-        assert stats["computed"] == len(instances)
-        assert tier.engine_stats()["stale"] is False
+            reader = threading.Thread(target=lambda: answered.update(tier.engine_stats()))
+            reader.start()
+            reader.join(timeout=10)
+            assert not reader.is_alive(), "engine_stats waited for the batch lock"
+        assert answered["computed"] == len(instances)
 
 
 class TestResolverIdentityStability:
-    """Repeated resolutions must reuse objects, or the engine caches never hit."""
+    """Repeated resolutions reuse objects: coalesced Sigma and Pi misses of
+    one game then share one compiled instance within a batch, and
+    ``scenario_keys`` fingerprints each machine once."""
 
     def test_scenario_resolutions_share_instances(self):
         resolver = Resolver()

@@ -263,12 +263,13 @@ class TestEndToEnd:
         assert tiers["lru"]["maxsize"] == 4096
         compute = tiers["compute"]
         assert compute["computed"] >= 1
-        # The compiled core's memo_info / transposition_info counters,
-        # aggregated over live engines (the operator-facing telemetry).
-        for cache_info in (compute["memo"], compute["transposition"]):
-            for field in ("size", "hits", "misses", "evictions", "caches"):
-                assert isinstance(cache_info[field], int)
-        assert compute["compiled_instances"] >= 1
+        # Each computed verdict is counted once, under the engine path that
+        # filled its memo misses (the operator-facing telemetry).
+        assert set(compute["paths"]) == {"kernel", "direct", "fixpoint", "simulate"}
+        assert sum(compute["paths"].values()) == compute["computed"]
+        assert isinstance(compute["simulator_runs"], int)
+        metrics = fig2_server.service.registry.render_prometheus()
+        assert 'repro_compute_verdicts_total{path="kernel"}' in metrics
         assert stats["requests"]["query"] >= 1
 
 

@@ -87,10 +87,19 @@ class TestInProcessSweep:
             else:
                 assert verdict == two_colorable(instance.graph), instance.name
 
-    def test_spaces_do_not_split_an_evaluator_group(self):
+    def test_spaces_do_not_split_an_evaluator_group(self, monkeypatch):
         """Sigma/Pi games (or many spaces) on one instance share one compiled form."""
-        from repro.engine.caching import LRUCache
+        from repro.engine import compiled
         from repro.hierarchy.certificate_spaces import bit_space, color_space
+
+        compiles = []
+        compile_instance = compiled.compile_instance
+
+        def counting_compile(*args):
+            compiles.append(args)
+            return compile_instance(*args)
+
+        monkeypatch.setattr(compiled, "compile_instance", counting_compile)
 
         graph = generators.cycle_graph(6)
         ids = sequential_identifier_assignment(graph)
@@ -100,9 +109,8 @@ class TestInProcessSweep:
             for spec in [two_colorability_spec()]
             for i, space in enumerate([bit_space(), color_space(2), bit_space()])
         ]
-        compiled = LRUCache(None)
-        evaluate_timed(spaced, compiled_cache=compiled)
-        assert len(compiled) == 1, "one evaluator group must compile once"
+        evaluate_timed(spaced)
+        assert len(compiles) == 1, "one evaluator group must compile once"
 
     def test_more_than_one_job_is_an_error(self):
         with pytest.raises(ValueError, match="in-process"):
