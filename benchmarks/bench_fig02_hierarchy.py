@@ -106,8 +106,8 @@ def test_engine_speedup_over_naive_game(benchmark):
     naive_seconds = time.perf_counter() - start
 
     def engine_run():
-        # A fresh compiled instance each round: cold lowering, verdict memo
-        # and transposition table, so the measurement includes all setup.
+        # A fresh compiled instance each round: cold lowering and verdict
+        # memo, so the measurement includes all setup.
         return CompiledGameEngine(
             machine, graph, ids, spaces, instance=CompiledInstance(machine, graph, ids)
         ).eve_wins(prefix)

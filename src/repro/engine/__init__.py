@@ -12,11 +12,10 @@ reaches the same values through three observations:
 2. **Leaves repeat locally.**  Adjacent leaves of the quantifier tree differ
    in few certificates, so most per-node verdicts recur; they are memoized
    by restriction key and a leaf short-circuits on the first rejection.
-3. **The tree repeats globally.**  Partial quantifier assignments recur
-   across game-value and winning-move queries, so a transposition cache
-   answers them, and the innermost level is solved by pruned search
-   (backtracking for ∃, per-ball decomposition for ∀) instead of flat
-   enumeration.
+3. **The innermost level need not be enumerated.**  It is solved by
+   pruned search (backtracking for ∃, per-ball decomposition for ∀)
+   instead of flat enumeration; the outer levels are an odometer that
+   visits each partial assignment once, so no game value is cached.
 
 :mod:`repro.engine.compiled` implements all three on flat integer arrays:
 an instance is lowered once to index adjacency rows, interned certificate codes
@@ -70,7 +69,7 @@ from repro.engine.dynamic import (
     random_trace,
     recompute_verdict,
 )
-from repro.engine.batch import GameInstance, IdentityKey, engine_sharing_key
+from repro.engine.batch import GameInstance, IdentityKey
 
 __all__ = [
     "BitsetKernel",
@@ -95,5 +94,4 @@ __all__ = [
     "recompute_verdict",
     "GameInstance",
     "IdentityKey",
-    "engine_sharing_key",
 ]

@@ -1,19 +1,19 @@
-"""Game-instance descriptions and the keys under which instances share state.
+"""Game-instance descriptions and the identity keys under which they share state.
 
 The separations, the locality comparison, the sweeps and the online
 service all ask the same shape of question many times over: *for each of
 these graphs (or identifier assignments, or properties), who wins the
-game?*  A :class:`GameInstance` describes one such question;
-:func:`engine_sharing_key` names the instances that may share one
-:class:`~repro.engine.compiled.CompiledGameEngine` (and hence its
-transposition cache).  :func:`repro.sweep.executor.evaluate_timed` answers
-a batch of instances under these keys.
+game?*  A :class:`GameInstance` describes one such question, and
+:class:`IdentityKey` compares machines by identity without letting their
+ids alias.  :func:`repro.sweep.executor.evaluate_timed` answers a batch of
+instances, one engine each, sharing one compiled instance per
+:func:`~repro.sweep.executor.evaluator_sharing_key`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.hierarchy.certificate_spaces import CertificateSpace
@@ -24,12 +24,12 @@ from repro.machines.interface import NodeMachine
 class IdentityKey:
     """A hashable identity key that keeps its referents alive.
 
-    Earlier versions keyed engine sharing by ``id(machine)`` and
-    ``id(space)``.  Raw ``id`` values may alias: once an object is garbage
-    collected its address can be handed to a brand-new object, so a caller
-    that builds instances lazily (letting machines or spaces die between
-    iterations) could silently inherit another instance's engine -- and its
-    cached game values.  This wrapper hashes and compares by identity but
+    Sharing keys compare machines by identity, but raw ``id`` values may
+    alias: once an object is garbage collected its address can be handed
+    to a brand-new object, so a caller that builds instances lazily
+    (letting machines die between iterations) could silently inherit
+    another instance's compiled instance -- and its memoized verdicts.
+    This wrapper hashes and compares by identity but
     holds strong references, so any object participating in a live cache key
     cannot be collected and its identity cannot be reused.
     """
@@ -79,23 +79,3 @@ class GameInstance:
     prefix: Sequence[Quantifier]
     name: str = ""
 
-
-def engine_sharing_key(
-    instance: GameInstance,
-) -> Tuple[IdentityKey, LabeledGraph, Tuple[Tuple[Node, str], ...]]:
-    """The key under which instances share a single game engine.
-
-    Instances with equal keys agree on ``(machine, graph, ids, spaces)`` and
-    may share one engine (and hence its transposition cache).  The machine
-    and the spaces are compared by identity through :class:`IdentityKey`,
-    which pins them in memory so the key cannot alias after garbage
-    collection.  The identifiers are listed with their nodes, in node
-    order: graphs compare equal whatever their node order, but an engine
-    is positional in ``graph.nodes``, so the same identifier tuple in
-    another node order is another input.
-    """
-    return (
-        IdentityKey(instance.machine, *instance.spaces),
-        instance.graph,
-        tuple((u, instance.ids[u]) for u in instance.graph.nodes),
-    )

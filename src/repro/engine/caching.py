@@ -1,10 +1,11 @@
-"""Bounded caches for the engine layer.
+"""A bounded LRU cache, and the sentinel the engine's memo lookups share.
 
-Every cache in the engine used to be an unbounded dict: fine for one game,
-a slow leak across a long sweep touching thousands of instances.  This
-module provides the one primitive they all share now -- a small LRU cache
-built directly on the insertion order of ``dict`` (a hit deletes and
-re-inserts its key, eviction pops the oldest key).
+:class:`LRUCache` is a small LRU cache built directly on the insertion
+order of ``dict`` (a hit deletes and re-inserts its key, eviction pops the
+oldest key).  Its owners are the daemon's tier-1 LRU
+(:class:`~repro.service.cache.TieredVerdictCache`) and the resolver's
+inline specs; no engine structure uses it -- the per-node verdict memo of
+a compiled instance is bounded by its own segment eviction.
 
 The cache exposes hit/miss/eviction counters so tests and benchmarks can
 assert reuse instead of guessing at it.

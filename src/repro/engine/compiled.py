@@ -36,19 +36,20 @@ integer form once and the whole game runs on it:
 :class:`CompiledGameEngine` runs the full quantifier game on this substrate:
 level enumeration is an odometer over code arrays (one ``set_code`` delta
 per step, in exactly the reference solver's ``itertools.product`` order),
-the innermost levels are solved by pruned search on coded state (mask
-pruning through :mod:`repro.engine.bitset` for pairwise rules), and
-transposition keys are packed per-level code integers.  Caches are
-LRU-bounded (:mod:`repro.engine.caching`).
+and the innermost levels are solved by pruned search on coded state (mask
+pruning through :mod:`repro.engine.bitset` for pairwise rules).  Within one
+game the odometer visits each partial assignment once, so an engine keeps
+no table of game values: what games share is the instance's per-node
+verdict memo, which is bounded by segment eviction.
 
 The alphabet can grow at runtime (callers may present unseen certificate
 strings); when it outgrows the packing width the instance *rebases* --
 doubles ``shift``, bumps its ``generation`` and drops the packed-key memo.
-Generations are part of every engine's transposition key and live
-:class:`CodedState` objects resynchronize lazily, so a rebase can never
-cause a stale or aliased cache hit.  The alphabet only grows: codes never
-change meaning, so no code-keyed table is ever cleared to renumber (a
-dynamic session that strands most of its codes recompiles instead).
+Live :class:`CodedState` objects compare generations and resynchronize
+lazily, so a rebase can never cause a stale or aliased memo hit.  The
+alphabet only grows: codes never change meaning, so no code-keyed table is
+ever cleared to renumber (a dynamic session that strands most of its codes
+recompiles instead).
 """
 
 from __future__ import annotations
@@ -66,13 +67,11 @@ from repro.machines.rules import PairwiseRule, rule_of
 from repro.machines.simulator import execute
 
 from repro.engine.bitset import BitsetKernel, mask_of_codes
-from repro.engine.caching import LRUCache, MISSING
+from repro.engine.caching import MISSING
 from repro.engine.canonical import node_ball_signature, verdict_key
 
 #: Default bound on the shared per-node verdict memo of a compiled instance.
 DEFAULT_LEAF_MEMO_CAP = 1 << 20
-#: Default bound on a compiled engine's transposition cache.
-DEFAULT_TRANSPOSITION_CAP = 1 << 18
 
 
 class CompiledInstance:
@@ -343,8 +342,8 @@ class CompiledInstance:
 
         Codes themselves are stable (so the rule tables survive); only the
         *packed* keys change encoding, so the verdict memo is dropped and
-        the generation bumped -- transposition keys embed the generation
-        and :class:`CodedState` objects resync lazily.
+        the generation bumped -- :class:`CodedState` objects compare it and
+        resync lazily.
         """
         self.shift = max(self.shift * 2, (len(self.alphabet) - 1).bit_length() + 1)
         self.generation += 1
@@ -421,11 +420,11 @@ class CompiledInstance:
         proportion to *dirty*, not to the graph.
 
         The generation is bumped, so live :class:`CodedState` objects
-        resynchronize, transposition entries (which embed the generation)
-        die, and bitset kernels rebuild.  Codes and the packing width are
-        untouched -- the alphabet only grows, through :meth:`intern`, so a
-        code never changes meaning -- and the shared pair table, whose keys
-        carry both endpoints' labels and codes, survives any mutation.
+        resynchronize and bitset kernels rebuild.  Codes and the packing
+        width are untouched -- the alphabet only grows, through
+        :meth:`intern`, so a code never changes meaning -- and the shared
+        pair table, whose keys carry both endpoints' labels and codes,
+        survives any mutation.
         Returns the invalidated indices.
         """
         if tuple(graph.nodes) != self.nodes:
@@ -839,24 +838,14 @@ class CompiledInstance:
 class CodedState:
     """A mutable integer-coded certificate assignment with incremental keys.
 
-    ``codes[level][v]`` is node ``v``'s certificate code at *level*;
-    ``keys[v]`` is the packed restriction key of ``v``'s ball, and
-    ``full[level]`` the packed whole-graph key of the level (the engine's
-    transposition-key component).  :meth:`set_code` applies a single-node
-    delta and updates exactly the affected packed keys, so no key is ever
-    rebuilt from scratch on the game's hot path.
+    ``codes[level][v]`` is node ``v``'s certificate code at *level*, and
+    ``keys[v]`` the packed restriction key of ``v``'s ball (the per-node
+    memo key).  :meth:`set_code` applies a single-node delta and updates
+    exactly the affected packed keys, so no key is ever rebuilt from
+    scratch on the game's hot path.
     """
 
-    __slots__ = (
-        "instance",
-        "levels",
-        "codes",
-        "keys",
-        "full",
-        "full_valid",
-        "generation",
-        "deps",
-    )
+    __slots__ = ("instance", "levels", "codes", "keys", "generation", "deps")
 
     def __init__(self, instance: CompiledInstance, levels: int) -> None:
         self.instance = instance
@@ -867,27 +856,11 @@ class CodedState:
             raise ValueError("at most 31 quantifier levels are supported")
         self.codes: List[List[int]] = [[0] * n for _ in range(levels)]
         self.keys: List[int] = [0] * n
-        self.full: List[int] = [0] * levels
-        #: Whole-graph packed keys are maintained only once someone reads
-        #: them (transposition keys of multi-level games); single-level
-        #: games never pay the big-int updates.
-        self.full_valid = False
         self.generation = instance.generation
         #: Cached per-level ``(dependent, shift amount)`` tables, built on
         #: first :meth:`set_code` -- the bitset search paths never assign
         #: through the state, so they never pay for these.
         self.deps: Optional[List[List[Tuple[Tuple[int, int], ...]]]] = None
-
-    def ensure_full(self) -> List[int]:
-        """The per-level whole-graph packed keys, enabling their maintenance."""
-        if not self.full_valid:
-            shift = self.instance.shift
-            n = self.instance.n
-            self.full = [
-                sum(codes[v] << (v * shift) for v in range(n)) for codes in self.codes
-            ]
-            self.full_valid = True
-        return self.full
 
     def sync(self) -> None:
         """Resynchronize after an instance rebase or rewire.
@@ -901,9 +874,8 @@ class CodedState:
         self.generation = instance.generation
         self.deps = None
         shift = instance.shift
-        n = instance.n
         keys = []
-        for u in range(n):
+        for u in range(instance.n):
             ball = instance.balls[u]
             ball_size = len(ball)
             key = 0
@@ -914,10 +886,6 @@ class CodedState:
                     key |= codes[v] << ((base + position) * shift)
             keys.append(key)
         self.keys = keys
-        if self.full_valid:
-            self.full = [
-                sum(codes[v] << (v * shift) for v in range(n)) for codes in self.codes
-            ]
 
     def load_level(self, level: int, assignment: Mapping[Node, str]) -> None:
         """Assign a whole level from a certificate dict (absent nodes carry "")."""
@@ -944,8 +912,6 @@ class CodedState:
             ]
         for u, amount in deps[level][v]:
             keys[u] += delta << amount
-        if self.full_valid:
-            self.full[level] += delta << (v * self.instance.shift)
 
     def __repr__(self) -> str:
         return f"CodedState(levels={self.levels}, nodes={self.instance.n})"
@@ -958,10 +924,15 @@ class CompiledGameEngine:
     (``eve_wins`` / ``sigma_value`` / ``pi_value`` / ``winning_first_move``),
     but every internal structure is coded: candidate certificates are
     integer codes materialized from the spaces, level enumeration is a
-    delta odometer on a :class:`CodedState`, the innermost level is solved
-    by pruned search (bitset masks for pairwise rules, packed-key memo
-    lookups otherwise), and the transposition cache is keyed by packed
-    per-level code integers.
+    delta odometer on a :class:`CodedState`, and the innermost level is
+    solved by pruned search (bitset masks for pairwise rules, packed-key
+    memo lookups otherwise).
+
+    An engine holds no game values: each query is solved afresh, and only
+    the instance's per-node verdict memo carries over between queries.
+    Games that should share that memo -- Sigma and Pi, other spaces over
+    the same ``(machine, graph, ids)`` -- pass one *instance* to each
+    engine.
     """
 
     def __init__(
@@ -971,7 +942,6 @@ class CompiledGameEngine:
         ids: Mapping[Node, str],
         spaces: Sequence[CertificateSpace],
         instance: Optional[CompiledInstance] = None,
-        transposition_cap: Optional[int] = DEFAULT_TRANSPOSITION_CAP,
     ) -> None:
         self.machine = machine
         self.graph = graph
@@ -998,7 +968,6 @@ class CompiledGameEngine:
         self._nonempty_below: Optional[List[bool]] = None
         self._state = compiled.new_state(len(self.spaces))
         self._state.sync()
-        self._transposition = LRUCache(transposition_cap)
         # checkable_at[p]: node indices whose ball is contained in 0..p (the
         # innermost backtracking search checks them as soon as p is set).
         self._checkable_at: List[List[int]] = [[] for _ in range(compiled.n)]
@@ -1088,25 +1057,14 @@ class CompiledGameEngine:
     def _value(self, prefix: Tuple[Quantifier, ...], depth: int) -> bool:
         if depth == len(prefix):
             return self.compiled.accepts_state(self._state)
-
-        state = self._state
-        frozen = tuple(state.ensure_full()[:depth]) if depth else ()
-        key = (prefix[depth:], self.compiled.generation, frozen)
-        cached = self._transposition.get(key, MISSING)
-        if cached is not MISSING:
-            return cached
-
         quantifier = prefix[depth]
         if depth == len(prefix) - 1:
-            value = self._innermost(quantifier, depth)
-        elif self._collapsible(depth):
-            value = self._collapsed_value(quantifier, depth)
-        elif quantifier is Quantifier.EXISTS:
-            value = any(self._value(prefix, depth + 1) for _ in self._enumerate_level(depth))
-        else:
-            value = all(self._value(prefix, depth + 1) for _ in self._enumerate_level(depth))
-        self._transposition.put(key, value)
-        return value
+            return self._innermost(quantifier, depth)
+        if self._collapsible(depth):
+            return self._collapsed_value(quantifier, depth)
+        if quantifier is Quantifier.EXISTS:
+            return any(self._value(prefix, depth + 1) for _ in self._enumerate_level(depth))
+        return all(self._value(prefix, depth + 1) for _ in self._enumerate_level(depth))
 
     def _candidate_mask_table(self) -> List[List[int]]:
         masks = self._candidate_masks
@@ -1383,14 +1341,10 @@ class CompiledGameEngine:
         return True
 
     # ------------------------------------------------------------------
-    def transposition_info(self) -> Dict[str, Optional[int]]:
-        """Hit/miss/eviction counters of the transposition cache."""
-        return self._transposition.info()
-
     def __repr__(self) -> str:
         return (
             f"CompiledGameEngine(levels={len(self.spaces)}, nodes={len(self.nodes)}, "
-            f"transpositions={len(self._transposition)}, compiled={self.compiled!r})"
+            f"compiled={self.compiled!r})"
         )
 
 

@@ -279,7 +279,6 @@ class MutableInstance:
         self.compiled = CompiledInstance(machine, graph, ids)
         if canonical is not None:
             self.compiled.attach_canonical(canonical)
-        self._engine: Optional[CompiledGameEngine] = None
         self._verdict: Optional[bool] = None
         self._key: Optional[str] = None
         self._machine_digest: Optional[str] = None
@@ -380,7 +379,6 @@ class MutableInstance:
             self.full_rebuilds += 1
         self.mutations += 1
         self.dirty_total += len(invalidated)
-        self._engine = None
         self._verdict = None
         self._key = None
         seconds = time.perf_counter() - start
@@ -510,7 +508,10 @@ class MutableInstance:
     def verdict(self) -> bool:
         """Eve's verdict for the current state (cached until the next delta)."""
         if self._verdict is None:
-            engine = self._ensure_engine()
+            self._maybe_compact()
+            engine = CompiledGameEngine(
+                self.machine, self.graph, self._ids, self.spaces, instance=self.compiled
+            )
             self._verdict = engine.eve_wins(self.prefix)
             self.verdicts_computed += 1
         return self._verdict
@@ -522,18 +523,6 @@ class MutableInstance:
         state, solved earlier) prime the lazy verdict without re-solving.
         """
         self._verdict = bool(verdict)
-
-    def _ensure_engine(self) -> CompiledGameEngine:
-        if self._engine is None:
-            self._maybe_compact()
-            self._engine = CompiledGameEngine(
-                self.machine,
-                self.graph,
-                self._ids,
-                self.spaces,
-                instance=self.compiled,
-            )
-        return self._engine
 
     def _maybe_compact(self) -> None:
         """Recompile the instance when churn stranded most of its codes.

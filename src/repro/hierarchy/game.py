@@ -19,10 +19,9 @@ Two solvers live behind this interface:
 * :func:`sigma_membership`, :func:`pi_membership` and
   :func:`winning_first_move` route through the compiled
   :class:`~repro.engine.compiled.CompiledGameEngine` (memoized per-node
-  verdicts, leaf short-circuiting, transposition cache, pruned innermost
-  search), which is observationally equivalent and orders of magnitude
-  faster.  Randomized tests (``tests/test_engine.py``) assert the
-  equivalence.
+  verdicts, leaf short-circuiting, pruned innermost search), which is
+  observationally equivalent and orders of magnitude faster.  Randomized
+  tests (``tests/test_engine.py``) assert the equivalence.
 """
 
 from __future__ import annotations

@@ -220,10 +220,10 @@ class ComputeTier:
 
     Batches are dispatched through the sweep executor's
     :func:`~repro.sweep.executor.evaluate_timed`, which shares one compiled
-    instance per ``(machine, graph, ids)`` group and one engine per
-    engine-sharing key *within* the batch -- Sigma and Pi misses of one game
-    coalesced into a batch share a verdict memo -- and drops them all when
-    the batch returns.  Only the canonical ball cache outlives a batch.
+    instance per ``(machine, graph, ids)`` group *within* the batch -- Sigma
+    and Pi misses of one game coalesced into a batch share a verdict memo
+    -- and drops them all when the batch returns.  Only the canonical ball
+    cache outlives a batch.
 
     Evaluation is serialized by a lock: the canonical cache is not
     thread-safe, and the workload is pure Python (GIL-bound), so worker

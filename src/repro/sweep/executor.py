@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.batch import GameInstance, IdentityKey, engine_sharing_key
+from repro.engine.batch import GameInstance, IdentityKey
 from repro.obs.log import get_logger
 from repro.sweep.fingerprint import game_instance_key
 from repro.sweep.scenarios import build_instances
@@ -112,11 +112,14 @@ class SweepResult:
 def evaluator_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, object, Tuple[tuple, ...]]:
     """The key under which instances share one compiled instance.
 
-    Coarser than :func:`~repro.engine.batch.engine_sharing_key`: the
-    certificate spaces are *not* part of it, because the per-node verdict
-    cache depends only on ``(machine, graph, ids)`` -- Sigma and Pi games,
-    and sweeps of many certificate spaces over one instance, all reuse it.
-    Like that key, it lists each identifier with its node, in node order.
+    The certificate spaces and the prefix are *not* part of it, because
+    the per-node verdict cache depends only on ``(machine, graph, ids)``
+    -- Sigma and Pi games, and sweeps of many certificate spaces over one
+    instance, all reuse it.  The machine is compared by identity through
+    :class:`~repro.engine.batch.IdentityKey`.  The identifiers are listed
+    with their nodes, in node order: graphs compare equal whatever their
+    node order, but a compiled instance is positional in ``graph.nodes``,
+    so the same identifier tuple in another node order is another input.
     """
     return (
         IdentityKey(instance.machine),
@@ -132,13 +135,13 @@ def evaluate_timed(
     """Game values of *instances*, in order, with per-instance timing.
 
     One :class:`~repro.engine.compiled.CompiledInstance` is built per
-    sharing group (same ``(machine, graph, ids)``), so every engine
-    of the group -- across certificate spaces and prefixes -- runs on the
-    same interned certificate alphabet and shares the per-node verdict
-    memo, and instances with one :func:`~repro.engine.batch.engine_sharing_key`
-    share one engine.  Both are shared within this call only: every
-    compiled instance and engine it builds is garbage once it returns,
-    and a verdict worth keeping is kept under its store key by the caller.
+    sharing group (same ``(machine, graph, ids)``), and each instance gets
+    its own engine on it, so every game of the group -- across certificate
+    spaces and prefixes -- runs on the same interned certificate alphabet
+    and shares the per-node verdict memo.  An engine keeps no game values,
+    so there is nothing else to share.  The compiled instances are shared
+    within this call only: each is garbage once it returns, and a verdict
+    worth keeping is kept under its store key by the caller.
 
     Under an active trace, each instance records an ``engine`` span with
     the path that filled its memo misses
@@ -156,39 +159,32 @@ def evaluate_timed(
     from repro.obs.trace import current_trace
 
     compiled_by_group: Dict[tuple, CompiledInstance] = {}
-    engines: Dict[tuple, CompiledGameEngine] = {}
     trace = current_trace()
     verdicts: List[bool] = []
     seconds: List[float] = []
     for instance in instances:
-        key = engine_sharing_key(instance)
-        engine = engines.get(key)
-        compiled_fresh = False
-        if engine is None:
-            group_key = evaluator_sharing_key(instance)
-            compiled = compiled_by_group.get(group_key)
-            if compiled is None:
-                compile_start = time.perf_counter()
-                compiled = compile_instance(instance.machine, instance.graph, instance.ids)
-                compiled_by_group[group_key] = compiled
-                compiled_fresh = True
-                if trace is not None:
-                    trace.add_span(
-                        "compile",
-                        time.perf_counter() - compile_start,
-                        instance=instance.name,
-                    )
+        group_key = evaluator_sharing_key(instance)
+        compiled = compiled_by_group.get(group_key)
+        compiled_fresh = compiled is None
+        if compiled_fresh:
+            compile_start = time.perf_counter()
+            compiled = compile_instance(instance.machine, instance.graph, instance.ids)
+            compiled_by_group[group_key] = compiled
+            if trace is not None:
+                trace.add_span(
+                    "compile",
+                    time.perf_counter() - compile_start,
+                    instance=instance.name,
+                )
             if canonical is not None:
                 compiled.attach_canonical(canonical)
-            engine = CompiledGameEngine(
-                instance.machine,
-                instance.graph,
-                instance.ids,
-                instance.spaces,
-                instance=compiled,
-            )
-            engines[key] = engine
-        compiled = engine.compiled
+        engine = CompiledGameEngine(
+            instance.machine,
+            instance.graph,
+            instance.ids,
+            instance.spaces,
+            instance=compiled,
+        )
         runs = compiled.simulator_runs
         start = time.perf_counter()
         verdicts.append(engine.eve_wins(instance.prefix))

@@ -6,6 +6,24 @@ import pytest
 
 from repro.graphs import generators
 from repro.graphs.identifiers import sequential_identifier_assignment
+from repro.sweep import scenarios
+
+
+@pytest.fixture(autouse=True)
+def _restore_scenario_registries():
+    """Forget the scenarios a test registers once it ends.
+
+    The registries are process-wide, so a scenario a test leaves behind
+    (say, one whose instances sleep) is built by every later test that
+    walks ``scenario_names()``.  Scenarios registered at import, built-in
+    or by a test module, stay.
+    """
+    registries = (scenarios._REGISTRY, scenarios._DYNAMIC_REGISTRY)
+    saved = [dict(registry) for registry in registries]
+    yield
+    for registry, before in zip(registries, saved):
+        registry.clear()
+        registry.update(before)
 
 
 @pytest.fixture

@@ -213,16 +213,22 @@ class TestThreeWayEquivalence:
             generators.cycle_graph(3),
             generators.path_graph(3, labels=["1", "0", "1"]),
         ]
-        small_spaces = [bit_space(), enumerated_space(("", "1"), name="maybe-one")]
+        # A space listing a candidate twice is the one input on which a
+        # position recurs within one game.
+        repeating = enumerated_space(("0", "1", "0"))
+        small_spaces = [bit_space(), enumerated_space(("", "1"), name="maybe-one"), repeating]
+        drew_repeating = False
         for trial in range(6):
             graph = rng.choice(small_graphs)
             machine = rng.choice(_machine_pool())
             spaces = [rng.choice(small_spaces) for _ in range(2)]
+            drew_repeating = drew_repeating or repeating in spaces
             ids = sequential_identifier_assignment(graph)
             for prefix in (sigma_prefix(2), pi_prefix(2)):
                 expected = eve_wins(machine, graph, ids, spaces, prefix)
                 compiled = CompiledGameEngine(machine, graph, ids, spaces).eve_wins(prefix)
                 assert expected == compiled, (trial, prefix)
+        assert drew_repeating
 
     def test_colliding_identifiers_force_simulation_and_agree(self):
         # Cyclic identifiers collide at the gather horizon (Proposition 26):
@@ -575,8 +581,9 @@ class TestIncrementalKeys:
             ]
         assert verdicts == {True, False}
 
-    def test_transposition_keys_span_generations(self):
-        # An engine queried across a rebase must not serve a stale value.
+    def test_engine_requeried_across_a_rebase_keeps_its_value(self):
+        # An engine asked again after its instance rebased resyncs its
+        # state's packed keys and gives the same answer.
         machine = builtin.three_colorability_verifier()
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)
@@ -663,20 +670,6 @@ class TestBoundsAndCounters:
                 assert instance.simulator_runs == 2 ** instance.n
             else:
                 assert info["evictions"] > 0
-
-    def test_engine_transposition_cap_and_counters(self):
-        machine = builtin.three_colorability_verifier()
-        graph = generators.cycle_graph(4)
-        ids = sequential_identifier_assignment(graph)
-        engine = CompiledGameEngine(
-            machine, graph, ids, [color_space(3)], transposition_cap=4
-        )
-        value = engine.eve_wins(sigma_prefix(1))
-        assert engine.eve_wins(sigma_prefix(1)) == value
-        info = engine.transposition_info()
-        assert info["maxsize"] == 4
-        assert info["size"] <= 4
-        assert info["hits"] >= 1  # the repeated root query
 
     def test_leaf_evaluator_memo_info_both_paths(self):
         # The kernel path (eulerian's rule) and the simulation path report

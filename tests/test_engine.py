@@ -54,7 +54,7 @@ class _SubclassedGather(NeighborhoodGatherAlgorithm):
 
 
 def _engine(machine, graph, ids, spaces):
-    """A cold engine: fresh compiled instance, memo and transposition cache."""
+    """A cold engine: fresh compiled instance and memo."""
     return CompiledGameEngine(
         machine, graph, ids, spaces, instance=CompiledInstance(machine, graph, ids)
     )
@@ -328,24 +328,6 @@ class TestGameEquivalence:
         with pytest.raises(ValueError):
             engine.eve_wins([])
 
-    def test_transposition_cache_reuse(self):
-        machine = builtin.three_colorability_verifier()
-        graph = generators.cycle_graph(5)
-        ids = sequential_identifier_assignment(graph)
-        engine = _engine(machine, graph, ids, [color_space(3)])
-        engine.eve_wins(sigma_prefix(1))
-        hits = engine.transposition_info()["hits"]
-
-        def work():
-            compiled = engine.compiled
-            return compiled.memo_info(), compiled.simulator_runs, engine.bitset_prunes
-
-        before = work()
-        engine.eve_wins(sigma_prefix(1))
-        # The repeated query is answered from the transposition cache.
-        assert engine.transposition_info()["hits"] == hits + 1
-        assert work() == before
-
 
 class TestWinningMoves:
     def test_move_parity_with_reference(self):
@@ -395,16 +377,17 @@ class TestBatchAPI:
         assert values == [spec.decide_naive(graph) for graph in graphs]
 
     def test_batch_shares_engines_across_prefixes(self, monkeypatch):
+        # Each game gets its own engine, but the three games of one
+        # (machine, graph, ids) run on one compiled instance.
         from repro.engine import compiled
 
         built = []
 
-        class CountingEngine(CompiledGameEngine):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
+        def counting_compile(*args):
+            built.append(args)
+            return CompiledInstance(*args)
 
-        monkeypatch.setattr(compiled, "CompiledGameEngine", CountingEngine)
+        monkeypatch.setattr(compiled, "compile_instance", counting_compile)
         machine = builtin.three_colorability_verifier()
         graph = generators.cycle_graph(4)
         ids = sequential_identifier_assignment(graph)

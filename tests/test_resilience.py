@@ -909,12 +909,20 @@ class _SilentServer:
             pass
 
     def close(self):
+        # Closing alone does not wake a thread blocked in accept() on
+        # Linux; shutting the socket down does.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self._sock.close()
+        self._thread.join(timeout=5)
         for conn in self._accepted:
             try:
                 conn.close()
             except OSError:
                 pass
+        assert not self._thread.is_alive()
 
 
 class TestClientResilience:
