@@ -69,7 +69,7 @@ from repro.engine.dynamic import (
     random_trace,
     recompute_verdict,
 )
-from repro.engine.batch import GameInstance, IdentityKey
+from repro.engine.batch import GameInstance
 
 __all__ = [
     "BitsetKernel",
@@ -93,5 +93,4 @@ __all__ = [
     "random_trace",
     "recompute_verdict",
     "GameInstance",
-    "IdentityKey",
 ]

@@ -70,7 +70,7 @@ from repro.engine.bitset import BitsetKernel, mask_of_codes
 from repro.engine.caching import MISSING
 from repro.engine.canonical import node_ball_signature, verdict_key
 
-#: Default bound on the shared per-node verdict memo of a compiled instance.
+#: Bound on the shared per-node verdict memo of a compiled instance.
 DEFAULT_LEAF_MEMO_CAP = 1 << 20
 
 
@@ -97,8 +97,9 @@ class CompiledInstance:
     certificate-free part per node (the static view fields, the ball
     subgraph).
 
-    The instance owns the shared per-node verdict memo (LRU-bounded, keyed
-    by ``(node, levels, packed restriction key)``) and the certificate
+    The instance owns the shared per-node verdict memo (bounded by
+    :data:`DEFAULT_LEAF_MEMO_CAP`, keyed by
+    ``(node, levels, packed restriction key)``) and the certificate
     alphabet.  Every leaf verdict -- engine searches and one-off
     :meth:`accepts_dicts` runs alike -- goes through
     :meth:`node_verdict_state` on a :class:`CodedState`, so all of them
@@ -110,7 +111,6 @@ class CompiledInstance:
         machine: NodeMachine,
         graph: LabeledGraph,
         ids: Mapping[Node, str],
-        memo_cap: Optional[int] = DEFAULT_LEAF_MEMO_CAP,
     ) -> None:
         self.machine = machine
         nodes = graph.nodes
@@ -147,10 +147,10 @@ class CompiledInstance:
 
         #: Per-node verdict memos, keyed by ``(packed key << 5) | levels``
         #: (int keys hash faster than tuples on the hot path).  Bounded as a
-        #: whole by *memo_cap* with segment eviction: when full, the oldest
-        #: (insertion-ordered) half of every node's memo is dropped.
+        #: whole by :data:`DEFAULT_LEAF_MEMO_CAP` with segment eviction: when
+        #: full, the oldest (insertion-ordered) half of every node's memo is
+        #: dropped.
         self.memo_nodes: List[Dict[int, bool]] = [{} for _ in range(n)]
-        self.memo_cap = memo_cap
         self.memo_entries = 0
         self.memo_hits = 0
         self.memo_misses = 0
@@ -357,8 +357,7 @@ class CompiledInstance:
 
     def _memo_put(self, u: int, memo_key: int, verdict: bool) -> None:
         """Insert a verdict, evicting the oldest memo halves when full."""
-        cap = self.memo_cap
-        if cap is not None and self.memo_entries >= cap:
+        if self.memo_entries >= DEFAULT_LEAF_MEMO_CAP:
             dropped = 0
             for i, memo in enumerate(self.memo_nodes):
                 keep = len(memo) // 2
@@ -536,8 +535,7 @@ class CompiledInstance:
                     verdict = self._simulate(u, state)
                 if canonical is not None:
                     canonical.put(canonical_key, verdict)
-        cap = self.memo_cap
-        if cap is None or self.memo_entries < cap:
+        if self.memo_entries < DEFAULT_LEAF_MEMO_CAP:
             # Re-fetch: _simulate's harvest may have segment-evicted and
             # rebound the per-node memo dicts while we computed.
             memo = self.memo_nodes[u]
@@ -806,11 +804,11 @@ class CompiledInstance:
                     canonical.put(self.canonical_key_state(v, state), verdict)
         return verdict_of(outputs[nodes[u]])
 
-    def memo_info(self) -> Dict[str, Optional[int]]:
+    def memo_info(self) -> Dict[str, int]:
         """Hit/miss/eviction counters and occupancy of the shared verdict memo."""
         return {
             "size": self.memo_entries,
-            "maxsize": self.memo_cap,
+            "maxsize": DEFAULT_LEAF_MEMO_CAP,
             "hits": self.memo_hits,
             "misses": self.memo_misses,
             "evictions": self.memo_evictions,

@@ -13,9 +13,10 @@ Every tier keeps hit/miss/latency counters, surfaced by the ``stats``
 request so operators can see where queries are being answered.  The
 compute tier additionally counts its verdicts by the engine path that
 produced them (rule kernel, direct view, knowledge fixpoint or ball
-simulation) and the simulator runs they took.  It keeps no engine between
-batches: a game's verdict depends only on what its store key digests, and
-tiers 1 and 2 already remember every verdict under that key.
+simulation) and the simulator runs they took.  It keeps nothing between
+batches and never touches the store: a game's verdict depends only on what
+its store key digests, and tiers 1 and 2 already remember every verdict
+under that key.
 """
 
 from __future__ import annotations
@@ -26,16 +27,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.batch import GameInstance
 from repro.engine.caching import LRUCache, MISSING
-from repro.engine.canonical import CanonicalVerdictCache
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, MetricsRegistry
 from repro.obs.trace import RequestTrace, TraceLog, active
-from repro.service.resilience import StoreUnavailable
 from repro.sweep.executor import evaluate_timed
 from repro.sweep.store import VerdictStore, WouldBlock
-
-#: Bound on the compute tier's in-memory canonical ball cache (the daemon
-#: is long-lived; sweeps use unbounded per-run caches instead).
-CANONICAL_CACHE_ENTRIES = 1 << 18
 
 
 class TieredVerdictCache:
@@ -222,17 +217,19 @@ class ComputeTier:
     :func:`~repro.sweep.executor.evaluate_timed`, which shares one compiled
     instance per ``(machine, graph, ids)`` group *within* the batch -- Sigma
     and Pi misses of one game coalesced into a batch share a verdict memo
-    -- and drops them all when the batch returns.  Only the canonical ball
-    cache outlives a batch.
+    -- and drops them all when the batch returns.  Nothing outlives a
+    batch, and the tier never touches the store: tiers 1 and 2 remember
+    every verdict it computes.
 
-    Evaluation is serialized by a lock: the canonical cache is not
-    thread-safe, and the workload is pure Python (GIL-bound), so worker
-    concurrency buys nothing for a single batch anyway.
+    Evaluation is serialized by a lock.  The coalescer already dispatches
+    one batch at a time, and the lock keeps it so for any other caller:
+    the workload is pure Python (GIL-bound), so two batches run at once
+    would only interleave, each finishing as late as both, with both
+    batches' compiled instances alive.
     """
 
     def __init__(
         self,
-        store: Optional[VerdictStore] = None,
         registry: Optional[MetricsRegistry] = None,
         trace_log: Optional[TraceLog] = None,
         faults=None,
@@ -242,14 +239,6 @@ class ComputeTier:
         #: Optional fault injector (the daemon wires it): the
         #: ``compute-error`` failpoint.
         self.faults = faults
-        #: Canonical ball cache shared by every compiled instance the tier
-        #: ever touches; store-backed when the daemon has a store, so the
-        #: compute tier starts warm on neighborhoods any sweep ever solved.
-        #: Bounded, like every other cache in the daemon: evicted entries
-        #: stay re-promotable from the store.
-        self.canonical = CanonicalVerdictCache(
-            store=store, max_entries=CANONICAL_CACHE_ENTRIES
-        )
         self._lock = threading.Lock()
         self._batches = self.registry.counter(
             "repro_compute_batches_total", help="batches dispatched to the engine tier"
@@ -275,10 +264,6 @@ class ComputeTier:
             "repro_compute_solve_seconds",
             buckets=LATENCY_BUCKETS_SECONDS,
             help="per-instance engine solve time",
-        )
-        self._flush_failures = self.registry.counter(
-            "repro_compute_canonical_flush_failures_total",
-            help="canonical-cache store flushes that failed (verdicts unaffected)",
         )
 
     # Registry-backed counters, exposed as the plain ints they replaced.
@@ -312,17 +297,7 @@ class ComputeTier:
         )
         with self._lock:
             with active(batch_trace):
-                verdicts, seconds = evaluate_timed(instances, canonical=self.canonical)
-            # Fresh node verdicts reach the store inside the batch (the
-            # caller already runs evaluation off the event loop).  The
-            # verdicts are already computed: a failed or breaker-shed flush
-            # only costs persistence, never the answers.
-            try:
-                self.canonical.flush()
-            except StoreUnavailable:
-                pass
-            except Exception:  # noqa: BLE001 -- persistence is best-effort
-                self._flush_failures.inc()
+                verdicts, seconds = evaluate_timed(instances)
             self._batches.inc()
             for record in batch_trace.spans:
                 if record.name == "engine":
@@ -337,23 +312,20 @@ class ComputeTier:
         return verdicts, seconds
 
     def engine_stats(self) -> Dict[str, object]:
-        """The tier's counters: batches, verdicts per engine path, simulator
-        runs and the canonical ball cache.
+        """The tier's counters: batches, verdicts, batch seconds, verdicts
+        per engine path and simulator runs.
 
-        Reads registry instruments and the canonical cache's counters only,
-        never the batch lock: a ``stats`` request is handled on the daemon's
-        event loop, and a batch can hold the lock for a whole cold
-        evaluation.
+        Reads registry instruments only, never the batch lock: a ``stats``
+        request is handled on the daemon's event loop, and a batch can hold
+        the lock for a whole cold evaluation.
         """
         paths = {path: counter.value for path, counter in self._verdicts.items()}
         return {
             "batches": self.batches,
             "computed": sum(paths.values()),
             "seconds": round(self._batch_seconds.sum, 6),
-            "flush_failures": self._flush_failures.value,
             # How each computed verdict's memo misses were filled, and how
             # often its game ran the simulator to do it.
             "paths": paths,
             "simulator_runs": self._simulator_runs.value,
-            "canonical": self.canonical.info(),
         }

@@ -21,8 +21,8 @@ testable pieces:
   schedules are unit-testable against a fake clock.
 
 :class:`FaultingStore` wraps any :class:`~repro.sweep.store.VerdictStore`
-and is where the first two meet: every verdict or node-verdict read or
-write and every journal append asks the daemon's breaker first, raises
+and is where the first two meet: every verdict read or write and every
+journal append asks the daemon's breaker first, raises
 :class:`StoreUnavailable` when shed, and otherwise applies the store
 failpoints, makes the call and reports its outcome to the breaker.  The
 daemon always wraps its store, so every store interaction shares one
@@ -53,7 +53,7 @@ _log = get_logger("repro.resilience")
 #: failpoint            effect when it fires
 #: ==================== ====================================================
 #: ``store-get-error``  store reads raise :class:`InjectedFault`
-#: ``store-put-error``  store writes (verdicts, nodes, journal) raise
+#: ``store-put-error``  store writes (verdicts, journal) raise
 #: ``store-get-latency`` store reads sleep ``latency`` seconds first
 #: ``store-put-latency`` store writes sleep ``latency`` seconds first
 #: ``compute-error``    the compute tier raises before evaluating a batch
@@ -502,11 +502,11 @@ class FaultingStore(VerdictStore):
     """The daemon's store wrapper: the store breaker and the ``store-*``
     failpoints, applied on the way through.
 
-    Verdict and node-verdict reads and writes and journal appends ask
-    *breaker* first and raise :class:`StoreUnavailable` when shed;
-    otherwise the failpoints apply, the call is made and its outcome is
-    reported on the calling thread, so no caller can leave a probe
-    unreported.  A non-blocking call treats an armed latency failpoint as
+    Verdict reads and writes and journal appends ask *breaker* first and
+    raise :class:`StoreUnavailable` when shed; otherwise the failpoints
+    apply, the call is made and its outcome is reported on the calling
+    thread, so no caller can leave a probe unreported.  A non-blocking
+    call treats an armed latency failpoint as
     :class:`~repro.sweep.store.WouldBlock` (it would sleep), and a probe
     whose call raises ``WouldBlock`` is handed back to the breaker.
     Every call the breaker admits is counted in *registry* by operation
@@ -515,7 +515,8 @@ class FaultingStore(VerdictStore):
     Structural calls (``__len__``, ``len_nowait``, ``items``, ``close``,
     ``checkpoint``) and journal *reads* pass through ungated -- stats must
     stay observable and startup recovery must be able to read what an
-    earlier, healthy daemon journaled.
+    earlier, healthy daemon journaled.  The daemon keeps no node
+    verdicts, so the store's node-verdict calls are not wrapped.
     """
 
     _GET = ("store-get-latency", "store-get-error")
@@ -596,22 +597,6 @@ class FaultingStore(VerdictStore):
 
     def put_many(self, records):
         self._call(self._PUT, "put_many", records)
-
-    # -- node verdicts -------------------------------------------------
-    def get_node(self, key):
-        return self._call(self._GET, "get_node", key)
-
-    def get_node_many(self, keys):
-        return self._call(self._GET, "get_node_many", keys)
-
-    def put_node(self, key, verdict):
-        self._call(self._PUT, "put_node", key, verdict)
-
-    def put_node_many(self, records):
-        self._call(self._PUT, "put_node_many", records)
-
-    def node_count(self):
-        return self.inner.node_count()
 
     # -- session journal -----------------------------------------------
     def journal_append(self, session, seq, entry):

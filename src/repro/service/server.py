@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.engine.canonical import CanonicalVerdictCache
 from repro.engine.dynamic import DeltaError, MutableInstance, delta_from_wire
 from repro.obs.log import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS_SECONDS, MetricsRegistry
@@ -83,10 +82,10 @@ class _DynamicSession:
     all or none of any delta batch, never a half-applied one.  A small
     mutate tries the lock on the event loop and waits for it only on a
     worker thread; larger mutates and session queries always run on a
-    worker thread (see :meth:`VerdictService._mutate`).  The
-    per-session canonical cache shares the store's ``node_verdicts``
-    table, so ball verdicts survive mutation exactly when their canonical
-    signature does.
+    worker thread (see :meth:`VerdictService._mutate`).  A session's
+    node verdicts live only in its private compiled instance's memo, where
+    each repair drops exactly the dirty ones; its whole-game verdicts are
+    kept under the current state's store key, in the LRU and the store.
     """
 
     #: Most idempotency tokens remembered per session (oldest evicted).
@@ -243,7 +242,6 @@ class VerdictService:
             self.store, lru_size=self.config.lru_size, registry=self.registry
         )
         self.compute = ComputeTier(
-            store=self.store,
             registry=self.registry,
             trace_log=self.traces,
             faults=self.faults,
@@ -727,9 +725,6 @@ class VerdictService:
                 partial(self.cache.insert, key, verdict, name=mutable.name, seconds=seconds),
                 self._store_writes_skipped,
             )
-            canonical = mutable.compiled.canonical
-            if canonical is not None:
-                self._write(canonical.flush)
             return verdict, "dynamic", key, mutable.name, seconds, degraded or not stored
 
     # ------------------------------------------------------------------
@@ -847,10 +842,7 @@ class VerdictService:
         resolved = self.resolver.resolve(
             QueryRequest(**{field: address.get(field) for field in _ADDRESS_FIELDS})
         )
-        mutable = MutableInstance.from_game_instance(
-            resolved.instance,
-            canonical=CanonicalVerdictCache(store=self.store, max_entries=65536),
-        )
+        mutable = MutableInstance.from_game_instance(resolved.instance)
         return _DynamicSession(name, mutable, opening=address)
 
     def _finish_mutate(
@@ -1119,10 +1111,6 @@ class VerdictService:
         self._closed = True
         self.profiler.stop()
         await self.coalescer.close()
-        for session in self.sessions.values():
-            canonical = session.mutable.compiled.canonical
-            if canonical is not None:
-                self._off_loop(self._write, canonical.flush)
         if self._worker_futures:
             # Verdicts already answered to clients must reach the store
             # before it is closed (daemon restarts start warm).
@@ -1244,7 +1232,7 @@ class VerdictServer:
         arrive, admitted requests get up to that long to finish (new ones
         are answered ``draining``), and only then are the remaining
         connections cancelled and the service closed -- which flushes
-        pending persists and session canonicals to the store.
+        pending persists to the store.
         """
         if self._server is not None:
             self._server.close()

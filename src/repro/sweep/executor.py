@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.engine.batch import GameInstance, IdentityKey
+from repro.engine.batch import GameInstance
 from repro.obs.log import get_logger
 from repro.sweep.fingerprint import game_instance_key
 from repro.sweep.scenarios import build_instances
@@ -109,20 +109,23 @@ class SweepResult:
 # ----------------------------------------------------------------------
 # Evaluation
 # ----------------------------------------------------------------------
-def evaluator_sharing_key(instance: GameInstance) -> Tuple[IdentityKey, object, Tuple[tuple, ...]]:
+def evaluator_sharing_key(instance: GameInstance) -> Tuple[int, object, Tuple[tuple, ...]]:
     """The key under which instances share one compiled instance.
 
     The certificate spaces and the prefix are *not* part of it, because
     the per-node verdict cache depends only on ``(machine, graph, ids)``
     -- Sigma and Pi games, and sweeps of many certificate spaces over one
-    instance, all reuse it.  The machine is compared by identity through
-    :class:`~repro.engine.batch.IdentityKey`.  The identifiers are listed
-    with their nodes, in node order: graphs compare equal whatever their
-    node order, but a compiled instance is positional in ``graph.nodes``,
-    so the same identifier tuple in another node order is another input.
+    instance, all reuse it.  The machine is compared by identity.  The
+    identifiers are listed with their nodes, in node order: graphs compare
+    equal whatever their node order, but a compiled instance is positional
+    in ``graph.nodes``, so the same identifier tuple in another node order
+    is another input.
     """
+    # A plain id cannot alias: the keys live in one evaluate_timed call's
+    # dict, whose values are compiled instances holding their machines, so
+    # no machine whose id is a live key can be collected and its id reused.
     return (
-        IdentityKey(instance.machine),
+        id(instance.machine),
         instance.graph,
         tuple((u, instance.ids[u]) for u in instance.graph.nodes),
     )

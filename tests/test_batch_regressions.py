@@ -4,40 +4,12 @@ from __future__ import annotations
 
 import gc
 
-from repro.engine.batch import GameInstance, IdentityKey
+from repro.engine.batch import GameInstance
 from repro.graphs import generators
 from repro.graphs.identifiers import sequential_identifier_assignment, small_identifier_assignment
 from repro.hierarchy.arbiters import three_colorability_spec
 from repro.machines import builtin
 from repro.sweep.executor import evaluate_timed
-
-
-class TestIdentityKey:
-    def test_same_objects_equal(self):
-        machine = builtin.constant_algorithm("1")
-        assert IdentityKey(machine) == IdentityKey(machine)
-        assert hash(IdentityKey(machine)) == hash(IdentityKey(machine))
-
-    def test_equal_but_distinct_objects_differ(self):
-        # Identity, not structural equality: two equal-looking machines get
-        # separate engines (their caches are not interchangeable a priori).
-        assert IdentityKey(builtin.constant_algorithm("1")) != IdentityKey(
-            builtin.constant_algorithm("1")
-        )
-
-    def test_key_pins_referents(self):
-        import weakref
-
-        machine = builtin.constant_algorithm("1")
-        finalized = []
-        weakref.finalize(machine, finalized.append, True)
-        key = IdentityKey(machine)
-        del machine
-        gc.collect()
-        assert not finalized, "a live cache key must keep its machine alive"
-        del key
-        gc.collect()
-        assert finalized
 
 
 class TestEvaluateBatchLazy:

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import CompiledGameEngine, CompiledInstance, compile_instance
+from repro.engine import compiled as compiled_module
 from repro.engine.batch import GameInstance
 from repro.engine.caching import LRUCache
 from repro.graphs import generators
@@ -613,7 +614,7 @@ class TestBoundsAndCounters:
         with pytest.raises(ValueError):
             LRUCache(0)
 
-    def test_compiled_memo_cap_and_counters(self):
+    def test_compiled_memo_cap_and_counters(self, monkeypatch):
         # The 3-coloring verifier without its rule: the bitset search leaves
         # no memo trail, so the generic backtracking search exercises the
         # cap machinery.
@@ -621,7 +622,8 @@ class TestBoundsAndCounters:
         machine = NeighborhoodGatherAlgorithm(verifier.radius, verifier.compute, name="bare")
         graph = generators.cycle_graph(6)
         ids = sequential_identifier_assignment(graph)
-        instance = CompiledInstance(machine, graph, ids, memo_cap=8)
+        monkeypatch.setattr(compiled_module, "DEFAULT_LEAF_MEMO_CAP", 8)
+        instance = CompiledInstance(machine, graph, ids)
         assert instance.rule is None
         engine = CompiledGameEngine(
             machine, graph, ids, [color_space(3)], instance=instance
@@ -636,7 +638,7 @@ class TestBoundsAndCounters:
         expected = eve_wins(machine, graph, ids, [color_space(3)], sigma_prefix(1))
         assert engine.eve_wins(sigma_prefix(1)) == expected
 
-    def test_simulation_harvest_keeps_memo_accounting_consistent(self):
+    def test_simulation_harvest_keeps_memo_accounting_consistent(self, monkeypatch):
         # Regression: the whole-graph harvest of the simulation fallback can
         # trigger segment eviction (rebinding the per-node memo dicts) while
         # a verdict is being computed; the caller must not write into a
@@ -646,8 +648,9 @@ class TestBoundsAndCounters:
         machine = _SubclassedGather(1, _parity_machine().compute, name="sub")
         graph = generators.cycle_graph(5)
         ids = sequential_identifier_assignment(graph)
-        for memo_cap in (6, None):
-            instance = CompiledInstance(machine, graph, ids, memo_cap=memo_cap)
+        for memo_cap in (6, compiled_module.DEFAULT_LEAF_MEMO_CAP):
+            monkeypatch.setattr(compiled_module, "DEFAULT_LEAF_MEMO_CAP", memo_cap)
+            instance = CompiledInstance(machine, graph, ids)
             assert not instance.direct  # simulation path, whole-graph balls
             state = instance.new_state(1)
             zero, one = instance.intern(""), instance.intern("1")
@@ -664,9 +667,9 @@ class TestBoundsAndCounters:
             info = instance.memo_info()
             live_entries = sum(len(memo) for memo in instance.memo_nodes)
             assert info["size"] == live_entries, (info, live_entries)
-            if memo_cap is None:
-                # Unbounded memo: one whole-graph run per assignment answers
-                # all five nodes, not one run per node.
+            if memo_cap > 6:
+                # A memo that never fills: one whole-graph run per assignment
+                # answers all five nodes, not one run per node.
                 assert instance.simulator_runs == 2 ** instance.n
             else:
                 assert info["evictions"] > 0

@@ -114,10 +114,7 @@ class TestComputeTier:
         tier = ComputeTier()
         tier.evaluate(instances)
         stats = tier.engine_stats()
-        assert set(stats) == {
-            "batches", "computed", "seconds", "flush_failures",
-            "paths", "simulator_runs", "canonical",
-        }
+        assert set(stats) == {"batches", "computed", "seconds", "paths", "simulator_runs"}
         assert stats["paths"] == {"kernel": 1, "direct": 0, "fixpoint": 0, "simulate": 0}
         assert stats["batches"] == stats["computed"] == 1
         assert stats["simulator_runs"] == 0
@@ -266,21 +263,20 @@ class TestBulkStoreLookups:
         assert [r.key for r in resolved] == keys[:3]
 
 
-class TestCanonicalTier:
-    def test_compute_tier_reports_canonical_stats(self):
-        _, instances = _instances()
-        tier = ComputeTier()
-        tier.evaluate(instances)
-        stats = tier.engine_stats()
-        assert "canonical" in stats
-        assert set(stats["canonical"]) >= {"entries", "hits", "misses", "hit_rate"}
+class TestNoNodeVerdicts:
+    def test_daemon_makes_no_node_verdict_store_calls(self):
+        # The daemon remembers verdicts only under their store keys: neither
+        # its compute tier nor a session reads or writes node verdicts.
+        import asyncio
 
-    def test_compute_tier_flushes_node_verdicts_to_store(self):
-        from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
+        from repro.engine.dynamic import recompute_verdict
         from repro.hierarchy.arbiters import two_colorability_spec
+        from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
+        from repro.service.protocol import MutateRequest
+        from repro.service.server import VerdictService
 
         class _Sim(NeighborhoodGatherAlgorithm):
-            """Simulation-forced clone: the canonical-eligible path."""
+            """Simulation-forced clone: the engine simulates its balls."""
 
         spec = two_colorability_spec()
         machine = _Sim(spec.machine.radius, spec.machine.compute, name="two-col-sim")
@@ -294,56 +290,32 @@ class TestCanonicalTier:
             name="sim|cycle6",
         )
         store = SQLiteVerdictStore(":memory:")
-        tier = ComputeTier(store=store)
-        tier.evaluate([instance])
-        assert store.node_count() > 0
-        stats = tier.engine_stats()["canonical"]
-        assert stats["entries"] > 0
+        service = VerdictService(store=store)
 
-    def test_open_breaker_sheds_canonical_node_reads(self):
-        import asyncio
+        async def session_round():
+            opening = {"arbiter": "2-colorable", "family": "cycle", "n": 12, "scheme": "small"}
+            opened = await service.handle_request(
+                MutateRequest(id=1, session="s", spec=opening)
+            )
+            assert opened["ok"] and opened["opened"], opened
+            relabel = {"kind": "set-label", "node": 0, "label": "1"}
+            mutated = await service.handle_request(
+                MutateRequest(id=2, session="s", deltas=(relabel,))
+            )
+            assert mutated["ok"] and mutated["applied"] == 1, mutated
+            return await service.handle_request(QueryRequest(id=3, session="s"))
 
-        from repro.machines.local_algorithm import NeighborhoodGatherAlgorithm
-        from repro.hierarchy.arbiters import two_colorability_spec
-        from repro.service.server import ServiceConfig, VerdictService
-
-        class _Sim(NeighborhoodGatherAlgorithm):
-            """Simulation-forced clone: the canonical-eligible path."""
-
-        class _CountingStore(SQLiteVerdictStore):
-            node_reads = 0
-
-            def get_node(self, key):
-                self.node_reads += 1
-                return super().get_node(key)
-
-            def get_node_many(self, keys):
-                self.node_reads += 1
-                return super().get_node_many(keys)
-
-        spec = two_colorability_spec()
-        machine = _Sim(spec.machine.radius, spec.machine.compute, name="two-col-sim")
-        graph = generators.cycle_graph(8)
-        instance = GameInstance(
-            machine=machine,
-            graph=graph,
-            ids=sequential_identifier_assignment(graph),
-            spaces=list(spec.spaces),
-            prefix=spec.prefix(),
-            name="sim|cycle8",
-        )
-        store = _CountingStore(":memory:")
-        config = ServiceConfig(breaker_threshold=1, breaker_reset_seconds=60.0)
-        service = VerdictService(store=store, config=config)
         try:
-            service.breaker.record_failure()
-            assert service.breaker.state == "open"
             verdicts, _ = service.compute.evaluate([instance])
             assert verdicts == [spec.decide(graph, instance.ids)]
-            assert store.node_reads == 0
-            stats = service.compute.engine_stats()
-            assert stats["canonical"]["store_errors"] > 0  # the shed reads
-            assert stats["flush_failures"] == 0  # a shed flush is no failure
+            answer = asyncio.run(session_round())
+            mutable = service.sessions["s"].mutable
+            assert mutable.compiled.path == "fixpoint"
+            assert answer["source"] == "dynamic"
+            assert answer["verdict"] == recompute_verdict(mutable.as_game_instance())
+            assert store.node_count() == 0
+            calls = service.stats()["tiers"]["store"]["calls"]
+            assert not [op for op in calls if op.startswith(("get_node", "put_node"))], calls
         finally:
             asyncio.run(service.close())
             store.close()
